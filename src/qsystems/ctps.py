@@ -30,6 +30,7 @@ import numpy as np
 from .morphisms import (
     CategoryModel,
     Morphism,
+    SumObject,
     adjoint,
     braid,
     deligne_product,
@@ -144,19 +145,20 @@ class ZetaTensor:
 
 def zeta_coefficient(pair: ExtensionPair, d_theta: float,
                      l: SummandIndex, m: SummandIndex, n: SummandIndex,
-                     t_e1: Morphism, t_e2: Morphism) -> complex:
-    """One coefficient of the comultiplication, from the trace formula."""
+                     t_e1: Morphism, t_e2: Morphism, phi_lm: BimodMap) -> complex:
+    """One coefficient of the comultiplication, from the trace formula.
+
+    ``phi_lm`` is ``mtimes(phi_l*, phi_m*)``; it depends only on (l, m), so
+    :func:`zeta_tensor` computes it once for all (n, e1, e2).
+    """
     model = pair.model
     if model.N[l.lam2, m.lam2, n.lam2] == 0 or model.N[l.lam1, m.lam1, n.lam1] == 0:
         return 0.0
     a = pair.algebra
-    phi_l = pair.phi_of(l)
-    phi_m = pair.phi_of(m)
     phi_n = pair.phi_of(n)
     x = bim_compose(
         lift(a, adjoint(t_e1), pair.sign1),
-        bim_compose(mtimes(phi_l.H, phi_m.H),
-                    bim_compose(lift(a, t_e2, pair.sign2), phi_n)),
+        bim_compose(phi_lm, bim_compose(lift(a, t_e2, pair.sign2), phi_n)),
     )
     pref = np.sqrt(model.qdim[l.lam2] * model.qdim[m.lam2]
                    / (d_theta * model.qdim[n.lam2]))
@@ -175,14 +177,18 @@ def zeta_tensor(pair: ExtensionPair, d_theta: float) -> ZetaTensor:
             tree_cache[key] = hom_basis(model, nu, word_obj((lam, mu)))
         return tree_cache[key]
 
-    for l, m, n in itertools.product(pair.summands, repeat=3):
-        if model.N[l.lam1, m.lam1, n.lam1] == 0 or model.N[l.lam2, m.lam2, n.lam2] == 0:
-            continue
-        for e1, t1 in enumerate(trees(n.lam1, l.lam1, m.lam1)):
-            for e2, t2 in enumerate(trees(n.lam2, l.lam2, m.lam2)):
-                val = zeta_coefficient(pair, d_theta, l, m, n, t1, t2)
-                if val != 0.0:
-                    out.entries[(n, l, m, e1, e2)] = val
+    for l, m in itertools.product(pair.summands, repeat=2):
+        phi_lm = None
+        for n in pair.summands:
+            if model.N[l.lam1, m.lam1, n.lam1] == 0 or model.N[l.lam2, m.lam2, n.lam2] == 0:
+                continue
+            if phi_lm is None:
+                phi_lm = mtimes(pair.phi_of(l).H, pair.phi_of(m).H)
+            for e1, t1 in enumerate(trees(n.lam1, l.lam1, m.lam1)):
+                for e2, t2 in enumerate(trees(n.lam2, l.lam2, m.lam2)):
+                    val = zeta_coefficient(pair, d_theta, l, m, n, t1, t2, phi_lm)
+                    if val != 0.0:
+                        out.entries[(n, l, m, e1, e2)] = val
     return out
 
 
@@ -238,8 +244,6 @@ def ctps_braiding(D, theta: ThetaSpec, convention: str = "opposite") -> Morphism
     eps = braid(Dbad, th_bad.object, th_bad.object)
     src = eps.source
     tgt = eps.target
-    from .morphisms import SumObject
-
     return Morphism(D, SumObject(src.words, src.tags), SumObject(tgt.words, tgt.tags), eps.blocks)
 
 

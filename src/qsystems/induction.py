@@ -173,7 +173,6 @@ def solve_haploid_algebra(model: CategoryModel, multiplicities: dict,
     def residual(x):
         a = build(x)
         q = to_qsystem(a)
-        rep = validate_qsystem(q, tol=1.0)
         out = []
         id_th = identity_morphism(model, th)
         c0 = q.theta.d_theta ** -0.5

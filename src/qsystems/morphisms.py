@@ -158,10 +158,13 @@ class CategoryModel:
         self._r_cache = {}
         self._left_idx = {}
         self._right_idx = {}
+        self._right_pos = {}
         self._tails = {}
         self._insert = {}
         self._conj = {}
         self._offsets = {}
+        self._counts = {}
+        self._ends = {}
 
     # -- basic data --------------------------------------------------------
 
@@ -226,6 +229,15 @@ class CategoryModel:
             self._right_idx[key] = out
         return out
 
+    def f_right_pos(self, a, b, c, d) -> dict:
+        """Position of each right-tree index (tau, g, h) in :meth:`f_right`."""
+        key = (a, b, c, d)
+        out = self._right_pos.get(key)
+        if out is None:
+            out = {t: i for i, t in enumerate(self.f_right(a, b, c, d))}
+            self._right_pos[key] = out
+        return out
+
     def F(self, a, b, c, d) -> np.ndarray:
         key = (a, b, c, d)
         out = self._f_cache.get(key)
@@ -288,7 +300,39 @@ class CategoryModel:
         return out
 
     def paths(self, c, word):
+        """Tree basis of Hom(c, word): fusion paths from the identity to c.
+
+        The monoidal products rely on how these lists compose.  Take all
+        paths of a word u, over every end label, in lexicographic order;
+        then ``paths(c, u + v)`` is the concatenation, over those paths
+        ``px`` (ending at m), of ``px + t`` for t in ``tails(m, v, c)``.
+        The end labels of that order are :meth:`path_ends` of u, and each
+        run has length ``tail_counts(v)[m, c]``.
+        """
         return self.tails(0, word, c)
+
+    def tail_counts(self, word) -> np.ndarray:
+        """Matrix of ``len(tails(b, word, c))`` over (b, c): a product of fusion matrices."""
+        out = self._counts.get(word)
+        if out is None:
+            out = np.eye(self.rank, dtype=np.int64)
+            for x in word:
+                out = out @ self.N[:, x, :]
+            self._counts[word] = out
+        return out
+
+    def path_ends(self, word) -> np.ndarray:
+        """End labels of all paths of `word`, in lexicographic path order."""
+        out = self._ends.get(word)
+        if out is None:
+            if not word:
+                out = np.zeros(1, dtype=np.int64)
+            else:
+                prev = self.path_ends(word[:-1])
+                reps = self.N[prev, word[-1], :]
+                out = np.repeat(np.tile(np.arange(self.rank), len(prev)), reps.ravel())
+            self._ends[word] = out
+        return out
 
     def dim_word(self, c, word) -> int:
         return len(self.tails(0, word, c))
@@ -298,28 +342,23 @@ class CategoryModel:
 
     def obj_offsets(self, c, obj: SumObject):
         """Cumulative basis offsets of the summands of `obj` in sector c."""
-        key = (c, obj.words)
-        out = self._offsets.get(key)
+        return self.sector_offsets(obj)[c]
+
+    def sector_offsets(self, obj: SumObject):
+        """:meth:`obj_offsets` of every sector, indexed by c, from one lookup."""
+        out = self._offsets.get(obj.words)
         if out is None:
-            offs = [0]
-            for w in obj.words:
-                offs.append(offs[-1] + self.dim_word(c, w))
-            out = tuple(offs)
-            self._offsets[key] = out
+            dims = np.zeros((self.rank, len(obj.words) + 1), dtype=np.int64)
+            for k, w in enumerate(obj.words):
+                row = np.eye(1, self.rank, dtype=np.int64)[0]
+                for x in w:
+                    row = row @ self.N[:, x, :]
+                dims[:, k + 1] = row
+            out = tuple(tuple(r) for r in np.cumsum(dims, axis=1).tolist())
+            self._offsets[obj.words] = out
         return out
 
     # -- left-insertion recoupling -----------------------------------------
-
-    def detached_index(self, a, word, c):
-        """Index list [(b, i, g)] of the detached basis (1_a x t^word_{b,i}) T^{ab->c}_g."""
-        out = []
-        for b in range(self.rank):
-            np_b = len(self.paths(b, word))
-            ng = self.N[a, b, c]
-            for i in range(np_b):
-                for g in range(ng):
-                    out.append((b, i, g))
-        return out
 
     def lam_insert(self, a, word):
         """Unitaries expanding the detached basis in the left-tree basis.
@@ -344,26 +383,30 @@ class CategoryModel:
         else:
             v, x = word[:-1], word[-1]
             lam_v = self.lam_insert(a, v)
+            N = self.N
+            pos_v = {p: i for b in range(self.rank) for i, p in enumerate(self.paths(b, v))}
+            # detached column (b, i, g) of lam_v[sig] sits at start_v[b, sig] + i N[a, b, sig] + g
+            widths = self.tail_counts(v)[0][:, None] * N[a]
+            start_v = np.cumsum(widths, axis=0) - widths
             for c in range(self.rank):
                 rows = self.tails(a, word, c)
                 row_pos = {p: i for i, p in enumerate(rows)}
-                cols = self.detached_index(a, word, c)
+                cols = [(b, pw, g) for b in range(self.rank)
+                        for pw in self.paths(b, word) for g in range(N[a, b, c])]
                 M = np.zeros((len(rows), len(cols)), dtype=complex)
-                for col, (b, i, g) in enumerate(cols):
-                    pw = self.paths(b, word)[i]
+                for col, (b, pw, g) in enumerate(cols):
                     pv, (b_end, e) = pw[:-1], pw[-1]
                     bp = pv[-1][0] if pv else 0
-                    iv = self.paths(bp, v).index(pv)
+                    iv = pos_v[pv]
                     Fm = self.F(a, bp, x, c)
-                    rci = self.f_right(a, bp, x, c).index((b, e, g))
+                    rci = self.f_right_pos(a, bp, x, c)[b, e, g]
                     for (sig, f1, f2), fval in zip(self.f_left(a, bp, x, c), Fm[:, rci]):
                         if fval == 0:
                             continue
                         lam_s = lam_v[sig]
                         if lam_s.shape[0] == 0:
                             continue
-                        col_v = self.detached_index(a, v, sig).index((bp, iv, f1))
-                        vec = lam_s[:, col_v]
+                        vec = lam_s[:, start_v[bp, sig] + iv * N[a, bp, sig] + f1]
                         for qi, val in enumerate(vec):
                             if val != 0:
                                 q = self.tails(a, v, sig)[qi]
@@ -390,8 +433,9 @@ class Morphism:
         self.source = source
         self.target = target
         self.blocks = {}
+        src_offs, tgt_offs = model.sector_offsets(source), model.sector_offsets(target)
         for c in range(model.rank):
-            dt, ds = model.obj_dim(c, target), model.obj_dim(c, source)
+            dt, ds = tgt_offs[c][-1], src_offs[c][-1]
             B = blocks.get(c)
             if B is None:
                 B = np.zeros((dt, ds), dtype=complex)
@@ -510,118 +554,147 @@ def hom_basis(model: CategoryModel, nu: int, obj) -> list:
 # monoidal products
 
 
-def _word_sub_blocks(f: Morphism, ks: int, kt: int) -> dict:
+def _word_sub_blocks(f: Morphism, ks: int, kt: int, src_offs, tgt_offs) -> dict:
     """Word-level sub-block of f between source summand ks and target summand kt."""
-    model = f.model
-    out = {}
-    for c in range(model.rank):
-        so = model.obj_offsets(c, f.source)
-        to = model.obj_offsets(c, f.target)
-        out[c] = f.blocks[c][to[kt]:to[kt + 1], so[ks]:so[ks + 1]]
-    return out
+    return {c: B[tgt_offs[c][kt]:tgt_offs[c][kt + 1], src_offs[c][ks]:src_offs[c][ks + 1]]
+            for c, B in f.blocks.items()}
+
+
+def _live_pairs(f: Morphism, src_offs, tgt_offs) -> dict:
+    """Summand pairs (ks, kt) of f with a nonzero sub-block, each with its sectors."""
+    live = {}
+    for c, B in f.blocks.items():
+        if not B.any():
+            continue
+        if len(f.source) == len(f.target) == 1:
+            pairs = [(0, 0)]
+        else:
+            rows, cols = np.nonzero(B)
+            kt = np.searchsorted(tgt_offs[c], rows, side="right") - 1
+            ks = np.searchsorted(src_offs[c], cols, side="right") - 1
+            pairs = sorted(set(zip(ks.tolist(), kt.tolist())))
+        for pair in pairs:
+            live.setdefault(pair, []).append(c)
+    return live
+
+
+def _kron_eye(sub: np.ndarray, k: int) -> np.ndarray:
+    """np.kron(sub, np.eye(k))."""
+    if k == 1:
+        return sub
+    out = np.zeros((sub.shape[0], k, sub.shape[1], k), dtype=complex)
+    for i in range(k):
+        out[:, i, :, i] = sub
+    return out.reshape(sub.shape[0] * k, sub.shape[1] * k)
+
+
+def _run_starts(counts: np.ndarray) -> np.ndarray:
+    """Start of each run in a concatenation of runs of the given lengths."""
+    return np.cumsum(counts) - counts
 
 
 def rmul(f: Morphism, right) -> Morphism:
-    """f x 1_right."""
+    """f x 1_right.
+
+    Block c maps the runs ``px + tails(m, wb, c)`` of the source to the runs
+    ``py + tails(m, wb, c)`` of the target by ``f_m (x) 1``, where px and py
+    are paths of the source and target words of f ending at m.
+    """
     model = f.model
     right = as_obj(right)
     src = sum_product(f.source, right)
     tgt = sum_product(f.target, right)
     nb = len(right)
-    blocks = {c: np.zeros((model.obj_dim(c, tgt), model.obj_dim(c, src)), dtype=complex)
+    src_offs, tgt_offs = model.sector_offsets(src), model.sector_offsets(tgt)
+    f_src_offs, f_tgt_offs = model.sector_offsets(f.source), model.sector_offsets(f.target)
+    blocks = {c: np.zeros((tgt_offs[c][-1], src_offs[c][-1]), dtype=complex)
               for c in range(model.rank)}
-    for ks, ws in enumerate(f.source.words):
-        for kt, wt in enumerate(f.target.words):
-            fsub = _word_sub_blocks(f, ks, kt)
-            if all(B.size == 0 or not B.any() for B in fsub.values()):
-                continue
-            for kb, wb in enumerate(right.words):
-                ksrc = ks * nb + kb
-                ktgt = kt * nb + kb
-                for c in range(model.rank):
-                    M = blocks[c]
-                    roff = model.obj_offsets(c, tgt)[ktgt]
-                    coff = model.obj_offsets(c, src)[ksrc]
-                    rows = model.paths(c, wt + wb)
-                    cols = model.paths(c, ws + wb)
-                    row_pos = {p: i for i, p in enumerate(rows)}
-                    col_pos = {p: i for i, p in enumerate(cols)}
-                    for m in range(model.rank):
-                        sub = fsub[m]
-                        if sub.size == 0 or not sub.any():
-                            continue
-                        ps = model.paths(m, ws)
-                        pt = model.paths(m, wt)
-                        tls = model.tails(m, wb, c)
-                        if not tls:
-                            continue
-                        for j, py in enumerate(pt):
-                            for i, px in enumerate(ps):
-                                v = sub[j, i]
-                                if v == 0:
-                                    continue
-                                for t in tls:
-                                    M[roff + row_pos[py + t], coff + col_pos[px + t]] += v
+    counts = [model.tail_counts(wb) for wb in right.words]
+    for (ks, kt), live in _live_pairs(f, f_src_offs, f_tgt_offs).items():
+        fsub = _word_sub_blocks(f, ks, kt, f_src_offs, f_tgt_offs)
+        ends_s = model.path_ends(f.source.words[ks])
+        ends_t = model.path_ends(f.target.words[kt])
+        at_s = {m: np.flatnonzero(ends_s == m) for m in live}
+        at_t = {m: np.flatnonzero(ends_t == m) for m in live}
+        for kb, cnt in enumerate(counts):
+            ksrc = ks * nb + kb
+            ktgt = kt * nb + kb
+            for c in np.flatnonzero(cnt[live].any(axis=0)).tolist():
+                run = cnt[:, c]
+                rstart = tgt_offs[c][ktgt] + _run_starts(run[ends_t])
+                cstart = src_offs[c][ksrc] + _run_starts(run[ends_s])
+                for m in live:
+                    k = int(run[m])
+                    if k == 0:
+                        continue
+                    tail = np.arange(k)
+                    rows = (rstart[at_t[m]][:, None] + tail).ravel()
+                    cols = (cstart[at_s[m]][:, None] + tail).ravel()
+                    blocks[c][np.ix_(rows, cols)] += _kron_eye(fsub[m], k)
     return Morphism(model, src, tgt, blocks)
 
 
 def _letter_block(model, m, fsub, ws, wt, c) -> np.ndarray:
-    """Block of (1_m x f_part) mapping tails(m, ws, c) -> tails(m, wt, c)."""
+    """Block of (1_m x f_part) mapping tails(m, ws, c) -> tails(m, wt, c).
+
+    In the detached bases of :meth:`CategoryModel.lam_insert` the map is
+    block diagonal over the intermediate label b, with blocks f_b (x) 1 on
+    the multiplicity space of Hom(c, m b).
+    """
     lam_s = model.lam_insert(m, ws)[c]
     lam_t = model.lam_insert(m, wt)[c]
-    cols_s = model.detached_index(m, ws, c)
-    cols_t = model.detached_index(m, wt, c)
-    D = np.zeros((len(cols_t), len(cols_s)), dtype=complex)
-    for jj, (b, j, g) in enumerate(cols_t):
-        sub = fsub[b]
-        if sub.size == 0:
+    D = np.zeros((lam_t.shape[1], lam_s.shape[1]), dtype=complex)
+    r = q = 0
+    for b, g in enumerate(model.N[m, :, c]):
+        if g == 0:
             continue
-        for ii, (b2, i, g2) in enumerate(cols_s):
-            if b2 == b and g2 == g:
-                D[jj, ii] = sub[j, i]
+        sub = fsub[b]
+        nr, nc = sub.shape[0] * g, sub.shape[1] * g
+        if sub.any():
+            D[r:r + nr, q:q + nc] = _kron_eye(sub, g)
+        r, q = r + nr, q + nc
     return lam_t @ D @ lam_s.conj().T
 
 
 def lmul(left, f: Morphism) -> Morphism:
-    """1_left x f."""
+    """1_left x f.
+
+    For each path px of a left word, ending at m, block c adds the letter
+    block of 1_m x f on the runs ``px + tails(m, ws, c)`` and
+    ``px + tails(m, wt, c)``.  The letter block depends on the left word
+    only through m, so it is computed once per summand pair of f.
+    """
     model = f.model
     left = as_obj(left)
     src = sum_product(left, f.source)
     tgt = sum_product(left, f.target)
     ns, nt = len(f.source), len(f.target)
-    blocks = {c: np.zeros((model.obj_dim(c, tgt), model.obj_dim(c, src)), dtype=complex)
+    src_offs, tgt_offs = model.sector_offsets(src), model.sector_offsets(tgt)
+    f_src_offs, f_tgt_offs = model.sector_offsets(f.source), model.sector_offsets(f.target)
+    blocks = {c: np.zeros((tgt_offs[c][-1], src_offs[c][-1]), dtype=complex)
               for c in range(model.rank)}
-    for ks, ws in enumerate(f.source.words):
-        for kt, wt in enumerate(f.target.words):
-            fsub = _word_sub_blocks(f, ks, kt)
-            if all(B.size == 0 or not B.any() for B in fsub.values()):
-                continue
-            for ka, wa in enumerate(left.words):
-                ksrc = ka * ns + ks
-                ktgt = ka * nt + kt
-                for c in range(model.rank):
-                    M = blocks[c]
-                    roff = model.obj_offsets(c, tgt)[ktgt]
-                    coff = model.obj_offsets(c, src)[ksrc]
-                    rows = model.paths(c, wa + wt)
-                    cols = model.paths(c, wa + ws)
-                    row_pos = {p: i for i, p in enumerate(rows)}
-                    col_pos = {p: i for i, p in enumerate(cols)}
-                    for m in range(model.rank):
-                        pxs = model.paths(m, wa)
-                        if not pxs:
-                            continue
+    ends = [model.path_ends(wa) for wa in left.words]
+    for ks, kt in _live_pairs(f, f_src_offs, f_tgt_offs):
+        ws, wt = f.source.words[ks], f.target.words[kt]
+        fsub = _word_sub_blocks(f, ks, kt, f_src_offs, f_tgt_offs)
+        cnt_s, cnt_t = model.tail_counts(ws), model.tail_counts(wt)
+        both = (cnt_s > 0) & (cnt_t > 0)
+        letter = {}
+        for ka, ends_a in enumerate(ends):
+            for c in np.flatnonzero(both[ends_a].any(axis=0)).tolist():
+                ns_a, nt_a = cnt_s[ends_a, c], cnt_t[ends_a, c]
+                rstart = (tgt_offs[c][ka * nt + kt] + _run_starts(nt_a)).tolist()
+                cstart = (src_offs[c][ka * ns + ks] + _run_starts(ns_a)).tolist()
+                for m, dt, ds, r0, c0 in zip(ends_a.tolist(), nt_a.tolist(), ns_a.tolist(),
+                                             rstart, cstart):
+                    if dt == 0 or ds == 0:
+                        continue
+                    if (m, c) not in letter:
                         B = _letter_block(model, m, fsub, ws, wt, c)
-                        if B.size == 0 or not B.any():
-                            continue
-                        ts = model.tails(m, ws, c)
-                        tt = model.tails(m, wt, c)
-                        for px in pxs:
-                            for j, tj in enumerate(tt):
-                                for i, ti in enumerate(ts):
-                                    v = B[j, i]
-                                    if v != 0:
-                                        M[roff + row_pos[px + tj], coff + col_pos[px + ti]] += v
+                        letter[m, c] = B if B.any() else None
+                    B = letter[m, c]
+                    if B is not None:
+                        blocks[c][r0:r0 + dt, c0:c0 + ds] += B
     return Morphism(model, src, tgt, blocks)
 
 
@@ -767,7 +840,8 @@ def braid(model: CategoryModel, a, b) -> Morphism:
     src = sum_product(a, b)
     tgt = sum_product(b, a)
     na, nb = len(a), len(b)
-    blocks = {c: np.zeros((model.obj_dim(c, tgt), model.obj_dim(c, src)), dtype=complex)
+    src_offs, tgt_offs = model.sector_offsets(src), model.sector_offsets(tgt)
+    blocks = {c: np.zeros((tgt_offs[c][-1], src_offs[c][-1]), dtype=complex)
               for c in range(model.rank)}
     for ka, wa in enumerate(a.words):
         for kb, wb in enumerate(b.words):
@@ -775,8 +849,8 @@ def braid(model: CategoryModel, a, b) -> Morphism:
             ksrc = ka * nb + kb
             ktgt = kb * na + ka
             for c in range(model.rank):
-                roff = model.obj_offsets(c, tgt)[ktgt]
-                coff = model.obj_offsets(c, src)[ksrc]
+                roff = tgt_offs[c][ktgt]
+                coff = src_offs[c][ksrc]
                 B = eps.blocks[c]
                 blocks[c][roff:roff + B.shape[0], coff:coff + B.shape[1]] = B
     return Morphism(model, src, tgt, blocks)
@@ -850,29 +924,29 @@ def pentagon_residual(model: CategoryModel) -> float:
                         for col, (h, de, k, ep, ze) in enumerate(right):
                             # route A: three recouplings
                             F1 = model.F(b, c, d, k)
-                            c1 = model.f_right(b, c, d, k).index((h, de, ep))
+                            c1 = model.f_right_pos(b, c, d, k)[h, de, ep]
                             for (m, mu, nu), v1 in zip(model.f_left(b, c, d, k), F1[:, c1]):
                                 if v1 == 0:
                                     continue
                                 F2 = model.F(a, m, d, e)
-                                c2 = model.f_right(a, m, d, e).index((k, nu, ze))
+                                c2 = model.f_right_pos(a, m, d, e)[k, nu, ze]
                                 for (g, rho, sg), v2 in zip(model.f_left(a, m, d, e), F2[:, c2]):
                                     if v2 == 0:
                                         continue
                                     F3 = model.F(a, b, c, g)
-                                    c3 = model.f_right(a, b, c, g).index((m, mu, rho))
+                                    c3 = model.f_right_pos(a, b, c, g)[m, mu, rho]
                                     for (f, al, be), v3 in zip(model.f_left(a, b, c, g), F3[:, c3]):
                                         if v3 == 0:
                                             continue
                                         PA[lpos[(f, al, g, be, sg)], col] += v1 * v2 * v3
                             # route B: two recouplings
                             F4 = model.F(a, b, h, e)
-                            c4 = model.f_right(a, b, h, e).index((k, ep, ze))
+                            c4 = model.f_right_pos(a, b, h, e)[k, ep, ze]
                             for (f, al, epp), v4 in zip(model.f_left(a, b, h, e), F4[:, c4]):
                                 if v4 == 0:
                                     continue
                                 F5 = model.F(f, c, d, e)
-                                c5 = model.f_right(f, c, d, e).index((h, de, epp))
+                                c5 = model.f_right_pos(f, c, d, e)[h, de, epp]
                                 for (g, be, ga), v5 in zip(model.f_left(f, c, d, e), F5[:, c5]):
                                     if v5 == 0:
                                         continue

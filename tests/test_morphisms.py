@@ -6,6 +6,7 @@ from qsystems.morphisms import (
     Morphism,
     SumObject,
     adjoint,
+    as_obj,
     basis_vector,
     braid,
     categorical_trace,
@@ -28,6 +29,7 @@ from qsystems.morphisms import (
     random_morphism,
     right_inverse,
     rmul,
+    sum_product,
     twist,
     unit_obj,
     word_conjugate_pair,
@@ -35,6 +37,7 @@ from qsystems.morphisms import (
     word_obj,
     UnsupportedOperationError,
 )
+from qsystems.io import load_algebra
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -321,3 +324,156 @@ def test_mono_product_associative(models, rng):
     lhs = mono_product(mono_product(f, g), h)
     rhs = mono_product(f, mono_product(g, h))
     assert distance(lhs, rhs) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# monoidal products against the entry-at-a-time definition
+
+
+def _oracle_sub_blocks(f, ks, kt):
+    model = f.model
+    out = {}
+    for c in range(model.rank):
+        so = model.obj_offsets(c, f.source)
+        to = model.obj_offsets(c, f.target)
+        out[c] = f.blocks[c][to[kt]:to[kt + 1], so[ks]:so[ks + 1]]
+    return out
+
+
+def oracle_rmul(f, right):
+    """f x 1_right, scattered one matrix entry at a time through the path lists."""
+    model = f.model
+    right = as_obj(right)
+    src = sum_product(f.source, right)
+    tgt = sum_product(f.target, right)
+    nb = len(right)
+    blocks = {c: np.zeros((model.obj_dim(c, tgt), model.obj_dim(c, src)), dtype=complex)
+              for c in range(model.rank)}
+    for ks, ws in enumerate(f.source.words):
+        for kt, wt in enumerate(f.target.words):
+            fsub = _oracle_sub_blocks(f, ks, kt)
+            for kb, wb in enumerate(right.words):
+                for c in range(model.rank):
+                    roff = model.obj_offsets(c, tgt)[kt * nb + kb]
+                    coff = model.obj_offsets(c, src)[ks * nb + kb]
+                    row_pos = {p: i for i, p in enumerate(model.paths(c, wt + wb))}
+                    col_pos = {p: i for i, p in enumerate(model.paths(c, ws + wb))}
+                    for m in range(model.rank):
+                        sub = fsub[m]
+                        for j, py in enumerate(model.paths(m, wt)):
+                            for i, px in enumerate(model.paths(m, ws)):
+                                for t in model.tails(m, wb, c):
+                                    blocks[c][roff + row_pos[py + t],
+                                              coff + col_pos[px + t]] += sub[j, i]
+    return Morphism(model, src, tgt, blocks)
+
+
+def _oracle_detached_index(model, a, word, c):
+    """Column labels (b, i, g) of lam_insert(a, word)[c]: (1_a x t^word_{b,i}) T^{ab->c}_g."""
+    return [(b, i, g) for b in range(model.rank)
+            for i in range(len(model.paths(b, word))) for g in range(model.N[a, b, c])]
+
+
+def _oracle_letter_block(model, m, fsub, ws, wt, c):
+    lam_s = model.lam_insert(m, ws)[c]
+    lam_t = model.lam_insert(m, wt)[c]
+    cols_s = _oracle_detached_index(model, m, ws, c)
+    cols_t = _oracle_detached_index(model, m, wt, c)
+    D = np.zeros((len(cols_t), len(cols_s)), dtype=complex)
+    for jj, (b, j, g) in enumerate(cols_t):
+        for ii, (b2, i, g2) in enumerate(cols_s):
+            if b2 == b and g2 == g:
+                D[jj, ii] = fsub[b][j, i]
+    return lam_t @ D @ lam_s.conj().T
+
+
+def oracle_lmul(left, f):
+    """1_left x f, scattered one matrix entry at a time through the path lists."""
+    model = f.model
+    left = as_obj(left)
+    src = sum_product(left, f.source)
+    tgt = sum_product(left, f.target)
+    ns, nt = len(f.source), len(f.target)
+    blocks = {c: np.zeros((model.obj_dim(c, tgt), model.obj_dim(c, src)), dtype=complex)
+              for c in range(model.rank)}
+    for ks, ws in enumerate(f.source.words):
+        for kt, wt in enumerate(f.target.words):
+            fsub = _oracle_sub_blocks(f, ks, kt)
+            for ka, wa in enumerate(left.words):
+                for c in range(model.rank):
+                    roff = model.obj_offsets(c, tgt)[ka * nt + kt]
+                    coff = model.obj_offsets(c, src)[ka * ns + ks]
+                    row_pos = {p: i for i, p in enumerate(model.paths(c, wa + wt))}
+                    col_pos = {p: i for i, p in enumerate(model.paths(c, wa + ws))}
+                    for m in range(model.rank):
+                        B = _oracle_letter_block(model, m, fsub, ws, wt, c)
+                        ts = model.tails(m, ws, c)
+                        tt = model.tails(m, wt, c)
+                        for px in model.paths(m, wa):
+                            for j, tj in enumerate(tt):
+                                for i, ti in enumerate(ts):
+                                    blocks[c][roff + row_pos[px + tj],
+                                              coff + col_pos[px + ti]] += B[j, i]
+    return Morphism(model, src, tgt, blocks)
+
+
+def _sum_obj(*words):
+    return SumObject(tuple(tuple(w) for w in words), tuple(range(len(words))))
+
+
+def _assert_products_match_oracle(m, left, source, target, right, rng):
+    f = random_morphism(m, source, target, rng)
+    got, want = lmul(left, f), oracle_lmul(left, f)
+    assert got.source.words == want.source.words and got.target.words == want.target.words
+    assert distance(got, want) < 1e-12
+    got, want = rmul(f, right), oracle_rmul(f, right)
+    assert got.source.words == want.source.words and got.target.words == want.target.words
+    assert distance(got, want) < 1e-12
+
+
+def test_products_match_oracle_on_algebra_sums(models, data_dir, rng):
+    m = models["su2k4"]
+    th = load_algebra(data_dir / "z2.alg", m).object
+    th2 = sum_product(th, th)
+    # the paths of (2, 2, 2) end at 2, 0, 2, 4, 2 in path order: not sorted by end label
+    left = _sum_obj((2, 2), (1, 3), (4,), (2, 2, 2))
+    _assert_products_match_oracle(m, left, th, th2, th, rng)
+    _assert_products_match_oracle(m, th, th2, th, left, rng)
+    _assert_products_match_oracle(m, left, _sum_obj((2, 2, 2), (1,)), _sum_obj((1, 3, 2)), th, rng)
+    _assert_products_match_oracle(m, left, _sum_obj((2,), (1, 1)), _sum_obj((2, 2), (0,)),
+                                  _sum_obj((2, 2), (3,)), rng)
+
+
+def test_products_match_oracle_with_multiplicity(models, rng):
+    m = models["rep_a4"]  # Hom(3, 3 x 3) is two-dimensional
+    left = _sum_obj((3, 3), (1, 3), (2,))
+    _assert_products_match_oracle(m, left, _sum_obj((3,), (3, 1)), _sum_obj((3, 3), (2,)),
+                                  _sum_obj((3, 3), (3,)), rng)
+    _assert_products_match_oracle(m, _sum_obj((3,)), _sum_obj((3, 3)), _sum_obj((3,), (0,)),
+                                  _sum_obj((3, 3)), rng)
+
+
+def test_products_match_oracle_on_deligne_product(models, rng):
+    D = deligne_product(models["fibonacci"], mirror(models["ising"]))
+    a, b, c = D.pack(1, 1), D.pack(1, 2), D.pack(0, 1)
+    left = _sum_obj((a, c), (b,), (a, b))
+    _assert_products_match_oracle(D, left, _sum_obj((a,), (c, b)), _sum_obj((a, a), (b,)),
+                                  _sum_obj((c,), (a, c)), rng)
+
+
+def test_path_order_composes_over_prefixes(models):
+    # paths(c, u + v) runs over the paths of u in lexicographic order, each
+    # followed by the tails from its end label through v; the engine relies on it
+    for name, m in models.items():
+        labels = range(m.rank)
+        words = [()] + [(x,) for x in labels] + [(x, y) for x in labels for y in labels]
+        for u in words + [w + (x,) for w in words[m.rank + 1:] for x in labels]:
+            prefix = sorted((p, b) for b in labels for p in m.paths(b, u))
+            assert [b for _, b in prefix] == m.path_ends(u).tolist(), (name, u)
+            for v in words:
+                counts = m.tail_counts(v)
+                for c in labels:
+                    want = [p + t for p, b in prefix for t in m.tails(b, v, c)]
+                    assert list(m.paths(c, u + v)) == want, (name, u, v, c)
+                    for b in labels:
+                        assert counts[b, c] == len(m.tails(b, v, c)), (name, v, b, c)
