@@ -145,21 +145,18 @@ class ZetaTensor:
 
 def zeta_coefficient(pair: ExtensionPair, d_theta: float,
                      l: SummandIndex, m: SummandIndex, n: SummandIndex,
-                     t_e1: Morphism, t_e2: Morphism, phi_lm: BimodMap) -> complex:
+                     lift1: BimodMap, lift2: BimodMap, phi_lm: BimodMap) -> complex:
     """One coefficient of the comultiplication, from the trace formula.
 
-    ``phi_lm`` is ``mtimes(phi_l*, phi_m*)``; it depends only on (l, m), so
-    :func:`zeta_tensor` computes it once for all (n, e1, e2).
+    ``lift1`` is ``lift(T_e1*, sign1)``, ``lift2`` is ``lift(T_e2, sign2)``
+    and ``phi_lm`` is ``mtimes(phi_l*, phi_m*)``; :func:`zeta_tensor` builds
+    each once and shares it between the slots that use it.
     """
     model = pair.model
     if model.N[l.lam2, m.lam2, n.lam2] == 0 or model.N[l.lam1, m.lam1, n.lam1] == 0:
         return 0.0
-    a = pair.algebra
     phi_n = pair.phi_of(n)
-    x = bim_compose(
-        lift(a, adjoint(t_e1), pair.sign1),
-        bim_compose(phi_lm, bim_compose(lift(a, t_e2, pair.sign2), phi_n)),
-    )
+    x = bim_compose(lift1, bim_compose(phi_lm, bim_compose(lift2, phi_n)))
     pref = np.sqrt(model.qdim[l.lam2] * model.qdim[m.lam2]
                    / (d_theta * model.qdim[n.lam2]))
     return complex(pref * phi_scalar(x))
@@ -168,14 +165,17 @@ def zeta_coefficient(pair: ExtensionPair, d_theta: float,
 def zeta_tensor(pair: ExtensionPair, d_theta: float) -> ZetaTensor:
     """All fusion-compatible coefficients for the summands of the pair."""
     model = pair.model
+    a = pair.algebra
     out = ZetaTensor()
-    tree_cache = {}
+    lift_cache = {}
 
-    def trees(nu, lam, mu):
-        key = (nu, lam, mu)
-        if key not in tree_cache:
-            tree_cache[key] = hom_basis(model, nu, word_obj((lam, mu)))
-        return tree_cache[key]
+    def lifted(nu, lam, mu, sign, adjoints):
+        """lift of each tree vertex of Hom(nu, lam mu), or of its adjoint."""
+        key = (nu, lam, mu, sign, adjoints)
+        if key not in lift_cache:
+            trees = hom_basis(model, nu, word_obj((lam, mu)))
+            lift_cache[key] = [lift(a, adjoint(t) if adjoints else t, sign) for t in trees]
+        return lift_cache[key]
 
     for l, m in itertools.product(pair.summands, repeat=2):
         phi_lm = None
@@ -184,8 +184,8 @@ def zeta_tensor(pair: ExtensionPair, d_theta: float) -> ZetaTensor:
                 continue
             if phi_lm is None:
                 phi_lm = mtimes(pair.phi_of(l).H, pair.phi_of(m).H)
-            for e1, t1 in enumerate(trees(n.lam1, l.lam1, m.lam1)):
-                for e2, t2 in enumerate(trees(n.lam2, l.lam2, m.lam2)):
+            for e1, t1 in enumerate(lifted(n.lam1, l.lam1, m.lam1, pair.sign1, True)):
+                for e2, t2 in enumerate(lifted(n.lam2, l.lam2, m.lam2, pair.sign2, False)):
                     val = zeta_coefficient(pair, d_theta, l, m, n, t1, t2, phi_lm)
                     if val != 0.0:
                         out.entries[(n, l, m, e1, e2)] = val
@@ -255,17 +255,30 @@ def check_e3(pair: ExtensionPair) -> float:
     """
     model = pair.model
     a = pair.algebra
+    eps_cache = {}
+
+    def eps(lam, mu, sign):
+        key = (lam, mu, sign)
+        if key not in eps_cache:
+            eps_cache[key] = lift(a, braid(model, word_obj((lam,)), word_obj((mu,))), sign)
+        return eps_cache[key]
+
+    def residual(left, right, lam1, mu1, lam2, mu2):
+        lhs = bim_compose(left, eps(lam1, mu1, pair.sign1))
+        rhs = bim_compose(eps(lam2, mu2, pair.sign2), right)
+        return distance(lhs.mor, rhs.mor)
+
+    # the ordered pairs (phi, psi) and (psi, phi) use the same two products,
+    # so each unordered pair builds them once and checks both identities
+    maps = [(key, f) for key, basis in pair.phi.items() for f in basis]
     worst = 0.0
-    keys = [k for k, b in pair.phi.items() if b]
-    for (lam1, lam2) in keys:
-        for (mu1, mu2) in keys:
-            eps1 = lift(a, braid(model, word_obj((lam1,)), word_obj((mu1,))), pair.sign1)
-            eps2 = lift(a, braid(model, word_obj((lam2,)), word_obj((mu2,))), pair.sign2)
-            for phi in pair.phi[(lam1, lam2)]:
-                for psi in pair.phi[(mu1, mu2)]:
-                    lhs = bim_compose(mtimes(psi, phi), eps1)
-                    rhs = bim_compose(eps2, mtimes(phi, psi))
-                    worst = max(worst, distance(lhs.mor, rhs.mor))
+    for i, ((lam1, lam2), phi) in enumerate(maps):
+        square = mtimes(phi, phi)
+        worst = max(worst, residual(square, square, lam1, lam1, lam2, lam2))
+        for (mu1, mu2), psi in maps[i + 1:]:
+            psi_phi, phi_psi = mtimes(psi, phi), mtimes(phi, psi)
+            worst = max(worst, residual(psi_phi, phi_psi, lam1, mu1, lam2, mu2),
+                        residual(phi_psi, psi_phi, mu1, lam1, mu2, lam2))
     return worst
 
 

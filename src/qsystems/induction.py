@@ -18,7 +18,7 @@ calculus of the extension happens at the level of category morphisms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,6 +81,15 @@ class AlgebraObject:
     theta: ThetaSpec
     unit: Morphism
     mult: Morphism
+    # maps built from (unit, mult) that depend only on signed words, keyed
+    # by the Bimod or Bimod pair they serve; see _memo
+    _maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _memo(self, key, build):
+        out = self._maps.get(key)
+        if out is None:
+            out = self._maps[key] = build()
+        return out
 
     @property
     def model(self) -> CategoryModel:
@@ -335,12 +344,18 @@ def _split_map(a: AlgebraObject, x: Bimod, y: Bimod) -> Morphism:
 
 
 def mtimes(f: BimodMap, g: BimodMap) -> BimodMap:
-    """Monoidal product of bimodule maps (relative tensor product over Theta)."""
+    """Monoidal product of bimodule maps (relative tensor product over Theta).
+
+    The multiplication and splitting maps depend only on the signed words,
+    so each is built once per algebra and word pair.
+    """
     a = f.algebra
     src = Bimod(f.src.word + g.src.word, f.src.signs + g.src.signs)
     tgt = Bimod(f.tgt.word + g.tgt.word, f.tgt.signs + g.tgt.signs)
     mid = mono_product(f.mor, g.mor)
-    mor = compose(_mult_map(a, f.tgt, g.tgt), compose(mid, _split_map(a, f.src, g.src)))
+    mult = a._memo(("mult", f.tgt, g.tgt), lambda: _mult_map(a, f.tgt, g.tgt))
+    split = a._memo(("split", f.src, g.src), lambda: _split_map(a, f.src, g.src))
+    mor = compose(mult, compose(mid, split))
     return BimodMap(a, src, tgt, mor)
 
 
@@ -413,6 +428,11 @@ def _to_vec(coords, f: Morphism):
     return np.array([f.blocks[c][i, j] for (c, i, j) in coords])
 
 
+def _actions(a: AlgebraObject, b: Bimod) -> tuple:
+    """(left_action, right_action) of b, built once per algebra and bimodule."""
+    return a._memo(("actions", b), lambda: (left_action(a, b), right_action(a, b)))
+
+
 def bimodule_hom(a: AlgebraObject, src: Bimod, tgt: Bimod, cutoff: float = 1e-8):
     """Orthonormal basis of the bimodule maps src -> tgt.
 
@@ -427,8 +447,7 @@ def bimodule_hom(a: AlgebraObject, src: Bimod, tgt: Bimod, cutoff: float = 1e-8)
     nv = len(coords)
     if nv == 0:
         return []
-    al_s, al_t = left_action(a, src), left_action(a, tgt)
-    ar_s, ar_t = right_action(a, src), right_action(a, tgt)
+    (al_s, ar_s), (al_t, ar_t) = _actions(a, src), _actions(a, tgt)
     rows = []
     for k in range(nv):
         v = np.zeros(nv)

@@ -9,7 +9,6 @@ warning rather than fail.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +17,10 @@ from .morphisms import CategoryModel, UnsupportedOperationError, twist
 
 __all__ = ["ModularPair", "compute_st", "modular_residuals", "verlinde_fusion",
            "check_modular_invariant", "enumerate_commutant"]
+
+# most candidates enumerate_commutant tests at once; larger chunks cost peak
+# memory for no measurable speed
+_CHUNK = 512
 
 
 @dataclass
@@ -106,22 +109,55 @@ def enumerate_commutant(pair: ModularPair, bound: int, tol: float = 1e-9,
 
     T-commutation restricts the support to equal-twist pairs, which keeps the
     brute force small at desk scale; `limit` guards against blowups.
+
+    [Z, S] is linear in the free entries: with E_lm the matrix units,
+    [Z, S] = [E_00, S] + sum_(l,m) Z[l, m] [E_lm, S].  The commutators are
+    stacked once as real/imaginary rows and candidates are tested by
+    superposing them, comparing every entry's squared modulus with tol^2.
+    A candidate's entries are the base-(bound+1) digits of its number in
+    `itertools.product` order, the first support entry most significant, and
+    matrices are returned in that order.  The last digits span a chunk of at
+    most _CHUNK candidates whose superposed commutators are built once; each
+    chunk then adds the superposition of its leading digits.
     """
     if not pair.modular:
         raise UnsupportedOperationError("degenerate braiding: commutant enumeration unavailable")
     n = pair.rank
     support = [(l, m) for l in range(n) for m in range(n)
                if abs(pair.T[l] - pair.T[m]) < 1e-9 and (l, m) != (0, 0)]
-    count = (bound + 1) ** len(support)
+    k = len(support)
+    values = max(bound + 1, 0)  # choices per free entry
+    count = values ** k
     if count > limit:
-        raise ValueError(f"enumeration over {len(support)} entries exceeds limit ({count:.2e})")
+        raise ValueError(f"enumeration over {k} entries exceeds limit ({count:.2e})")
+    if count == 0:
+        return []
     S = pair.S
+
+    def commutator(l, m):
+        E = np.zeros((n, n))
+        E[l, m] = 1.0
+        C = (E @ S - S @ E).ravel()
+        return np.concatenate([C.real, C.imag])
+
+    def digits(index, width):
+        return np.asarray(index)[..., None] // values ** np.arange(width - 1, -1, -1) % values
+
+    rows = np.array([commutator(l, m) for l, m in support]).reshape(k, 2 * n * n)
+    nlow = 0
+    while nlow < k and values ** (nlow + 1) <= _CHUNK:
+        nlow += 1
+    low = digits(np.arange(values ** nlow), nlow)
+    low_res = commutator(0, 0) + low @ rows[k - nlow:]
     out = []
-    for combo in itertools.product(range(bound + 1), repeat=len(support)):
-        Z = np.zeros((n, n))
-        Z[0, 0] = 1.0
-        for (l, m), v in zip(support, combo):
-            Z[l, m] = v
-        if np.max(np.abs(Z @ S - S @ Z)) < tol:
-            out.append(Z.astype(int))
+    for h in range(count // len(low)):
+        high = digits(h, k - nlow)
+        res = low_res + high @ rows[:k - nlow]
+        sq = res[:, :n * n] ** 2 + res[:, n * n:] ** 2
+        for d in low[np.all(sq < tol * tol, axis=1)]:
+            Z = np.zeros((n, n), dtype=int)
+            Z[0, 0] = 1
+            for (l, m), v in zip(support, np.concatenate([high, d])):
+                Z[l, m] = v
+            out.append(Z)
     return out

@@ -14,7 +14,8 @@ from qsystems.ctps import (
     trivial_pair,
     zeta_tensor,
 )
-from qsystems.morphisms import deligne_product, distance, mirror
+from qsystems.induction import _mult_map, _split_map, lift
+from qsystems.morphisms import braid, compose, deligne_product, distance, mirror, mono_product, word_obj
 from qsystems.qsystem import check_commutativity, lr_qsystem, validate_qsystem
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
@@ -111,6 +112,35 @@ def test_e3_controls(models, algebras, d4_pair):
     assert check_e3(d4_pair) < 1e-8
     bad = alpha_pair(algebras["z2"], +1, +1)
     assert check_e3(bad) > 0.1
+
+
+def _check_e3_ordered_pairs(pair):
+    """Reference: every ordered pair of basis maps, products built afresh each time."""
+    model, a = pair.model, pair.algebra
+
+    def times(f, g):
+        mid = mono_product(f.mor, g.mor)
+        return compose(_mult_map(a, f.tgt, g.tgt), compose(mid, _split_map(a, f.src, g.src)))
+
+    worst = 0.0
+    keys = [k for k, b in pair.phi.items() if b]
+    for (lam1, lam2) in keys:
+        for (mu1, mu2) in keys:
+            eps1 = lift(a, braid(model, word_obj((lam1,)), word_obj((mu1,))), pair.sign1)
+            eps2 = lift(a, braid(model, word_obj((lam2,)), word_obj((mu2,))), pair.sign2)
+            for phi in pair.phi[(lam1, lam2)]:
+                for psi in pair.phi[(mu1, mu2)]:
+                    lhs = compose(times(psi, phi), eps1.mor)
+                    rhs = compose(eps2.mor, times(phi, psi))
+                    worst = max(worst, distance(lhs, rhs))
+    return worst
+
+
+def test_e3_matches_ordered_pair_loop(algebras, d4_pair):
+    pairs = [d4_pair, alpha_pair(algebras["z2"], +1, +1),
+             alpha_pair(algebras["fibtau"]), alpha_pair(algebras["isingpsi"])]
+    for pair in pairs:
+        assert check_e3(pair) == _check_e3_ordered_pairs(pair)
 
 
 def test_prop1_implication(d4_result, lr_pairs, models):

@@ -158,24 +158,49 @@ def test_coupling_dimension_sum(models, algebras):
     assert total == pytest.approx(12.0, abs=1e-9)
 
 
-def test_coupling_invariant_under_algebra_gauge(models, algebras, rng):
-    # re-gauge the multiplication by a unitary on Theta; Z is unchanged
-    su = models["su2k4"]
-    alg = algebras["z2"]
+def _regauged(alg, rng):
+    """The algebra conjugated by a random unitary on Theta."""
+    model = alg.model
     th = alg.object
     blocks = {}
-    for c in range(su.rank):
-        n = su.obj_dim(c, th)
+    for c in range(model.rank):
+        n = model.obj_dim(c, th)
         h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         q, _ = np.linalg.qr(h)
         blocks[c] = q
-    u = Morphism(su, th, th, blocks)
+    u = Morphism(model, th, th, blocks)
     from qsystems.morphisms import mono_product
     mult2 = compose(u, compose(alg.mult, mono_product(adjoint(u), adjoint(u))))
     unit2 = compose(u, alg.unit)
-    alg2 = AlgebraObject(theta=alg.theta, unit=unit2, mult=mult2)
+    return AlgebraObject(theta=alg.theta, unit=unit2, mult=mult2)
+
+
+def test_coupling_invariant_under_algebra_gauge(algebras, rng):
+    # re-gauge the multiplication by a unitary on Theta; Z is unchanged
+    alg = algebras["z2"]
+    alg2 = _regauged(alg, rng)
     assert verify_algebra(alg2, tol=1e-9).ok
     assert np.array_equal(coupling_matrix(alg2), coupling_matrix(alg))
+
+
+def test_product_maps_are_per_algebra(algebras, rng):
+    # two algebras on one model share no memoised action or product map:
+    # alg2's products must use alg2's multiplication
+    alg = algebras["z2"]
+    alg2 = _regauged(alg, rng)
+    for a in (alg, alg2):
+        f, h = hom_alpha(a, 2, 2).basis[0], hom_alpha(a, 4, 4).basis[0]
+        assert module_residual(mtimes(f, h)) < 1e-12
+        assert module_residual(mtimes(h, f)) < 1e-12
+    shared = alg._maps.keys() & alg2._maps.keys()
+    assert shared
+    for key in shared:
+        mine, theirs = alg._maps[key], alg2._maps[key]
+        if isinstance(mine, tuple):
+            assert all(x is not y for x, y in zip(mine, theirs))
+        else:
+            assert mine is not theirs
+            assert distance(mine, theirs) > 1e-3
 
 
 def test_product_calculus(algebras, rng):

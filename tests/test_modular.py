@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from qsystems import catalog
 from qsystems.ctps import alpha_pair, trivial_pair
 from qsystems.induction import coupling_matrix, trivial_algebra
 from qsystems.modular import (
+    ModularPair,
     check_modular_invariant,
     compute_st,
     enumerate_commutant,
@@ -88,6 +92,49 @@ def test_enumerations(models):
     d4[0, 0] = d4[0, 4] = d4[4, 0] = d4[4, 4] = 1
     d4[2, 2] = 2
     assert any(np.array_equal(Z, d4) for Z in found)
+
+
+def _enumerate_commutant_loop(pair, bound, tol=1e-9):
+    """Reference: build every candidate in itertools.product order and test it."""
+    n = pair.rank
+    support = [(l, m) for l in range(n) for m in range(n)
+               if abs(pair.T[l] - pair.T[m]) < 1e-9 and (l, m) != (0, 0)]
+    S = pair.S
+    out = []
+    for combo in itertools.product(range(bound + 1), repeat=len(support)):
+        Z = np.zeros((n, n))
+        Z[0, 0] = 1.0
+        for (l, m), v in zip(support, combo):
+            Z[l, m] = v
+        if np.max(np.abs(Z @ S - S @ Z)) < tol:
+            out.append(Z.astype(int))
+    return out
+
+
+def test_enumeration_matches_candidate_loop(models):
+    # trivial has no free entries; su2k4 at bound 3 spans more than one chunk
+    cases = [(compute_st(models[name]), 3)
+             for name in ["trivial", "fibonacci", "ising", "z4", "su2k4"]]
+    cases.append((compute_st(catalog.su2_level(8)), 1))
+    # a negative bound leaves no values for the free entries
+    cases += [(compute_st(models[name]), -1) for name in ["trivial", "su2k4"]]
+    for p, bound in cases:
+        found = enumerate_commutant(p, bound)
+        ref = _enumerate_commutant_loop(p, bound)
+        assert len(found) == len(ref)
+        for Z, W in zip(found, ref):
+            assert Z.dtype == W.dtype and np.issubdtype(Z.dtype, np.integer)
+            assert np.array_equal(Z, W)
+
+
+def test_enumeration_limit_raises_before_search(models):
+    p = compute_st(models["su2k4"])
+    # without S no candidate can be tested: the limit check must come first
+    no_s = ModularPair(S=None, T=p.T, modular=True)
+    with pytest.raises(ValueError, match="exceeds limit"):
+        enumerate_commutant(no_s, 3, limit=10)
+    # su2k4 has 6 free entries: a limit equal to the 2^6 candidates still runs
+    assert len(enumerate_commutant(p, 1, limit=2 ** 6)) == 1
 
 
 def test_coupling_matrices_appear_in_commutant(models, algebras):
