@@ -88,17 +88,18 @@ def _qnum(k: int, n: int) -> float:
     return np.sin(n * np.pi / (k + 2)) / np.sin(np.pi / (k + 2))
 
 
-def _qfac(k: int, n: int) -> float:
-    out = 1.0
-    for i in range(1, n + 1):
-        out *= _qnum(k, i)
+def _qfactorials(k: int, top: int) -> list:
+    """[m]_q! for m = 0..top at level k, as one running product over [1]_q, [2]_q, ..."""
+    out = [1.0]
+    for i in range(1, top + 1):
+        out.append(out[-1] * _qnum(k, i))
     return out
 
 
-def _qdelta(k, a, b, c) -> float:
+def _qdelta(fac, a, b, c) -> float:
     return np.sqrt(
-        _qfac(k, (-a + b + c) // 2) * _qfac(k, (a - b + c) // 2)
-        * _qfac(k, (a + b - c) // 2) / _qfac(k, (a + b + c) // 2 + 1)
+        fac[(-a + b + c) // 2] * fac[(a - b + c) // 2]
+        * fac[(a + b - c) // 2] / fac[(a + b + c) // 2 + 1]
     )
 
 
@@ -106,8 +107,8 @@ def _admissible(k, a, b, c) -> bool:
     return (a + b + c) % 2 == 0 and abs(a - b) <= c <= min(a + b, 2 * k - a - b)
 
 
-def _sixj(k, a, b, ab, c, d, bc) -> float:
-    """q-deformed 6j symbol in doubled-spin labels."""
+def _sixj(fac, a, b, ab, c, d, bc) -> float:
+    """q-deformed 6j symbol in doubled-spin labels; `fac` is the table of :func:`_qfactorials`."""
     for (x, y, z) in [(a, b, ab), (ab, c, d), (b, c, bc), (a, bc, d)]:
         if (x + y + z) % 2 != 0 or z > x + y or z < abs(x - y):
             return 0.0
@@ -115,14 +116,14 @@ def _sixj(k, a, b, ab, c, d, bc) -> float:
     stop = min(a + b + c + d, a + ab + c + bc, b + ab + d + bc) // 2
     res = 0.0
     for z in range(start, stop + 1):
-        den = (_qfac(k, z - (a + b + ab) // 2) * _qfac(k, z - (ab + c + d) // 2)
-               * _qfac(k, z - (b + c + bc) // 2) * _qfac(k, z - (a + bc + d) // 2)
-               * _qfac(k, (a + b + c + d) // 2 - z)
-               * _qfac(k, (a + ab + c + bc) // 2 - z)
-               * _qfac(k, (b + ab + d + bc) // 2 - z))
-        res += (-1) ** z * _qfac(k, z + 1) / den
-    return res * (_qdelta(k, a, b, ab) * _qdelta(k, ab, c, d)
-                  * _qdelta(k, b, c, bc) * _qdelta(k, a, bc, d))
+        den = (fac[z - (a + b + ab) // 2] * fac[z - (ab + c + d) // 2]
+               * fac[z - (b + c + bc) // 2] * fac[z - (a + bc + d) // 2]
+               * fac[(a + b + c + d) // 2 - z]
+               * fac[(a + ab + c + bc) // 2 - z]
+               * fac[(b + ab + d + bc) // 2 - z])
+        res += (-1) ** z * fac[z + 1] / den
+    return res * (_qdelta(fac, a, b, ab) * _qdelta(fac, ab, c, d)
+                  * _qdelta(fac, b, c, bc) * _qdelta(fac, a, bc, d))
 
 
 def su2_level(k: int) -> CategoryModel:
@@ -136,6 +137,8 @@ def su2_level(k: int) -> CategoryModel:
                     N[a, b, c] = 1
     qd = np.array([_qnum(k, a + 1) for a in range(n)])
     fus = FusionData([str(a) for a in range(n)], list(range(n)), N, qd)
+    # labels are at most k, so a 6j symbol needs [m]_q! up to m = 2k + 1
+    fac = _qfactorials(k, 2 * k + 1)
 
     def f(a, b, c, d):
         left = [(sig, e, ff) for sig in range(n) if N[a, b, sig] and N[sig, c, d]
@@ -146,8 +149,7 @@ def su2_level(k: int) -> CategoryModel:
         sign = (-1) ** (((a + b + c + d) // 2) % 2)
         for i, (sig, _, _) in enumerate(left):
             for j, (tau, _, _) in enumerate(right):
-                M[i, j] = (sign * np.sqrt(_qnum(k, sig + 1) * _qnum(k, tau + 1))
-                           * _sixj(k, a, b, sig, c, d, tau))
+                M[i, j] = sign * np.sqrt(qd[sig] * qd[tau]) * _sixj(fac, a, b, sig, c, d, tau)
         return M
 
     def r(a, b, c):

@@ -898,61 +898,117 @@ def random_morphism(model: CategoryModel, source, target, rng) -> Morphism:
 # coherence validators
 
 
-def pentagon_residual(model: CategoryModel) -> float:
-    """Max deviation of the two recoupling routes Hom(e, abcd), over all labels."""
+def _join(keys: np.ndarray, sorted_keys: np.ndarray):
+    """All index pairs (i, j) with keys[i] == sorted_keys[j], ordered by i, then j."""
+    lo = np.searchsorted(sorted_keys, keys, "left")
+    cnt = np.searchsorted(sorted_keys, keys, "right") - lo
+    i = np.repeat(np.arange(len(keys)), cnt)
+    j = np.arange(len(i)) + np.repeat(lo - _run_starts(cnt), cnt)
+    return i, j
+
+
+def _f_table(model: CategoryModel, off: np.ndarray, nv: int):
+    """Every nonzero F entry as (right pair key, left vertex 1, left vertex 2, value).
+
+    Entry F(a, b, c, d)[(sig, e, f), (tau, g, h)] has the left vertices
+    (a, b, sig, e), (sig, c, d, f) and the right vertices (b, c, tau, g),
+    (a, tau, d, h); vertex (x, y, z, mu) has the number ``off[x, y, z] + mu``
+    and a right pair (r1, r2) the key ``r1 * nv + r2``.  Entries are sorted by
+    key; those of one key keep their left-tree order.
+    """
     n = model.rank
-    N = model.N
-    worst = 0.0
+    lefts, rights, vals = [], [], []
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 for d in range(n):
-                    for e in range(n):
-                        left = [(f, al, g, be, ga)
-                                for f in range(n) for al in range(N[a, b, f])
-                                for g in range(n) for be in range(N[f, c, g])
-                                for ga in range(N[g, d, e])]
-                        if not left:
-                            continue
-                        right = [(h, de, k, ep, ze)
-                                 for h in range(n) for de in range(N[c, d, h])
-                                 for k in range(n) for ep in range(N[b, h, k])
-                                 for ze in range(N[a, k, e])]
-                        lpos = {t: i for i, t in enumerate(left)}
-                        PA = np.zeros((len(left), len(right)), dtype=complex)
-                        PB = np.zeros_like(PA)
-                        for col, (h, de, k, ep, ze) in enumerate(right):
-                            # route A: three recouplings
-                            F1 = model.F(b, c, d, k)
-                            c1 = model.f_right_pos(b, c, d, k)[h, de, ep]
-                            for (m, mu, nu), v1 in zip(model.f_left(b, c, d, k), F1[:, c1]):
-                                if v1 == 0:
-                                    continue
-                                F2 = model.F(a, m, d, e)
-                                c2 = model.f_right_pos(a, m, d, e)[k, nu, ze]
-                                for (g, rho, sg), v2 in zip(model.f_left(a, m, d, e), F2[:, c2]):
-                                    if v2 == 0:
-                                        continue
-                                    F3 = model.F(a, b, c, g)
-                                    c3 = model.f_right_pos(a, b, c, g)[m, mu, rho]
-                                    for (f, al, be), v3 in zip(model.f_left(a, b, c, g), F3[:, c3]):
-                                        if v3 == 0:
-                                            continue
-                                        PA[lpos[(f, al, g, be, sg)], col] += v1 * v2 * v3
-                            # route B: two recouplings
-                            F4 = model.F(a, b, h, e)
-                            c4 = model.f_right_pos(a, b, h, e)[k, ep, ze]
-                            for (f, al, epp), v4 in zip(model.f_left(a, b, h, e), F4[:, c4]):
-                                if v4 == 0:
-                                    continue
-                                F5 = model.F(f, c, d, e)
-                                c5 = model.f_right_pos(f, c, d, e)[h, de, epp]
-                                for (g, be, ga), v5 in zip(model.f_left(f, c, d, e), F5[:, c5]):
-                                    if v5 == 0:
-                                        continue
-                                    PB[lpos[(f, al, g, be, ga)], col] += v4 * v5
-                        if PA.size:
-                            worst = max(worst, float(np.max(np.abs(PA - PB))))
+                    Fm = model.F(a, b, c, d)
+                    if not Fm.size:
+                        continue
+                    left = [(off[a, b, s] + e, off[s, c, d] + f)
+                            for s, e, f in model.f_left(a, b, c, d)]
+                    right = [(off[b, c, t] + g) * nv + off[a, t, d] + h
+                             for t, g, h in model.f_right(a, b, c, d)]
+                    lefts.append(np.repeat(left, len(right), axis=0))
+                    rights.append(np.tile(right, len(left)))
+                    vals.append(Fm.ravel())
+    left, rkey, val = np.concatenate(lefts), np.concatenate(rights), np.concatenate(vals)
+    keep = np.flatnonzero(val != 0)
+    order = keep[np.argsort(rkey[keep], kind="stable")]
+    return rkey[order], left[order, 0], left[order, 1], val[order]
+
+
+def _recouple(table, keys: np.ndarray, vals: np.ndarray):
+    """Apply F to the vertex pairs with the given right pair keys.
+
+    Returns, per resulting term, the index of its source term, the two
+    left vertices that replace the pair and the product of the values.
+    """
+    rkey, l1, l2, fval = table
+    i, j = _join(keys, rkey)
+    return i, l1[j], l2[j], vals[i] * fval[j]
+
+
+def pentagon_residual(model: CategoryModel) -> float:
+    """Max deviation of the two recoupling routes Hom(e, abcd), over all labels.
+
+    Both routes take the right tree a(b(cd)) with vertices (c d -> h; de),
+    (b h -> k; ep), (a k -> e; ze) to the left tree ((ab)c)d with vertices
+    (a b -> f; al), (f c -> g; be), (g d -> e; ga).  Route B is two F moves,
+    route A three::
+
+        B = sum_{epp} F(a,b,h,e)[(f,al,epp),(k,ep,ze)] F(f,c,d,e)[(g,be,ga),(h,de,epp)]
+        A = sum_{m,mu,nu,rho} F(b,c,d,k)[(m,mu,nu),(h,de,ep)] F(a,m,d,e)[(g,rho,ga),(k,nu,ze)]
+                              F(a,b,c,g)[(f,al,be),(m,mu,rho)]
+
+    and the residual is max |A - B| over all pairs of trees.  Each F move is
+    a join of the current terms with the table of nonzero F entries on the
+    right vertex pair it replaces.  The trees are enumerated and joined one
+    (a, b, c) at a time, so memory stays proportional to one such chunk.
+    """
+    n, N = model.rank, model.N
+    counts = N.ravel()
+    nv = int(counts.sum())
+    off = (np.cumsum(counts) - counts).reshape(N.shape)
+    reps = counts[counts > 0]
+    vx, vy, vz = (np.repeat(lab, reps) for lab in np.nonzero(N))
+    # vertices are numbered in (x, y, z, mu) order: those with first label x
+    # form the range [first[x], first[x + 1]), sorted by their second label
+    first = np.searchsorted(vx, np.arange(n + 1))
+    table = _f_table(model, off, nv)
+    worst = 0.0
+    for a in range(n):
+        v3s = np.arange(first[a], first[a + 1])
+        for b in range(n):
+            v2s = np.arange(first[b], first[b + 1])
+            for c in range(n):
+                # right trees: (c d -> h) = v1, (b h -> k) = v2, (a k -> e) = v3
+                v1 = np.arange(first[c], first[c + 1])
+                i, j = _join(vz[v1], vy[v2s])
+                v1, v2 = v1[i], v2s[j]
+                i, j = _join(vz[v2], vy[v3s])
+                if not len(i):
+                    continue
+                v1, v2, v3 = v1[i], v2[i], v3s[j]
+                one = np.ones(len(v1), dtype=complex)
+                # route B: (v2, v3) -> (l1, w), then (v1, w) -> (l2, l3)
+                col, l1, w, val = _recouple(table, v2 * nv + v3, one)
+                i, l2, l3, val_b = _recouple(table, v1[col] * nv + w, val)
+                col_b, tree_b = col[i], (l1[i] * nv + l2) * nv + l3
+                # route A: (v1, v2) -> (x, y), then (y, v3) -> (z, l3), then (x, z) -> (l1, l2)
+                col, x, y, val = _recouple(table, v1 * nv + v2, one)
+                i, z, l3, val = _recouple(table, y * nv + v3[col], val)
+                col, x = col[i], x[i]
+                i, l1, l2, val_a = _recouple(table, x * nv + z, val)
+                col_a, tree_a = col[i], (l1 * nv + l2) * nv + l3[i]
+                trees, tree_id = np.unique(np.concatenate([tree_a, tree_b]), return_inverse=True)
+                keys = np.concatenate([col_a, col_b]) * len(trees) + tree_id
+                cells, pos = np.unique(keys, return_inverse=True)
+                PA = np.zeros(len(cells), dtype=complex)
+                PB = np.zeros_like(PA)
+                np.add.at(PA, pos[:len(col_a)], val_a)
+                np.add.at(PB, pos[len(col_a):], val_b)
+                worst = max(worst, float(np.max(np.abs(PA - PB), initial=0.0)))
     return worst
 
 
@@ -969,31 +1025,89 @@ def f_unitarity_residual(model: CategoryModel) -> float:
     return worst
 
 
+def _block_diag(blocks) -> np.ndarray:
+    """Block-diagonal matrix with the given blocks in order."""
+    out = np.zeros((sum(B.shape[0] for B in blocks), sum(B.shape[1] for B in blocks)),
+                   dtype=complex)
+    r = q = 0
+    for B in blocks:
+        out[r:r + B.shape[0], q:q + B.shape[1]] = B
+        r, q = r + B.shape[0], q + B.shape[1]
+    return out
+
+
+def _vertex_braid(model: CategoryModel, x, y, spectators) -> np.ndarray:
+    """R(x, y, s) on the vertex x y -> s of trees (s, e, f), block by block in s.
+
+    The index e runs over Hom(s, x y) and f over a spectator space of
+    dimension ``spectators[s]``, which stays fixed.  On the left trees of
+    Hom(c, x y z), with spectators N[:, z, c], this is eps(x, y) x 1_z into
+    the left trees of Hom(c, y x z); on the right trees of Hom(c, w x y), with
+    spectators N[w, :, c], it is 1_w x eps(x, y) into those of Hom(c, w y x).
+    """
+    return _block_diag([_kron_eye(model.R(x, y, s), k)
+                        for s, k in enumerate(spectators) if k and model.N[x, y, s]])
+
+
+def _max_group_norm(D: np.ndarray, widths) -> float:
+    """Largest spectral norm over the consecutive column groups of D of the given widths."""
+    if not D.size:
+        return 0.0
+    if all(w <= 1 for w in widths):
+        return float(np.max(np.linalg.norm(D, axis=0)))
+    worst, q = 0.0, 0
+    for w in widths:
+        if w:
+            worst = max(worst, float(np.linalg.norm(D[:, q:q + w], 2)))
+        q += w
+    return worst
+
+
 def hexagon_residual(model: CategoryModel) -> float:
     """Naturality of the composite word braiding against all trivalent vertices.
 
-    Checks eps(a, y1 y2)(1_a x T) = (T x 1_a) eps(a, h) and its mirror for
-    every vertex T in Hom(h, y1 y2); together with unitarity this is the
-    operational form of the hexagon identities used by the engine.
+    Checks eps(a, y1 y2)(1_a x T) = (T x 1_a) eps(a, h) and its mirror
+    eps(y1 y2, a)(T x 1_a) = (1_a x T) eps(h, a) for every vertex
+    T = T^{y1 y2 -> h}_g; together with unitarity these are the hexagon
+    identities.  Both are evaluated on the F and R blocks of each
+    (a, y1, y2, c).  With B1 = eps(a, y1) x 1_y2 on left trees and
+    B2 = 1_y1 x eps(a, y2) on right trees (see :func:`_vertex_braid`), the
+    first identity reads, on the columns (h, g, k) of the right trees of
+    Hom(c, a y1 y2)::
+
+        F(y1,y2,a,c) B2 F(y1,a,y2,c)^* B1 F(a,y1,y2,c) = RHS,
+        RHS[(h,g,f), (h,g,k)] = R(a,h,c)[f,k]
+
+    in the left trees of Hom(c, y1 y2 a).  The mirror, with
+    B1' = eps(y1, a) x 1_y2 and B2' = 1_y1 x eps(y2, a), reads on the columns
+    (h, g, k) of the left trees of Hom(c, y1 y2 a)::
+
+        B1' F(y1,a,y2,c) B2' F(y1,y2,a,c)^* = sum_f F(a,y1,y2,c)[:, (h,g,f)] R(h,a,c)[f,k]
+
+    The residual of a vertex (h, g) is the spectral norm of the difference on
+    its column group, and the result is the largest over all of them.
     """
     if not model.braided:
         raise UnsupportedOperationError("category carries no braiding")
-    n = model.rank
+    n, N = model.rank, model.N
     worst = 0.0
-    for y1 in range(n):
-        for y2 in range(n):
-            pair = word_obj((y1, y2))
-            for h in range(n):
-                for g in range(model.N[y1, y2, h]):
-                    T = basis_vector(model, h, pair, model.paths(h, (y1, y2)).index(((y1, 0), (h, g))))
-                    for a in range(n):
-                        aw = word_obj((a,))
-                        lhs = compose(braid(model, aw, pair), lmul(aw, T))
-                        rhs = compose(rmul(T, aw), braid(model, aw, word_obj((h,))))
-                        worst = max(worst, distance(lhs, rhs))
-                        lhs2 = compose(braid(model, pair, aw), rmul(T, aw))
-                        rhs2 = compose(lmul(aw, T), braid(model, word_obj((h,)), aw))
-                        worst = max(worst, distance(lhs2, rhs2))
+    for a in range(n):
+        for y1 in range(n):
+            for y2 in range(n):
+                verts = [h for h in range(n) for _ in range(N[y1, y2, h])]
+                for c in range(n):
+                    F_a = model.F(a, y1, y2, c)
+                    if not F_a.size:
+                        continue
+                    F_m, F_r = model.F(y1, a, y2, c), model.F(y1, y2, a, c)
+                    lhs = (F_r @ _vertex_braid(model, a, y2, N[y1, :, c]) @ F_m.conj().T
+                           @ _vertex_braid(model, a, y1, N[:, y2, c]) @ F_a)
+                    rhs = _block_diag([model.R(a, h, c) for h in verts])
+                    worst = max(worst, _max_group_norm(lhs - rhs, [N[a, h, c] for h in verts]))
+                    lhs = (_vertex_braid(model, y1, a, N[:, y2, c]) @ F_m
+                           @ _vertex_braid(model, y2, a, N[y1, :, c]) @ F_r.conj().T)
+                    rhs = F_a @ _block_diag([model.R(h, a, c) for h in verts])
+                    worst = max(worst, _max_group_norm(lhs - rhs, [N[h, a, c] for h in verts]))
     return worst
 
 

@@ -31,6 +31,18 @@ def test_verify_category_corrupted_f_entry(data_dir, tmp_path, capsys):
     assert "pentagon" in out and "FAIL" in out
 
 
+def test_verify_category_corrupted_r_entry(data_dir, tmp_path, capsys):
+    doc = json.loads((data_dir / "fibonacci.cat").read_text())
+    for entry in doc["R"]:
+        if entry[:3] == [1, 1, 0]:
+            entry[5] = [1.0, 0.0]  # a unit-modulus phase: R stays unitary, the hexagon breaks
+    bad = tmp_path / "bad.cat"
+    bad.write_text(json.dumps(doc))
+    assert run(["verify-category", bad]) == 1
+    flags = {w[0]: w[-1] for w in map(str.split, capsys.readouterr().out.splitlines()) if len(w) == 3}
+    assert flags["hexagon"] == "FAIL" and flags["r_unitarity"] == "ok"
+
+
 def test_verify_category_truncated_file(data_dir, tmp_path):
     trunc = tmp_path / "trunc.cat"
     trunc.write_text((data_dir / "fibonacci.cat").read_text()[:50])

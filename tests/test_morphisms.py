@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -32,11 +34,13 @@ from qsystems.morphisms import (
     sum_product,
     twist,
     unit_obj,
+    validate_category,
     word_conjugate_pair,
     word_dual,
     word_obj,
     UnsupportedOperationError,
 )
+from qsystems import catalog
 from qsystems.io import load_algebra
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
@@ -62,6 +66,12 @@ def test_hexagon_all_braided_bundles(models):
 def test_conjugate_equations_all_bundles(models):
     for name, m in models.items():
         assert conjugate_residual(m) < 1e-9, name
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+def test_su2_levels_coherent(k):
+    rep = validate_category(catalog.su2_level(k))
+    assert rep.ok, rep.residuals()
 
 
 # ---------------------------------------------------------------------------
@@ -477,3 +487,151 @@ def test_path_order_composes_over_prefixes(models):
                     assert list(m.paths(c, u + v)) == want, (name, u, v, c)
                     for b in labels:
                         assert counts[b, c] == len(m.tails(b, v, c)), (name, v, b, c)
+
+
+# ---------------------------------------------------------------------------
+# coherence checks against their morphism-level definitions
+
+
+def oracle_pentagon_residual(model):
+    """Both recoupling routes of Hom(e, abcd), one label quintuple and one entry at a time."""
+    n = model.rank
+    N = model.N
+    worst = 0.0
+    for a, b, c, d, e in itertools.product(range(n), repeat=5):
+        left = [(f, al, g, be, ga)
+                for f in range(n) for al in range(N[a, b, f])
+                for g in range(n) for be in range(N[f, c, g])
+                for ga in range(N[g, d, e])]
+        if not left:
+            continue
+        right = [(h, de, k, ep, ze)
+                 for h in range(n) for de in range(N[c, d, h])
+                 for k in range(n) for ep in range(N[b, h, k])
+                 for ze in range(N[a, k, e])]
+        lpos = {t: i for i, t in enumerate(left)}
+        PA = np.zeros((len(left), len(right)), dtype=complex)
+        PB = np.zeros_like(PA)
+        for col, (h, de, k, ep, ze) in enumerate(right):
+            # route A: three recouplings
+            F1 = model.F(b, c, d, k)
+            c1 = model.f_right_pos(b, c, d, k)[h, de, ep]
+            for (m, mu, nu), v1 in zip(model.f_left(b, c, d, k), F1[:, c1]):
+                if v1 == 0:
+                    continue
+                F2 = model.F(a, m, d, e)
+                c2 = model.f_right_pos(a, m, d, e)[k, nu, ze]
+                for (g, rho, sg), v2 in zip(model.f_left(a, m, d, e), F2[:, c2]):
+                    if v2 == 0:
+                        continue
+                    F3 = model.F(a, b, c, g)
+                    c3 = model.f_right_pos(a, b, c, g)[m, mu, rho]
+                    for (f, al, be), v3 in zip(model.f_left(a, b, c, g), F3[:, c3]):
+                        if v3 == 0:
+                            continue
+                        PA[lpos[(f, al, g, be, sg)], col] += v1 * v2 * v3
+            # route B: two recouplings
+            F4 = model.F(a, b, h, e)
+            c4 = model.f_right_pos(a, b, h, e)[k, ep, ze]
+            for (f, al, epp), v4 in zip(model.f_left(a, b, h, e), F4[:, c4]):
+                if v4 == 0:
+                    continue
+                F5 = model.F(f, c, d, e)
+                c5 = model.f_right_pos(f, c, d, e)[h, de, epp]
+                for (g, be, ga), v5 in zip(model.f_left(f, c, d, e), F5[:, c5]):
+                    if v5 == 0:
+                        continue
+                    PB[lpos[(f, al, g, be, ga)], col] += v4 * v5
+        if PA.size:
+            worst = max(worst, float(np.max(np.abs(PA - PB))))
+    return worst
+
+
+def oracle_hexagon_residual(model):
+    """eps(a, y1 y2)(1_a x T) = (T x 1_a) eps(a, h) and its mirror, built as morphisms."""
+    n = model.rank
+    worst = 0.0
+    for y1, y2 in itertools.product(range(n), repeat=2):
+        pair = word_obj((y1, y2))
+        for h in range(n):
+            for g in range(model.N[y1, y2, h]):
+                T = basis_vector(model, h, pair, model.paths(h, (y1, y2)).index(((y1, 0), (h, g))))
+                for a in range(n):
+                    aw = word_obj((a,))
+                    lhs = compose(braid(model, aw, pair), lmul(aw, T))
+                    rhs = compose(rmul(T, aw), braid(model, aw, word_obj((h,))))
+                    worst = max(worst, distance(lhs, rhs))
+                    lhs2 = compose(braid(model, pair, aw), rmul(T, aw))
+                    rhs2 = compose(lmul(aw, T), braid(model, word_obj((h,)), aw))
+                    worst = max(worst, distance(lhs2, rhs2))
+    return worst
+
+
+def _random_unitary(rng, n):
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Q, R = np.linalg.qr(Z)
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def _scrambled(model, rng, f=True, r=True, where=lambda labels: True):
+    """Copy of `model` whose F blocks and/or R blocks are multiplied by random unitaries.
+
+    Only the blocks whose labels satisfy `where` change.  Every unitary is
+    drawn up front, F in (a, b, c, d) order and then R in (a, b, c) order, so
+    both residuals see the same data whatever order they read it in.
+    """
+    n = model.rank
+    Fs, Rs = {}, {}
+    for q in itertools.product(range(n), repeat=4):
+        M = model.F(*q)
+        if M.size and 0 not in q[:3]:
+            Fs[q] = M @ _random_unitary(rng, len(M)) if f and where(q) else M
+    for q in itertools.product(range(n), repeat=3):
+        M = model.R(*q)
+        if M.size and 0 not in q[:2]:
+            Rs[q] = M @ _random_unitary(rng, len(M)) if r and where(q) else M
+    return CategoryModel(model.fusion, lambda *q: Fs[q], lambda *q: Rs[q],
+                         name=model.name + "_scrambled")
+
+
+def _assert_close(got, want, what):
+    assert abs(got - want) <= max(1e-12 * abs(want), 1e-15), (what, got, want)
+
+
+def _assert_coherence_matches_oracle(model, name):
+    _assert_close(pentagon_residual(model), oracle_pentagon_residual(model), ("pentagon", name))
+    if model.braided:
+        _assert_close(hexagon_residual(model), oracle_hexagon_residual(model), ("hexagon", name))
+
+
+def test_coherence_matches_oracle_on_bundles(models):
+    for name, m in models.items():
+        _assert_coherence_matches_oracle(m, name)
+
+
+def test_coherence_matches_oracle_on_derived_models(models):
+    _assert_coherence_matches_oracle(mirror(models["fibonacci"]), "mirror(fibonacci)")
+    _assert_coherence_matches_oracle(deligne_product(models["ising"], mirror(models["z4"])),
+                                     "ising(x)mirror(z4)")
+    _assert_coherence_matches_oracle(deligne_product(models["rep_a4"], models["semion"]),
+                                     "rep_a4(x)semion")
+
+
+@pytest.mark.parametrize("name", ["ising", "su2k4", "rep_a4"])
+@pytest.mark.parametrize("f,r", [(True, False), (False, True), (True, True)])
+def test_coherence_matches_oracle_on_scrambled_data(models, rng, name, f, r):
+    m = _scrambled(models[name], rng, f=f, r=r)
+    _assert_coherence_matches_oracle(m, m.name)
+    # random data is far from coherent: the comparison is not between zeros
+    if f:
+        assert pentagon_residual(m) > 1e-3
+    assert hexagon_residual(m) > 1e-3
+
+
+def test_coherence_matches_oracle_on_scrambled_multiplicity_blocks(models, rng):
+    # only F(3,3,3,3) and the 2x2 R(3,3,3) of rep_a4 change, so every nonzero
+    # residual involves the multiplicity-two vertex of Hom(3, 3 x 3)
+    m = _scrambled(models["rep_a4"], rng, where=lambda labels: set(labels) == {3})
+    _assert_coherence_matches_oracle(m, m.name)
+    assert pentagon_residual(m) > 1e-3
+    assert hexagon_residual(m) > 1e-3
