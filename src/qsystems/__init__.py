@@ -1,7 +1,7 @@
 """Q-systems, alpha-induction and tensor-product subfactor constructions
 over small unitary fusion categories."""
 
-from .fusion import FusionData, SectorLabel, StructureError, compute_qdims, validate_fusion
+from .fusion import FusionData, StructureError, compute_qdims, validate_fusion
 from .morphisms import (
     CategoryModel,
     Morphism,

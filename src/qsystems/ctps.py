@@ -17,13 +17,13 @@ is
 with phi_l the orthonormal bases of the induced hom spaces and Phi the
 induced (normalized-trace) left inverse.  Everything downstream is checked,
 not trusted: the Q-system relations, isometry, chiral locality, the braiding
-fix ed-point identity, and the normality predicates on Z.
+fixed-point identity, and the normality predicates on Z.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,6 @@ __all__ = [
     "alpha_pair",
     "trivial_pair",
     "SummandIndex",
-    "ZetaTensor",
     "zeta_coefficient",
     "zeta_tensor",
     "build_theta",
@@ -133,16 +132,6 @@ def trivial_pair(model: CategoryModel) -> ExtensionPair:
     return ExtensionPair(trivial_algebra(model), +1, -1)
 
 
-@dataclass
-class ZetaTensor:
-    """Comultiplication coefficients, keyed (n, l, m, e1, e2) over summand indices."""
-
-    entries: dict = field(default_factory=dict)
-
-    def get(self, key, default=0.0):
-        return self.entries.get(key, default)
-
-
 def zeta_coefficient(pair: ExtensionPair, d_theta: float,
                      l: SummandIndex, m: SummandIndex, n: SummandIndex,
                      lift1: BimodMap, lift2: BimodMap, phi_lm: BimodMap) -> complex:
@@ -162,11 +151,15 @@ def zeta_coefficient(pair: ExtensionPair, d_theta: float,
     return complex(pref * phi_scalar(x))
 
 
-def zeta_tensor(pair: ExtensionPair, d_theta: float) -> ZetaTensor:
-    """All fusion-compatible coefficients for the summands of the pair."""
+def zeta_tensor(pair: ExtensionPair, d_theta: float) -> dict:
+    """All nonzero fusion-compatible coefficients, keyed (n, l, m, e1, e2).
+
+    n, l, m are the :class:`SummandIndex` of the summands and e1, e2 the tree
+    vertices of the two factors; missing keys are zero.
+    """
     model = pair.model
     a = pair.algebra
-    out = ZetaTensor()
+    out = {}
     lift_cache = {}
 
     def lifted(nu, lam, mu, sign, adjoints):
@@ -188,7 +181,7 @@ def zeta_tensor(pair: ExtensionPair, d_theta: float) -> ZetaTensor:
                 for e2, t2 in enumerate(lifted(n.lam2, l.lam2, m.lam2, pair.sign2, False)):
                     val = zeta_coefficient(pair, d_theta, l, m, n, t1, t2, phi_lm)
                     if val != 0.0:
-                        out.entries[(n, l, m, e1, e2)] = val
+                        out[(n, l, m, e1, e2)] = val
     return out
 
 
@@ -206,7 +199,7 @@ def build_theta(D, Z: np.ndarray) -> ThetaSpec:
     return ThetaSpec(D, mult)
 
 
-def assemble_w1(D, theta: ThetaSpec, zeta: ZetaTensor, pair: ExtensionPair) -> QSystem:
+def assemble_w1(D, theta: ThetaSpec, zeta: dict, pair: ExtensionPair) -> QSystem:
     """QSystem over the product category from factor-indexed coefficients."""
     m2 = D.factors[1]
     packed = {}
@@ -214,7 +207,7 @@ def assemble_w1(D, theta: ThetaSpec, zeta: ZetaTensor, pair: ExtensionPair) -> Q
     for i, (lam, copy) in enumerate(theta.summands):
         l1, l2 = D.unpack(lam)
         pos[SummandIndex(l1, l2, copy)] = i
-    for (n, l, m, e1, e2), val in zeta.entries.items():
+    for (n, l, m, e1, e2), val in zeta.items():
         n2 = int(m2.N[l.lam2, m.lam2, n.lam2])
         packed[(pos[n], pos[l], pos[m], e1 * n2 + e2)] = val
     return assemble_qsystem(theta, packed)
@@ -330,7 +323,7 @@ class CtpsResult:
     Z: np.ndarray
     theta: ThetaSpec
     qsystem: QSystem
-    zeta: ZetaTensor
+    zeta: dict
     report: QReport
     e3_residual: float
     commutativity: float | None

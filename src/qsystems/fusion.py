@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "StructureError",
-    "SectorLabel",
     "FusionData",
     "FusionReport",
     "validate_fusion",
@@ -26,17 +25,6 @@ __all__ = [
 
 class StructureError(ValueError):
     """Malformed fusion data (wrong shapes / dtypes), as opposed to a violated axiom."""
-
-
-@dataclass(frozen=True)
-class SectorLabel:
-    """A sector: positional index into the label list plus a display name."""
-
-    index: int
-    name: str
-
-    def __str__(self):
-        return self.name
 
 
 @dataclass
@@ -103,16 +91,6 @@ class FusionData:
             self.qdim = compute_qdims(self)
 
     # -- convenience -------------------------------------------------------
-
-    def labels(self) -> list[SectorLabel]:
-        return [SectorLabel(i, name) for i, name in enumerate(self.names)]
-
-    def label(self, i: int) -> SectorLabel:
-        return SectorLabel(i, self.names[i])
-
-    def fusion_outcomes(self, lam: int, mu: int):
-        """Labels nu with N[lam, mu, nu] > 0."""
-        return [int(nu) for nu in np.nonzero(self.N[lam, mu])[0]]
 
     @property
     def global_dim(self) -> float:

@@ -37,10 +37,11 @@ from .morphisms import (
     lmul,
     mono_product,
     rmul,
+    sum_product,
     unit_intro,
     word_obj,
 )
-from .qsystem import QReport, QSystem, ThetaSpec, validate_qsystem
+from .qsystem import QReport, QSystem, ThetaSpec, relation_defects, validate_qsystem
 
 __all__ = [
     "AlgebraObject",
@@ -48,6 +49,7 @@ __all__ = [
     "algebra_from_qsystem",
     "to_qsystem",
     "verify_algebra",
+    "algebra_from_coefficients",
     "solve_haploid_algebra",
     "Bimod",
     "BimodMap",
@@ -65,7 +67,6 @@ __all__ = [
     "alpha_object",
     "InducedMorphismSpace",
     "hom_alpha",
-    "coupling_matrix",
 ]
 
 
@@ -127,6 +128,19 @@ def verify_algebra(a: AlgebraObject, tol: float = 1e-8) -> QReport:
     return validate_qsystem(to_qsystem(a), tol=tol)
 
 
+def algebra_from_coefficients(theta: ThetaSpec, coeffs) -> AlgebraObject:
+    """The algebra on theta whose multiplication has coefficients ``coeffs``.
+
+    ``coeffs`` is keyed as :attr:`ThetaSpec.slots`; mult in Hom(theta^2,
+    theta) holds each coefficient at the transpose of its slot, and the unit
+    is the identity summand.
+    """
+    model = theta.model
+    blocks = {c: np.ascontiguousarray(B.T) for c, B in theta.coefficient_blocks(coeffs).items()}
+    mult = Morphism(model, theta.square, theta.object, blocks)
+    return AlgebraObject(theta=theta, unit=unit_intro(model, theta.object), mult=mult)
+
+
 def solve_haploid_algebra(model: CategoryModel, multiplicities: dict,
                           rng=None, attempts: int = 20) -> AlgebraObject:
     """Solve multiplication coefficients making Theta a Q-system.
@@ -140,64 +154,31 @@ def solve_haploid_algebra(model: CategoryModel, multiplicities: dict,
     theta = ThetaSpec(model, multiplicities)
     if model.obj_dim(0, theta.object) != 1:
         raise ValueError("algebra must be haploid (identity multiplicity 1)")
-    th = theta.object
-    th2 = SumObject(tuple(a + b for a in th.words for b in th.words),
-                    tuple((s, t) for s in th.tags for t in th.tags))
-    ns = len(theta)
 
-    # free coefficients: channels (l, m) -> n with multiplicity, unit channels fixed
-    slots = []
-    for l, (lam, _) in enumerate(theta.summands):
-        for m, (mu, _) in enumerate(theta.summands):
-            for n, (nu, _) in enumerate(theta.summands):
-                for e in range(int(model.N[lam, mu, nu])):
-                    fixed = 1.0 if (lam == 0 or mu == 0) else None
-                    slots.append((l, m, n, e, fixed))
+    # the unknowns keep (l, m, n, e) order, so a seeded start always means the
+    # same coefficients; channels with a unit factor are pinned by the unit law
+    keys = sorted(theta.slots, key=lambda k: (k[1], k[2], k[0], k[3]))
+    fixed = {(n, l, m, e): 1.0 for (n, l, m, e) in keys
+             if theta.summands[l][0] == 0 or theta.summands[m][0] == 0}
+    free = [k for k in keys if k not in fixed]
 
     def build(x):
-        coeffs = {}
-        i = 0
-        for (l, m, n, e, fixed) in slots:
-            if fixed is not None:
-                coeffs[(n, l, m, e)] = fixed
-            else:
-                coeffs[(n, l, m, e)] = x[2 * i] + 1j * x[2 * i + 1]
-                i += 1
-        # mult blocks: adjoint of the coefficient placement
-        blocks = {}
-        for c in range(model.rank):
-            rows = model.obj_offsets(c, th)
-            cols = model.obj_offsets(c, th2)
-            M = np.zeros((rows[-1], cols[-1]), dtype=complex)
-            for (n, l, m, e), v in coeffs.items():
-                nu = theta.summands[n][0]
-                if c != nu or v == 0:
-                    continue
-                M[rows[n], cols[l * ns + m] + e] = v
-            blocks[c] = M
-        return AlgebraObject(theta=theta, unit=unit_intro(model, th), mult=Morphism(model, th2, th, blocks))
-
-    nfree = sum(1 for s in slots if s[4] is None)
+        coeffs = dict(fixed)
+        for i, k in enumerate(free):
+            coeffs[k] = x[2 * i] + 1j * x[2 * i + 1]
+        return algebra_from_coefficients(theta, coeffs)
 
     def residual(x):
-        a = build(x)
-        q = to_qsystem(a)
+        q = to_qsystem(build(x))
         out = []
-        id_th = identity_morphism(model, th)
-        c0 = q.theta.d_theta ** -0.5
-        pieces = [
-            compose(rmul(adjoint(q.w), th), q.w1) - c0 * id_th,
-            compose(rmul(q.w1, th), q.w1) - compose(lmul(th, q.w1), q.w1),
-            compose(adjoint(q.w1), q.w1) - id_th,
-        ]
-        for p in pieces:
+        for p in relation_defects(q, ("unit_left", "coassociativity", "isometry")).values():
             for B in p.blocks.values():
                 out.extend(B.ravel().real)
                 out.extend(B.ravel().imag)
         return np.array(out)
 
     for attempt in range(attempts):
-        x = rng.standard_normal(2 * nfree)
+        x = rng.standard_normal(2 * len(free))
         for _ in range(60):
             r0 = residual(x)
             if np.max(np.abs(r0)) < 1e-12:
@@ -265,8 +246,6 @@ class BimodMap:
 
 
 def bim_object(a: AlgebraObject, b: Bimod) -> SumObject:
-    from .morphisms import sum_product
-
     return sum_product(a.object, word_obj(b.word))
 
 
@@ -328,15 +307,12 @@ def lift(a: AlgebraObject, n: Morphism, sign: int) -> BimodMap:
 
 def _mult_map(a: AlgebraObject, x: Bimod, y: Bimod) -> Morphism:
     """Hom(Theta x Theta y, Theta x y): multiply through the signed crossing."""
-    model = a.model
-    wx, wy = word_obj(x.word), word_obj(y.word)
-    move = lmul(a.object, rmul(_eps_signed(a, x), wy))
+    move = lmul(a.object, rmul(_eps_signed(a, x), word_obj(y.word)))
     return compose(rmul(a.mult, word_obj(x.word + y.word)), move)
 
 
 def _split_map(a: AlgebraObject, x: Bimod, y: Bimod) -> Morphism:
     """Right inverse of :func:`_mult_map`: comultiply and cross back."""
-    model = a.model
     wy = word_obj(y.word)
     out = rmul(adjoint(a.mult), word_obj(x.word + y.word))
     back = lmul(a.object, rmul(adjoint(_eps_signed(a, x)), wy))
@@ -519,7 +495,6 @@ class InducedMorphismSpace:
     sign1: int
     sign2: int
     basis: list
-    gram: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -528,16 +503,4 @@ class InducedMorphismSpace:
 
 def hom_alpha(a: AlgebraObject, lam: int, mu: int, sign1: int = +1, sign2: int = -1) -> InducedMorphismSpace:
     basis = bimodule_hom(a, Bimod((int(lam),), (sign1,)), Bimod((int(mu),), (sign2,)))
-    gram = np.array([[trace_ip(f, g) for g in basis] for f in basis]) if basis else np.zeros((0, 0))
-    return InducedMorphismSpace(lam=int(lam), mu=int(mu), sign1=sign1, sign2=sign2,
-                                basis=basis, gram=gram)
-
-
-def coupling_matrix(a: AlgebraObject, sign1: int = +1, sign2: int = -1) -> np.ndarray:
-    """Z[lam, mu] = dim Hom(alpha^{sign1}_lam, alpha^{sign2}_mu), integer matrix."""
-    n = a.model.rank
-    Z = np.zeros((n, n), dtype=int)
-    for lam in range(n):
-        for mu in range(n):
-            Z[lam, mu] = hom_alpha(a, lam, mu, sign1, sign2).dim
-    return Z
+    return InducedMorphismSpace(lam=int(lam), mu=int(mu), sign1=sign1, sign2=sign2, basis=basis)

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .fusion import FusionData
-from .induction import AlgebraObject
-from .morphisms import CategoryModel, Morphism, SumObject
+from .induction import AlgebraObject, algebra_from_coefficients
+from .morphisms import CategoryModel
 from .qsystem import ThetaSpec
 
 __all__ = [
@@ -175,20 +175,10 @@ def load_category(path) -> CategoryModel:
 
 def save_algebra(alg: AlgebraObject, path, name: str = "", provenance: str = "") -> None:
     model = alg.model
-    theta = alg.theta
-    ns = len(theta)
-    mult_vec = [int(theta.multiplicities.get(lam, 0)) for lam in range(model.rank)]
-    entries = []
-    for ni, (nu, _) in enumerate(theta.summands):
-        rows = model.obj_offsets(nu, theta.object)
-        for li, (lam, _) in enumerate(theta.summands):
-            for mi, (mu, _) in enumerate(theta.summands):
-                cols = model.obj_offsets(nu, _theta_sq(theta))
-                base = cols[li * ns + mi]
-                for e in range(int(model.N[lam, mu, nu])):
-                    v = alg.mult.blocks[nu][rows[ni], base + e]
-                    if abs(v) > 1e-15:
-                        entries.append([li, mi, ni, e, _c2j(v)])
+    mult_vec = [int(alg.theta.multiplicities.get(lam, 0)) for lam in range(model.rank)]
+    # mult holds each coefficient at the transpose of its slot
+    coeffs = alg.theta.coefficients({c: B.T for c, B in alg.mult.blocks.items()})
+    entries = [[l, m, n, e, _c2j(v)] for (n, l, m, e), v in coeffs.items() if abs(v) > 1e-15]
     doc = {
         "format": ALGEBRA_FORMAT,
         "name": name or "algebra",
@@ -200,15 +190,7 @@ def save_algebra(alg: AlgebraObject, path, name: str = "", provenance: str = "")
     Path(path).write_text(_dump_doc(doc))
 
 
-def _theta_sq(theta: ThetaSpec) -> SumObject:
-    th = theta.object
-    return SumObject(tuple(a + b for a in th.words for b in th.words),
-                     tuple((s, t) for s in th.tags for t in th.tags))
-
-
 def load_algebra(path, model: CategoryModel) -> AlgebraObject:
-    from .morphisms import unit_intro
-
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -221,21 +203,19 @@ def load_algebra(path, model: CategoryModel) -> AlgebraObject:
             raise BundleError(f"multiplicity vector has length {len(mult_vec)}, "
                               f"category has {model.rank} sectors")
         theta = ThetaSpec(model, {lam: v for lam, v in enumerate(mult_vec) if v})
-        ns = len(theta)
-        th2 = _theta_sq(theta)
-        blocks = {c: np.zeros((model.obj_dim(c, theta.object), model.obj_dim(c, th2)),
-                              dtype=complex) for c in range(model.rank)}
-        for li, mi, ni, e, v in doc["coefficients"]:
-            nu = theta.summands[ni][0]
-            rows = model.obj_offsets(nu, theta.object)
-            cols = model.obj_offsets(nu, th2)
-            blocks[nu][rows[ni], cols[li * ns + mi] + e] = _j2c(v)
+        if 0 not in theta.multiplicities:
+            raise BundleError(f"multiplicity of the identity sector is {mult_vec[0]}; "
+                              "an algebra needs a unit summand")
+        coeffs = {}
+        for l, m, n, e, v in doc["coefficients"]:
+            if (n, l, m, e) not in theta.slots:
+                raise BundleError(f"coefficient entry {[l, m, n, e]} is not fusion compatible")
+            coeffs[(n, l, m, e)] = _j2c(v)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         if isinstance(exc, BundleError):
             raise
         raise BundleError(f"malformed algebra bundle {path}: {exc}") from exc
-    mult = Morphism(model, th2, theta.object, blocks)
-    return AlgebraObject(theta=theta, unit=unit_intro(model, theta.object), mult=mult)
+    return algebra_from_coefficients(theta, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -194,9 +194,6 @@ class CategoryModel:
             d *= self.qdim[x]
         return d
 
-    def obj_qdim(self, obj: SumObject) -> float:
-        return float(sum(self.word_dim(w) for w in obj.words))
-
     # -- recoupling data ---------------------------------------------------
 
     def f_left(self, a, b, c, d):

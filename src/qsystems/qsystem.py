@@ -16,6 +16,7 @@ largest singular value across sector blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,12 +31,14 @@ from .morphisms import (
     identity_morphism,
     lmul,
     mirror,
+    op_norm,
     rmul,
+    sum_product,
     unit_intro,
 )
 
-__all__ = ["ThetaSpec", "QSystem", "QReport", "validate_qsystem", "assemble_qsystem",
-           "lr_zeta", "lr_qsystem", "check_commutativity"]
+__all__ = ["ThetaSpec", "QSystem", "QReport", "relation_defects", "validate_qsystem",
+           "assemble_qsystem", "lr_zeta", "lr_qsystem", "check_commutativity"]
 
 
 class ThetaSpec:
@@ -43,7 +46,13 @@ class ThetaSpec:
 
     Summands are enumerated as (label, copy) pairs, lexicographically; the
     copy index runs from 1 to the multiplicity.  Tags on the underlying
-    :class:`SumObject` are those pairs.
+    :class:`SumObject` are those pairs; ``square`` is theta^2, whose summand
+    l * len(theta) + m is the word of summand l followed by that of m.
+
+    Since every summand is simple, a map in Hom(theta, theta^2) is its
+    coefficient tensor zeta[n, l, m, e]: the entry on the tree vertex e of
+    Hom(nu, lam mu), for the summands n, l, m with labels nu, lam, mu.
+    :attr:`slots` is the one place that says where each coefficient sits.
     """
 
     def __init__(self, model: CategoryModel, multiplicities: dict):
@@ -54,7 +63,50 @@ class ThetaSpec:
                          for copy in range(1, self.multiplicities[lam] + 1)]
         self.object = SumObject(tuple((lam,) for lam, _ in self.summands),
                                 tuple(self.summands))
+        self.square = sum_product(self.object, self.object)
         self.d_theta = float(sum(model.qdim[lam] for lam, _ in self.summands))
+
+    @cached_property
+    def slots(self) -> dict:
+        """Position of each coefficient in Hom(theta, theta^2).
+
+        Maps (n, l, m, e), for every e < N[lam, mu, nu], to (c, row, col):
+        the sector c = nu, the theta^2 basis index of tree e in summand
+        (l, m), and the theta basis index of summand n.  Keys run in sorted
+        order; a key outside this dict names no coefficient.
+        """
+        N = self.model.N
+        offs = self.model.sector_offsets(self.object)
+        offs2 = self.model.sector_offsets(self.square)
+        ns = len(self.summands)
+        out = {}
+        for n, (nu, _) in enumerate(self.summands):
+            for l, (lam, _) in enumerate(self.summands):
+                for m, (mu, _) in enumerate(self.summands):
+                    row = offs2[nu][l * ns + m]
+                    for e in range(int(N[lam, mu, nu])):
+                        out[(n, l, m, e)] = (nu, row + e, offs[nu][n])
+        return out
+
+    def coefficient_blocks(self, zeta) -> dict:
+        """Sector blocks of the map in Hom(theta, theta^2) with coefficients ``zeta``.
+
+        ``zeta`` maps keys of :attr:`slots` to complex values; missing keys
+        are zero and keys outside :attr:`slots` are ignored.
+        """
+        offs = self.model.sector_offsets(self.object)
+        offs2 = self.model.sector_offsets(self.square)
+        blocks = {c: np.zeros((offs2[c][-1], offs[c][-1]), dtype=complex)
+                  for c in range(self.model.rank)}
+        for key, (c, row, col) in self.slots.items():
+            val = zeta.get(key)
+            if val:
+                blocks[c][row, col] = val
+        return blocks
+
+    def coefficients(self, blocks) -> dict:
+        """Inverse of :meth:`coefficient_blocks`: every slot's entry, keyed as :attr:`slots`."""
+        return {key: blocks[c][row, col] for key, (c, row, col) in self.slots.items()}
 
     def index(self, lam: int, copy: int = 1) -> int:
         return self.summands.index((lam, copy))
@@ -103,26 +155,38 @@ class QReport:
         return "\n".join(lines)
 
 
-def validate_qsystem(q: QSystem, tol: float = 1e-8) -> QReport:
-    """Check the unit, coassociativity, Frobenius and isometry relations."""
+def relation_defects(q: QSystem, names=None) -> dict:
+    """lhs - rhs of each relation, as a morphism, in the order of `names`.
+
+    Without `names`, every relation in the order :func:`validate_qsystem`
+    reports them (the operator norm of each defect);
+    :func:`~qsystems.induction.solve_haploid_algebra` drives three of them
+    to zero.
+    """
     model = q.model
     th = q.theta.object
     c = q.theta.d_theta ** -0.5
     id_th = identity_morphism(model, th)
     w_star = adjoint(q.w)
     w1_star = adjoint(q.w1)
-    residuals = {
-        "unit_left": distance(compose(rmul(w_star, th), q.w1), c * id_th),
-        "unit_right": distance(compose(lmul(th, w_star), q.w1), c * id_th),
-        "coassociativity": distance(compose(rmul(q.w1, th), q.w1),
-                                    compose(lmul(th, q.w1), q.w1)),
-        "frobenius": distance(compose(q.w1, w1_star),
-                              compose(lmul(th, w1_star), rmul(q.w1, th))),
-        "isometry": distance(compose(w1_star, q.w1), id_th),
-        "w_isometry": distance(compose(adjoint(q.w), q.w),
-                               identity_morphism(model, q.w.source)),
+    defects = {
+        "unit_left": lambda: compose(rmul(w_star, th), q.w1) - c * id_th,
+        "unit_right": lambda: compose(lmul(th, w_star), q.w1) - c * id_th,
+        "coassociativity": lambda: (compose(rmul(q.w1, th), q.w1)
+                                    - compose(lmul(th, q.w1), q.w1)),
+        "frobenius": lambda: (compose(q.w1, w1_star)
+                              - compose(lmul(th, w1_star), rmul(q.w1, th))),
+        "isometry": lambda: compose(w1_star, q.w1) - id_th,
+        "w_isometry": lambda: (compose(w_star, q.w)
+                               - identity_morphism(model, q.w.source)),
     }
-    irreducible = model.obj_dim(0, th) == 1
+    return {name: defects[name]() for name in names or defects}
+
+
+def validate_qsystem(q: QSystem, tol: float = 1e-8) -> QReport:
+    """Check the unit, coassociativity, Frobenius and isometry relations."""
+    residuals = {name: op_norm(d) for name, d in relation_defects(q).items()}
+    irreducible = q.model.obj_dim(0, q.theta.object) == 1
     return QReport(residuals=residuals, irreducible=irreducible, tol=tol)
 
 
@@ -131,7 +195,8 @@ def assemble_qsystem(theta: ThetaSpec, zeta) -> QSystem:
 
     ``zeta`` maps ``(n, l, m, e) -> complex`` over summand indices n, l, m of
     theta and the multiplicity index e of Hom(nu, lam mu); missing keys are
-    zero.  w is the injection of the identity summand, and
+    zero (see :attr:`ThetaSpec.slots`).  w is the injection of the identity
+    summand, and
 
         w1 = sum (W_l x W_m) T^n_lm W_n*,
         T^n_lm = sum_e zeta[n,l,m,e] T_e.
@@ -140,31 +205,8 @@ def assemble_qsystem(theta: ThetaSpec, zeta) -> QSystem:
     th = theta.object
     if model.obj_dim(0, th) != 1:
         raise ValueError("theta must contain the identity sector exactly once")
-    th2 = SumObject(
-        tuple(wl + wm for wl in th.words for wm in th.words),
-        tuple((tl, tm) for tl in th.tags for tm in th.tags),
-    )
     w = unit_intro(model, th, 0)
-    ns = len(theta)
-    blocks = {}
-    for c in range(model.rank):
-        rows = model.obj_offsets(c, th2)
-        cols = model.obj_offsets(c, th)
-        M = np.zeros((rows[-1], cols[-1]), dtype=complex)
-        for n, (nu, _) in enumerate(theta.summands):
-            if c != nu:
-                continue
-            col = cols[n]
-            for l, (lam, _) in enumerate(theta.summands):
-                for m, (mu, _) in enumerate(theta.summands):
-                    k = l * ns + m
-                    nmult = int(model.N[lam, mu, nu])
-                    for e in range(nmult):
-                        val = zeta.get((n, l, m, e))
-                        if val:
-                            M[rows[k] + e, col] = val
-        blocks[c] = M
-    w1 = Morphism(model, th, th2, blocks)
+    w1 = Morphism(model, th, theta.square, theta.coefficient_blocks(zeta))
     return QSystem(theta=theta, w=w, w1=w1)
 
 
@@ -198,7 +240,7 @@ def lr_zeta(D, theta: ThetaSpec, pairs: list) -> dict:
 def lr_qsystem(model: CategoryModel):
     """Q-system of the diagonal (identity coupling matrix) construction.
 
-    Builds theta =ized sum of lam x lam-op over the Deligne product of the
+    Builds theta = sum of lam x lam-op over the Deligne product of the
     category with its antilinear opposite, with the collapsed coefficient
     formula.  Returns (qsystem, product_model).
     """

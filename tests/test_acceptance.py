@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from qsystems.ctps import (
-    ZetaTensor,
     alpha_pair,
     assemble_w1,
     build_ctps,
@@ -19,7 +18,7 @@ from qsystems.ctps import (
     ctps_braiding,
     trivial_pair,
 )
-from qsystems.induction import alpha_object, coupling_matrix, trivial_algebra
+from qsystems.induction import alpha_object, trivial_algebra
 from qsystems.io import load_category
 from qsystems.modular import check_modular_invariant, compute_st, enumerate_commutant
 from qsystems.morphisms import braid, validate_category
@@ -103,7 +102,7 @@ def test_criterion_4_induced_dimensions(models, algebras):
 
 def test_criterion_5_coupling_matrix(models, algebras, d4_pair):
     fib = models["fibonacci"]
-    z_triv = coupling_matrix(trivial_algebra(fib))
+    z_triv = alpha_pair(trivial_algebra(fib)).Z
     exact_id = np.array_equal(z_triv, np.eye(2, dtype=int))
     z = d4_pair.Z
     exact_d4 = np.array_equal(z, D4)
@@ -160,10 +159,10 @@ def test_criterion_8_soundness_controls(lr_pairs, d4_result):
     pair = lr_pairs["fibonacci"]
     res = build_ctps(pair, tol=1e-9)
     flips = 0
-    keys = list(res.zeta.entries)
+    keys = list(res.zeta)
     for key in keys:
-        z2 = ZetaTensor(dict(res.zeta.entries))
-        z2.entries[key] += 1e-3
+        z2 = dict(res.zeta)
+        z2[key] += 1e-3
         q2 = assemble_w1(res.product_model, res.theta, z2, pair)
         if not validate_qsystem(q2, tol=1e-8).ok:
             flips += 1

@@ -146,13 +146,45 @@ def test_bundle_round_trip(data_dir, tmp_path):
 
 
 def test_algebra_round_trip(data_dir, tmp_path, models):
-    src = data_dir / "z2.alg"
-    alg = load_algebra(src, models["su2k4"])
-    dst = tmp_path / "z2.alg"
-    save_algebra(alg, dst, name="z2", provenance=json.loads(src.read_text())["provenance"])
-    assert json.loads(src.read_text()) == json.loads(dst.read_text())
-    alg2 = load_algebra(dst, models["su2k4"])
-    assert distance(alg.mult, alg2.mult) == 0
+    for name, cat in [("z2", "su2k4"), ("fibtau", "fibonacci"), ("isingpsi", "ising"),
+                      ("z4fermion", "z4")]:
+        src = data_dir / f"{name}.alg"
+        alg = load_algebra(src, models[cat])
+        dst = tmp_path / f"{name}.alg"
+        save_algebra(alg, dst, name=name, provenance=json.loads(src.read_text())["provenance"])
+        assert json.loads(src.read_text()) == json.loads(dst.read_text()), name
+        alg2 = load_algebra(dst, models[cat])
+        assert distance(alg.mult, alg2.mult) == 0, name
+
+
+def _z2_variant(data_dir, tmp_path, **changes):
+    doc = json.loads((data_dir / "z2.alg").read_text())
+    doc.update(changes)
+    bad = tmp_path / "bad.alg"
+    bad.write_text(json.dumps(doc))
+    return bad
+
+
+def test_algebra_coefficient_outside_slots(data_dir, tmp_path, capsys):
+    # e = 1 >= N[0, 0, 0]: no such tree vertex, so no such coefficient
+    doc = json.loads((data_dir / "z2.alg").read_text())
+    coeffs = [[0, 0, 0, 1, c[4]] if c[:4] == [1, 1, 0, 0] else c for c in doc["coefficients"]]
+    bad = _z2_variant(data_dir, tmp_path, coefficients=coeffs)
+    assert run(["build-ctps", data_dir / "su2k4.cat", "--alg", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "[0, 0, 0, 1]" in err and "not fusion compatible" in err
+
+
+def test_algebra_without_unit_summand(data_dir, tmp_path, capsys):
+    bad = _z2_variant(data_dir, tmp_path, multiplicity=[0, 0, 0, 0, 1], coefficients=[])
+    assert run(["build-ctps", data_dir / "su2k4.cat", "--alg", bad]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_algebra_with_two_unit_summands_fails_relations(data_dir, tmp_path, capsys):
+    bad = _z2_variant(data_dir, tmp_path, multiplicity=[2, 0, 0, 0, 1])
+    assert run(["build-ctps", data_dir / "su2k4.cat", "--alg", bad]) == 1
+    assert "algebra bundle fails the Q-system relations" in capsys.readouterr().out
 
 
 def test_reports_deterministic(data_dir, tmp_path):

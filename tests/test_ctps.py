@@ -3,7 +3,6 @@ import pytest
 
 from qsystems.ctps import (
     SummandIndex,
-    ZetaTensor,
     alpha_pair,
     assemble_w1,
     build_ctps,
@@ -49,8 +48,8 @@ def test_zeta_values_diagonal_fibonacci(lr_pairs):
     pair = lr_pairs["fibonacci"]
     dth = 1 + PHI**2
     zeta = zeta_tensor(pair, dth)
-    tt1 = zeta.get((SummandIndex(0, 0, 1), SummandIndex(1, 1, 1), SummandIndex(1, 1, 1), 0, 0))
-    ttt = zeta.get((SummandIndex(1, 1, 1), SummandIndex(1, 1, 1), SummandIndex(1, 1, 1), 0, 0))
+    tt1 = zeta.get((SummandIndex(0, 0, 1), SummandIndex(1, 1, 1), SummandIndex(1, 1, 1), 0, 0), 0.0)
+    ttt = zeta.get((SummandIndex(1, 1, 1), SummandIndex(1, 1, 1), SummandIndex(1, 1, 1), 0, 0), 0.0)
     assert tt1 == pytest.approx(np.sqrt(PHI**2 / dth), abs=1e-10)       # 0.85065...
     assert abs(tt1) == pytest.approx(0.8506508083, abs=1e-9)
     assert ttt == pytest.approx(np.sqrt(PHI / dth), abs=1e-10)           # 0.66874...
@@ -64,7 +63,7 @@ def test_zeta_identity_row_is_kronecker(lr_pairs, d4_pair):
         zero = SummandIndex(0, 0, 1)
         for n in pair.summands:
             for m in pair.summands:
-                got = zeta.get((n, zero, m, 0, 0))
+                got = zeta.get((n, zero, m, 0, 0), 0.0)
                 want = (1.0 / np.sqrt(dth)) if m == n else 0.0
                 assert got == pytest.approx(want, abs=1e-10), (n, m)
 
@@ -74,7 +73,7 @@ def test_zeta_fusion_incompatible_is_zero(lr_pairs):
     zeta = zeta_tensor(pair, 4.0)
     # (s, s) -> s is forbidden in the Ising rules
     key = (SummandIndex(1, 1, 1), SummandIndex(1, 1, 1), SummandIndex(1, 1, 1), 0, 0)
-    assert zeta.get(key) == 0.0
+    assert zeta.get(key, 0.0) == 0.0
 
 
 def test_generic_pipeline_matches_closed_form(models, lr_pairs):
@@ -220,9 +219,9 @@ def test_zeta_perturbation_flips_pass(lr_pairs):
     pair = lr_pairs["fibonacci"]
     res = build_ctps(pair, tol=1e-9)
     assert res.report.ok
-    for key in list(res.zeta.entries):
-        z2 = ZetaTensor(dict(res.zeta.entries))
-        z2.entries[key] += 1e-3
+    for key in list(res.zeta):
+        z2 = dict(res.zeta)
+        z2[key] += 1e-3
         q2 = assemble_w1(res.product_model, res.theta, z2, pair)
         assert not validate_qsystem(q2, tol=1e-8).ok, key
 

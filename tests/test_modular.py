@@ -5,7 +5,7 @@ import pytest
 
 from qsystems import catalog
 from qsystems.ctps import alpha_pair, trivial_pair
-from qsystems.induction import coupling_matrix, trivial_algebra
+from qsystems.induction import trivial_algebra
 from qsystems.modular import (
     ModularPair,
     check_modular_invariant,
@@ -144,7 +144,7 @@ def test_coupling_matrices_appear_in_commutant(models, algebras):
              ("fibonacci", algebras["fibtau"]),
              ("ising", algebras["isingpsi"])]
     for name, alg in cases:
-        Z = coupling_matrix(alg)
+        Z = alpha_pair(alg).Z
         p = compute_st(models[name])
         found = enumerate_commutant(p, int(Z.max()) + 1)
         assert any(np.array_equal(Z, W) for W in found), name
