@@ -3,7 +3,7 @@
 Commands load category/algebra bundles, run the requested construction and
 its validation, print a human-readable summary and optionally write a JSON
 report.  Exit codes: 0 all checks passed, 1 checks failed, 2 I/O or parse
-error.
+error, or an enumeration that cannot run as asked.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 
-from .ctps import alpha_pair, build_ctps, check_normality, trivial_pair
+from .ctps import CtpsResult, alpha_pair, build_ctps, check_normality, trivial_pair
 from .fusion import StructureError
 from .induction import verify_algebra
 from .io import BundleError, load_algebra, load_category, read_matrix, write_report
@@ -30,12 +30,12 @@ def _finish(report: dict, args, t0: float) -> int:
     return 0 if report["pass"] else 1
 
 
-def _print_residuals(residuals: dict, tol: float):
+def _print_residuals(residuals: dict, tol: float, limit=lambda name, tol: tol):
     for k, v in residuals.items():
         if v is None:
             print(f"  {k:20s} skipped")
         else:
-            flag = "ok" if v < tol else "FAIL"
+            flag = "ok" if v < limit(k, tol) else "FAIL"
             print(f"  {k:20s} {v: .3e}  {flag}")
 
 
@@ -118,7 +118,7 @@ def cmd_build_ctps(args) -> int:
     print(f"coupling matrix Z (d(theta) = {res.theta.d_theta:.10f}):")
     for row in res.Z:
         print("   ", " ".join(f"{v:2d}" for v in row))
-    _print_residuals(res.residuals(), args.tol * 10)
+    _print_residuals(res.residuals(), args.tol, CtpsResult.limit)
     print(f"  normality: n2={res.normality.n2} n3={res.normality.n3} pi={res.normality.pi}")
     for s in skipped:
         print(f"  skipped: {s}")
@@ -178,7 +178,11 @@ def cmd_enumerate_invariants(args) -> int:
         found = []
         skipped.append("enumeration (degenerate braiding)")
     else:
-        found = enumerate_commutant(pair, args.bound)
+        try:
+            found = enumerate_commutant(pair, args.bound, tol=args.tol)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         for i, Z in enumerate(found):
             print(f"invariant {i}:")
             for row in Z:
@@ -188,7 +192,7 @@ def cmd_enumerate_invariants(args) -> int:
     report = {
         "command": "enumerate-invariants",
         "inputs": {"bundle": str(args.bundle), "bound": args.bound},
-        "tolerance": 1e-9,
+        "tolerance": args.tol,
         "count": len(found),
         "invariants": [Z.tolist() for Z in found],
         "skipped": skipped,
@@ -230,7 +234,8 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--matrix", required=True, help="integer grid file")
     sp.set_defaults(fn=cmd_check_invariant)
 
-    sp = sub.add_parser("enumerate-invariants", help="brute-force commutant matrices")
+    sp = sub.add_parser("enumerate-invariants",
+                        help="nonnegative integer matrices commuting with S and T")
     common(sp, 1e-9)
     sp.add_argument("--bound", type=int, default=3, help="max matrix entry")
     sp.set_defaults(fn=cmd_enumerate_invariants)

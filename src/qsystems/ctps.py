@@ -331,13 +331,16 @@ class CtpsResult:
     dim_identity_residual: float
     tol: float
 
+    @staticmethod
+    def limit(name: str, tol: float) -> float:
+        """Bound the residual `name` must stay below: 10 * tol for chiral
+        locality and commutativity, tol for every other check."""
+        return tol * 10 if name in ("chiral_locality", "commutativity") else tol
+
     @property
     def ok(self) -> bool:
-        checks = [self.report.ok, self.e3_residual < self.tol * 10,
-                  self.dim_identity_residual < self.tol]
-        if self.commutativity is not None:
-            checks.append(self.commutativity < self.tol * 10)
-        return all(checks)
+        return self.report.irreducible and all(
+            v < self.limit(k, self.tol) for k, v in self.residuals().items() if v is not None)
 
     def residuals(self) -> dict:
         out = dict(self.report.residuals)
@@ -347,7 +350,7 @@ class CtpsResult:
         return out
 
 
-def build_ctps(pair: ExtensionPair, tol: float = 1e-8, skip_e3: bool = False) -> CtpsResult:
+def build_ctps(pair: ExtensionPair, tol: float = 1e-8) -> CtpsResult:
     """Full pipeline: hom spaces -> Z -> coefficients -> (theta, w, w1) -> checks."""
     model = pair.model
     D = deligne_product(model, mirror(model))
@@ -359,10 +362,10 @@ def build_ctps(pair: ExtensionPair, tol: float = 1e-8, skip_e3: bool = False) ->
     dims = np.array([model.qdim[l1] * model.qdim[l2]
                      for l1 in range(model.rank) for l2 in range(model.rank)])
     dim_resid = abs(float((Z.reshape(-1) * dims).sum()) - theta.d_theta)
-    e3 = 0.0 if skip_e3 else check_e3(pair)
+    e3 = check_e3(pair)
     comm = None
     if model.braided:
-        if e3 < tol * 10:
+        if e3 < CtpsResult.limit("chiral_locality", tol):
             eps = ctps_braiding(D, theta)
             comm = check_commutativity(q, eps)
     norm = check_normality(Z, model.fusion, model.fusion)

@@ -46,7 +46,6 @@ from .qsystem import QReport, QSystem, ThetaSpec, relation_defects, validate_qsy
 __all__ = [
     "AlgebraObject",
     "trivial_algebra",
-    "algebra_from_qsystem",
     "to_qsystem",
     "verify_algebra",
     "algebra_from_coefficients",
@@ -111,11 +110,6 @@ def trivial_algebra(model: CategoryModel) -> AlgebraObject:
     mult = adjoint(compose(lmul(theta.object, unit),
                            identity_morphism(model, theta.object)))
     return AlgebraObject(theta=theta, unit=unit, mult=mult)
-
-
-def algebra_from_qsystem(q: QSystem) -> AlgebraObject:
-    scale = np.sqrt(q.theta.d_theta)
-    return AlgebraObject(theta=q.theta, unit=q.w, mult=scale * adjoint(q.w1))
 
 
 def to_qsystem(a: AlgebraObject) -> QSystem:

@@ -5,10 +5,14 @@ any braided model, but S is unitary only when the braiding is nondegenerate.
 Degenerate inputs are flagged (``ModularPair.modular`` is False) and the
 invariance checks refuse to run on them; callers are expected to skip with a
 warning rather than fail.
+
+:func:`enumerate_commutant` solves [Z, S] = 0 as one affine system on the
+support [Z, T] = 0 allows, and searches only the entries its null space frees.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +21,6 @@ from .morphisms import CategoryModel, UnsupportedOperationError, twist
 
 __all__ = ["ModularPair", "compute_st", "modular_residuals", "verlinde_fusion",
            "check_modular_invariant", "enumerate_commutant"]
-
-# most candidates enumerate_commutant tests at once; larger chunks cost peak
-# memory for no measurable speed
-_CHUNK = 512
 
 
 @dataclass
@@ -107,31 +107,25 @@ def enumerate_commutant(pair: ModularPair, bound: int, tol: float = 1e-9,
     """All nonnegative-integer matrices with entries <= bound, Z[0,0] = 1,
     commuting with S and T within `tol`.
 
-    T-commutation restricts the support to equal-twist pairs, which keeps the
-    brute force small at desk scale; `limit` guards against blowups.
+    T-commutation restricts the support to equal-twist pairs.  On it, with
+    E_lm the matrix units, [Z, S] = [E_00, S] + sum_(l,m) Z[l, m] [E_lm, S]
+    reads A z + b, stacked as real/imaginary rows.  The SVD of A gives a
+    particular solution z0 and a null-space basis N of r columns.  Each of
+    the (bound+1)^r settings of r pivot entries (independent rows of N),
+    at most `limit` of them, is completed to z0 + N N[piv]^-1 (vals -
+    z0[piv]), rounded, and kept if it lies in [0, bound] and every entry of
+    [Z, S] has modulus < tol.  Matrices come in `itertools.product` order.
 
-    [Z, S] is linear in the free entries: with E_lm the matrix units,
-    [Z, S] = [E_00, S] + sum_(l,m) Z[l, m] [E_lm, S].  The commutators are
-    stacked once as real/imaginary rows and candidates are tested by
-    superposing them, comparing every entry's squared modulus with tol^2.
-    A candidate's entries are the base-(bound+1) digits of its number in
-    `itertools.product` order, the first support entry most significant, and
-    matrices are returned in that order.  The last digits span a chunk of at
-    most _CHUNK candidates whose superposed commutators are built once; each
-    chunk then adds the superposition of its leading digits.
+    Nothing is missed: a passing integer z has |A z + b| < n tol, so it is
+    within n tol / s_min of the null space through z0 (s_min the smallest
+    singular value kept), and the completion of its own pivot values within
+    (1 + |N[piv]^-1|) times that.  A ValueError is raised unless this is < 1/2.
     """
     if not pair.modular:
         raise UnsupportedOperationError("degenerate braiding: commutant enumeration unavailable")
     n = pair.rank
     support = [(l, m) for l in range(n) for m in range(n)
                if abs(pair.T[l] - pair.T[m]) < 1e-9 and (l, m) != (0, 0)]
-    k = len(support)
-    values = max(bound + 1, 0)  # choices per free entry
-    count = values ** k
-    if count > limit:
-        raise ValueError(f"enumeration over {k} entries exceeds limit ({count:.2e})")
-    if count == 0:
-        return []
     S = pair.S
 
     def commutator(l, m):
@@ -140,24 +134,39 @@ def enumerate_commutant(pair: ModularPair, bound: int, tol: float = 1e-9,
         C = (E @ S - S @ E).ravel()
         return np.concatenate([C.real, C.imag])
 
-    def digits(index, width):
-        return np.asarray(index)[..., None] // values ** np.arange(width - 1, -1, -1) % values
+    A = np.array([commutator(l, m) for l, m in support]).reshape(len(support), 2 * n * n).T
+    U, s, vh = np.linalg.svd(A, full_matrices=False)
+    # numpy's matrix_rank cut; the guard below holds for whichever split it makes
+    rank = int(np.sum(s > s.max(initial=0.0) * max(A.shape) * np.finfo(float).eps))
+    z0 = -vh[:rank].T @ ((U[:, :rank].T @ commutator(0, 0)) / s[:rank])
+    N = vh[rank:].T
+    r = N.shape[1]
+    count = max(bound + 1, 0) ** r
+    if count > limit:
+        raise ValueError(f"enumeration over {r} pivot entries exceeds limit ({count:.2e})")
 
-    rows = np.array([commutator(l, m) for l, m in support]).reshape(k, 2 * n * n)
-    nlow = 0
-    while nlow < k and values ** (nlow + 1) <= _CHUNK:
-        nlow += 1
-    low = digits(np.arange(values ** nlow), nlow)
-    low_res = commutator(0, 0) + low @ rows[k - nlow:]
+    # pivoted Gram-Schmidt on the rows of N picks well-conditioned pivots
+    piv, R = [], N.copy()
+    for _ in range(r):
+        i = int(np.argmax(np.einsum("ij,ij->i", R, R)))
+        piv.append(i)
+        q = R[i] / np.linalg.norm(R[i])
+        R -= np.outer(R @ q, q)
+    inv = np.linalg.inv(N[piv])
+    if rank and n * tol / s[rank - 1] * (1 + np.linalg.norm(inv, 2)) >= 0.5:
+        raise ValueError(f"tolerance {tol:g} is too loose to single out integer matrices")
+
+    complete = N @ inv
     out = []
-    for h in range(count // len(low)):
-        high = digits(h, k - nlow)
-        res = low_res + high @ rows[:k - nlow]
-        sq = res[:, :n * n] ** 2 + res[:, n * n:] ** 2
-        for d in low[np.all(sq < tol * tol, axis=1)]:
-            Z = np.zeros((n, n), dtype=int)
-            Z[0, 0] = 1
-            for (l, m), v in zip(support, np.concatenate([high, d])):
-                Z[l, m] = v
+    for vals in itertools.product(range(bound + 1), repeat=r):
+        z = np.rint(z0 + complete @ (np.array(vals) - z0[piv]))
+        if np.any(z < 0) or np.any(z > bound):
+            continue
+        Z = np.zeros((n, n), dtype=int)
+        Z[0, 0] = 1
+        for (l, m), v in zip(support, z.astype(int)):
+            Z[l, m] = v
+        if np.all(np.abs(Z @ S - S @ Z) < tol):
             out.append(Z)
+    out.sort(key=lambda Z: [Z[l, m] for l, m in support])
     return out

@@ -46,7 +46,6 @@ __all__ = [
     "ObjectMismatchError",
     "UnsupportedOperationError",
     "identity_morphism",
-    "zero_morphism",
     "injection",
     "basis_vector",
     "unit_intro",
@@ -442,13 +441,7 @@ class Morphism:
                     raise StructureError(f"block {c} has shape {B.shape}, expected {(dt, ds)}")
             self.blocks[c] = B
 
-    def block(self, c) -> np.ndarray:
-        return self.blocks[c]
-
     # -- algebra ------------------------------------------------------------
-
-    def __matmul__(self, other: "Morphism") -> "Morphism":
-        return compose(self, other)
 
     def __add__(self, other: "Morphism") -> "Morphism":
         if not (same_object(self.source, other.source) and same_object(self.target, other.target)):
@@ -467,13 +460,6 @@ class Morphism:
 
     def __neg__(self):
         return (-1.0) * self
-
-    @property
-    def H(self) -> "Morphism":
-        return adjoint(self)
-
-    def norm(self) -> float:
-        return op_norm(self)
 
     def __repr__(self):
         return f"Morphism({self.source!r} -> {self.target!r})"
@@ -497,10 +483,6 @@ def identity_morphism(model: CategoryModel, obj) -> Morphism:
     obj = as_obj(obj)
     return Morphism(model, obj, obj, {c: np.eye(model.obj_dim(c, obj), dtype=complex)
                                       for c in range(model.rank)})
-
-
-def zero_morphism(model: CategoryModel, source, target) -> Morphism:
-    return Morphism(model, as_obj(source), as_obj(target), {})
 
 
 def injection(model: CategoryModel, obj: SumObject, k: int) -> Morphism:

@@ -45,7 +45,8 @@ class ThetaSpec:
     """Direct sum of simple sectors with multiplicities, as a Q-system carrier.
 
     Summands are enumerated as (label, copy) pairs, lexicographically; the
-    copy index runs from 1 to the multiplicity.  Tags on the underlying
+    copy index runs from 1 to the multiplicity, which must be a nonnegative
+    integer (zero entries are dropped).  Tags on the underlying
     :class:`SumObject` are those pairs; ``square`` is theta^2, whose summand
     l * len(theta) + m is the word of summand l followed by that of m.
 
@@ -56,6 +57,9 @@ class ThetaSpec:
     """
 
     def __init__(self, model: CategoryModel, multiplicities: dict):
+        for k, v in multiplicities.items():
+            if not (v >= 0 and float(v).is_integer()):
+                raise ValueError(f"multiplicity {v!r} of sector {k} is not a nonnegative integer")
         self.model = model
         self.multiplicities = {int(k): int(v) for k, v in multiplicities.items() if v > 0}
         self.summands = [(lam, copy)

@@ -80,6 +80,19 @@ def test_build_ctps_d4(data_dir, tmp_path, capsys):
     assert "pass: True" in out
 
 
+def test_build_ctps_flags_each_residual_at_its_limit(data_dir, capsys):
+    # chiral locality and commutativity are judged at 10 * tol, the rest at tol
+    tol = 1e-17
+    code = run(["build-ctps", data_dir / "su2k4.cat", "--tol", tol])
+    rows = [w for w in map(str.split, capsys.readouterr().out.splitlines())
+            if len(w) == 3 and w[2] in ("ok", "FAIL")]
+    assert rows
+    for name, value, flag in rows:
+        limit = 10 * tol if name in ("chiral_locality", "commutativity") else tol
+        assert flag == ("ok" if float(value) < limit else "FAIL"), name
+    assert code == (0 if all(flag == "ok" for *_, flag in rows) else 1)
+
+
 def test_build_ctps_trivial_extensions(data_dir, tmp_path):
     rep = tmp_path / "lr.json"
     assert run(["build-ctps", data_dir / "fibonacci.cat", "--report", rep]) == 0
@@ -133,6 +146,23 @@ def test_enumerate_invariants_command(data_dir, tmp_path):
     assert doc["count"] == len(doc["invariants"])
 
 
+def test_enumerate_invariants_reads_tol(data_dir, tmp_path):
+    # the identity commutes with S exactly; D4's commutator is rounding-sized
+    rep = tmp_path / "enum.json"
+    assert run(["enumerate-invariants", data_dir / "su2k4.cat", "--bound", "2",
+                "--tol", "1e-30", "--report", rep]) == 0
+    doc = json.loads(rep.read_text())
+    assert doc["tolerance"] == 1e-30
+    assert doc["invariants"] == [np.eye(5, dtype=int).tolist()]
+
+
+def test_enumerate_invariants_refusal_exits_2(data_dir, capsys):
+    # more pivot settings than the limit; a tolerance too loose to single out integers
+    for argv in [["--bound", 2_000_000], ["--tol", 1]]:
+        assert run(["enumerate-invariants", data_dir / "su2k4.cat", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 def test_bundle_round_trip(data_dir, tmp_path):
     for name in ["fibonacci", "ising", "su2k4", "z4", "semion", "z2boson", "trivial", "rep_a4"]:
         src = data_dir / f"{name}.cat"
@@ -179,6 +209,15 @@ def test_algebra_without_unit_summand(data_dir, tmp_path, capsys):
     bad = _z2_variant(data_dir, tmp_path, multiplicity=[0, 0, 0, 0, 1], coefficients=[])
     assert run(["build-ctps", data_dir / "su2k4.cat", "--alg", bad]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_algebra_multiplicity_not_a_nonnegative_integer(data_dir, tmp_path, capsys):
+    doc = json.loads((data_dir / "z2.alg").read_text())
+    unit_only = [c for c in doc["coefficients"] if c[:4] == [0, 0, 0, 0]]
+    for mult in ([1, 0, 0, 0, -1], [1, 0, 0, 0, 1.5]):
+        bad = _z2_variant(data_dir, tmp_path, multiplicity=mult, coefficients=unit_only)
+        assert run(["build-ctps", data_dir / "su2k4.cat", "--alg", bad]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_algebra_with_two_unit_summands_fails_relations(data_dir, tmp_path, capsys):

@@ -7,7 +7,6 @@ from qsystems import catalog
 from qsystems.ctps import alpha_pair, trivial_pair
 from qsystems.induction import trivial_algebra
 from qsystems.modular import (
-    ModularPair,
     check_modular_invariant,
     compute_st,
     enumerate_commutant,
@@ -116,6 +115,8 @@ def test_enumeration_matches_candidate_loop(models):
     cases = [(compute_st(models[name]), 3)
              for name in ["trivial", "fibonacci", "ising", "z4", "su2k4"]]
     cases.append((compute_st(catalog.su2_level(8)), 1))
+    # semion has one invariant; su2k6 has two, A7 and D5
+    cases += [(compute_st(models["semion"]), 1), (compute_st(catalog.su2_level(6)), 1)]
     # a negative bound leaves no values for the free entries
     cases += [(compute_st(models[name]), -1) for name in ["trivial", "su2k4"]]
     for p, bound in cases:
@@ -129,12 +130,38 @@ def test_enumeration_matches_candidate_loop(models):
 
 def test_enumeration_limit_raises_before_search(models):
     p = compute_st(models["su2k4"])
-    # without S no candidate can be tested: the limit check must come first
-    no_s = ModularPair(S=None, T=p.T, modular=True)
+    # su2k4 leaves one free direction: bound 3 has 4 pivot settings
     with pytest.raises(ValueError, match="exceeds limit"):
-        enumerate_commutant(no_s, 3, limit=10)
-    # su2k4 has 6 free entries: a limit equal to the 2^6 candidates still runs
-    assert len(enumerate_commutant(p, 1, limit=2 ** 6)) == 1
+        enumerate_commutant(p, 3, limit=3)
+    # a limit equal to the 2 settings of bound 1 still runs
+    assert len(enumerate_commutant(p, 1, limit=2)) == 1
+
+
+def _chi(n, *labels):
+    v = np.zeros(n, dtype=int)
+    v[list(labels)] = 1
+    return v
+
+
+def _squares(n, *groups):
+    """sum over groups g of |sum_(j in g) chi_j|^2, as a coupling matrix."""
+    return sum(np.outer(_chi(n, *g), _chi(n, *g)) for g in groups)
+
+
+def test_enumeration_finds_su2_exceptionals():
+    # the complete ADE lists (Cappelli-Itzykson-Zuber) at the first type I
+    # and type II exceptionals
+    d7 = np.zeros((11, 11), dtype=int)
+    for j in range(11):
+        d7[j, j if j % 2 == 0 else 10 - j] = 1
+    e6 = _squares(11, (0, 6), (3, 7), (4, 10))
+    d10 = _squares(17, *[(j, 16 - j) for j in (0, 2, 4, 6)]) + 2 * _squares(17, (8,))
+    e7 = (_squares(17, (0, 16), (4, 12), (6, 10), (8,))
+          + np.outer(_chi(17, 2, 14), _chi(17, 8)) + np.outer(_chi(17, 8), _chi(17, 2, 14)))
+    for k, bound, expected in [(10, 1, [np.eye(11, dtype=int), d7, e6]),
+                               (16, 2, [np.eye(17, dtype=int), d10, e7])]:
+        found = enumerate_commutant(compute_st(catalog.su2_level(k)), bound)
+        assert sorted(Z.tolist() for Z in found) == sorted(Z.tolist() for Z in expected), k
 
 
 def test_coupling_matrices_appear_in_commutant(models, algebras):
