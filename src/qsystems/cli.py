@@ -9,6 +9,7 @@ error, or an enumeration that cannot run as asked.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -201,6 +202,17 @@ def cmd_enumerate_invariants(args) -> int:
     return _finish(report, args, t0)
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and above zero: {text!r}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qsys",
@@ -211,7 +223,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     def common(sp, tol):
         sp.add_argument("bundle", help="category bundle (JSON)")
-        sp.add_argument("--tol", type=float, default=tol, help=f"tolerance (default {tol:g})")
+        sp.add_argument("--tol", type=_tolerance, default=tol, help=f"tolerance (default {tol:g})")
         sp.add_argument("--report", default=None, help="write a JSON report here")
 
     sp = sub.add_parser("verify-category", help="fusion axioms, pentagon/hexagon, duality")

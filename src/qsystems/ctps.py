@@ -56,7 +56,6 @@ __all__ = [
     "alpha_pair",
     "trivial_pair",
     "SummandIndex",
-    "zeta_coefficient",
     "zeta_tensor",
     "build_theta",
     "assemble_w1",
@@ -132,30 +131,15 @@ def trivial_pair(model: CategoryModel) -> ExtensionPair:
     return ExtensionPair(trivial_algebra(model), +1, -1)
 
 
-def zeta_coefficient(pair: ExtensionPair, d_theta: float,
-                     l: SummandIndex, m: SummandIndex, n: SummandIndex,
-                     lift1: BimodMap, lift2: BimodMap, phi_lm: BimodMap) -> complex:
-    """One coefficient of the comultiplication, from the trace formula.
-
-    ``lift1`` is ``lift(T_e1*, sign1)``, ``lift2`` is ``lift(T_e2, sign2)``
-    and ``phi_lm`` is ``mtimes(phi_l*, phi_m*)``; :func:`zeta_tensor` builds
-    each once and shares it between the slots that use it.
-    """
-    model = pair.model
-    if model.N[l.lam2, m.lam2, n.lam2] == 0 or model.N[l.lam1, m.lam1, n.lam1] == 0:
-        return 0.0
-    phi_n = pair.phi_of(n)
-    x = bim_compose(lift1, bim_compose(phi_lm, bim_compose(lift2, phi_n)))
-    pref = np.sqrt(model.qdim[l.lam2] * model.qdim[m.lam2]
-                   / (d_theta * model.qdim[n.lam2]))
-    return complex(pref * phi_scalar(x))
-
-
 def zeta_tensor(pair: ExtensionPair, d_theta: float) -> dict:
     """All nonzero fusion-compatible coefficients, keyed (n, l, m, e1, e2).
 
     n, l, m are the :class:`SummandIndex` of the summands and e1, e2 the tree
-    vertices of the two factors; missing keys are zero.
+    vertices of the two factors; missing keys are zero.  Each coefficient is
+    the trace formula of the module docstring, evaluated on
+    ``lift(T_e1*, sign1)``, ``mtimes(phi_l*, phi_m*)``, ``lift(T_e2, sign2)``
+    and ``phi_n``; the lifts and the product are built once and shared
+    between the slots that use them.
     """
     model = pair.model
     a = pair.algebra
@@ -177,9 +161,13 @@ def zeta_tensor(pair: ExtensionPair, d_theta: float) -> dict:
                 continue
             if phi_lm is None:
                 phi_lm = mtimes(pair.phi_of(l).H, pair.phi_of(m).H)
+            phi_n = pair.phi_of(n)
+            pref = np.sqrt(model.qdim[l.lam2] * model.qdim[m.lam2]
+                           / (d_theta * model.qdim[n.lam2]))
             for e1, t1 in enumerate(lifted(n.lam1, l.lam1, m.lam1, pair.sign1, True)):
                 for e2, t2 in enumerate(lifted(n.lam2, l.lam2, m.lam2, pair.sign2, False)):
-                    val = zeta_coefficient(pair, d_theta, l, m, n, t1, t2, phi_lm)
+                    x = bim_compose(t1, bim_compose(phi_lm, bim_compose(t2, phi_n)))
+                    val = complex(pref * phi_scalar(x))
                     if val != 0.0:
                         out[(n, l, m, e1, e2)] = val
     return out

@@ -5,9 +5,11 @@ isometry u, multiplication m with m m* = d(Theta) and m(u x 1) = 1) induces,
 for every sector lam and sign, a Theta-Theta bimodule on the object
 Theta x lam: the left action is multiplication, the right action threads
 Theta past lam through the braiding (over- or under-crossing according to
-the sign).  Morphism spaces between induced bimodules are solved as null
-spaces of the module-intertwining constraints inside the plain category;
-their dimensions assemble into the coupling matrix
+the sign).  Morphism spaces between induced bimodules are solved inside the
+plain category: by free-module reciprocity a map out of Theta x lam is fixed
+by its restriction in Hom(lam, Theta x word), and the right-module constraint
+cuts out a null space there.  Their dimensions assemble into the coupling
+matrix
 
     Z[lam, mu] = dim Hom(alpha^+_lam, alpha^-_mu).
 
@@ -33,6 +35,7 @@ from .morphisms import (
     compose,
     conjugate_pair,
     distance,
+    hom_basis,
     identity_morphism,
     lmul,
     mono_product,
@@ -105,11 +108,7 @@ class AlgebraObject:
 
 
 def trivial_algebra(model: CategoryModel) -> AlgebraObject:
-    theta = ThetaSpec(model, {0: 1})
-    unit = unit_intro(model, theta.object)
-    mult = adjoint(compose(lmul(theta.object, unit),
-                           identity_morphism(model, theta.object)))
-    return AlgebraObject(theta=theta, unit=unit, mult=mult)
+    return algebra_from_coefficients(ThetaSpec(model, {0: 1}), {(0, 0, 0, 0): 1.0})
 
 
 def to_qsystem(a: AlgebraObject) -> QSystem:
@@ -376,71 +375,36 @@ def induced_left_inverse_scalar(x: BimodMap) -> complex:
 # hom-space solver
 
 
-def _vec_coords(model, src_obj, tgt_obj):
-    coords = []
-    for c in range(model.rank):
-        dt, ds = model.obj_dim(c, tgt_obj), model.obj_dim(c, src_obj)
-        for i in range(dt):
-            for j in range(ds):
-                coords.append((c, i, j))
-    return coords
-
-
-def _from_vec(model, src_obj, tgt_obj, coords, v) -> Morphism:
-    blocks = {c: np.zeros((model.obj_dim(c, tgt_obj), model.obj_dim(c, src_obj)), dtype=complex)
-              for c in range(model.rank)}
-    for (c, i, j), val in zip(coords, v):
-        blocks[c][i, j] = val
-    return Morphism(model, src_obj, tgt_obj, blocks)
-
-
-def _to_vec(coords, f: Morphism):
-    return np.array([f.blocks[c][i, j] for (c, i, j) in coords])
-
-
 def _actions(a: AlgebraObject, b: Bimod) -> tuple:
     """(left_action, right_action) of b, built once per algebra and bimodule."""
     return a._memo(("actions", b), lambda: (left_action(a, b), right_action(a, b)))
 
 
-def bimodule_hom(a: AlgebraObject, src: Bimod, tgt: Bimod, cutoff: float = 1e-8):
-    """Orthonormal basis of the bimodule maps src -> tgt.
+def bimodule_hom(a: AlgebraObject, src: Bimod, tgt: Bimod):
+    """Orthonormal basis of the bimodule maps src -> tgt, for a one-letter src.
 
-    Solves the left/right intertwining constraints as a null-space problem
-    (SVD with relative rank cutoff), then orthonormalizes in the induced
-    scalar product and fixes phases so the first nonvanishing coefficient is
+    Theta lam is the free left Theta-module on lam, so every left-module map
+    is (m x 1)(1_Theta x g) for exactly one g in Hom(lam, Theta tgt).  Only
+    the right-action constraint is solved, as a null space over g (SVD with
+    relative rank cutoff); the maps are then orthonormalized in the induced
+    scalar product and phased so the first nonvanishing coefficient is
     positive real.
     """
-    model = a.model
-    so, to = bim_object(a, src), bim_object(a, tgt)
-    coords = _vec_coords(model, so, to)
-    nv = len(coords)
-    if nv == 0:
+    if len(src.word) != 1:
+        raise ValueError("bimodule_hom needs a one-letter source")
+    (_, ar_s), (al_t, ar_t) = _actions(a, src), _actions(a, tgt)
+    cands = [compose(al_t, lmul(a.object, g))
+             for g in hom_basis(a.model, src.word[0], bim_object(a, tgt))]
+    if not cands:
         return []
-    (al_s, ar_s), (al_t, ar_t) = _actions(a, src), _actions(a, tgt)
-    rows = []
-    for k in range(nv):
-        v = np.zeros(nv)
-        v[k] = 1.0
-        f = _from_vec(model, so, to, coords, v)
-        lres = compose(f, al_s) - compose(al_t, lmul(a.object, f))
-        rres = compose(f, ar_s) - compose(ar_t, rmul(f, a.object))
-        col = np.concatenate([np.concatenate([B.ravel() for B in m.blocks.values()])
-                              if any(B.size for B in m.blocks.values()) else np.zeros(0)
-                              for m in (lres, rres)])
-        rows.append(col)
-    A = np.array(rows).T
-    if A.shape[0] == 0:
-        null = np.eye(nv)
-    else:
-        u, s, vh = np.linalg.svd(A)
-        smax = s[0] if len(s) else 0.0
-        rank = int(np.sum(s > cutoff * max(smax, 1.0)))
-        null = vh[rank:].conj().T
-    if null.shape[1] == 0:
-        return []
-    cands = [_from_vec(model, so, to, coords, null[:, k]) for k in range(null.shape[1])]
-    maps = [BimodMap(a, src, tgt, f) for f in cands]
+    cols = []
+    for f in cands:
+        res = compose(f, ar_s) - compose(ar_t, rmul(f, a.object))
+        cols.append(np.concatenate([B.ravel() for B in res.blocks.values()]))
+    _, s, vh = np.linalg.svd(np.array(cols).T)
+    rank = int(np.sum(s > 1e-8 * max(s[0], 1.0)))
+    maps = [BimodMap(a, src, tgt, sum((z * f for z, f in zip(v, cands)), start=0.0 * cands[0]))
+            for v in vh[rank:].conj()]
     # Gram-Schmidt in the induced scalar product
     ortho = []
     for f in maps:
@@ -450,7 +414,7 @@ def bimodule_hom(a: AlgebraObject, src: Bimod, tgt: Bimod, cutoff: float = 1e-8)
         if nrm < 1e-10:
             continue
         f = (1.0 / nrm) * f
-        vec = _to_vec(coords, f.mor)
+        vec = np.concatenate([B.ravel() for B in f.mor.blocks.values()])
         piv = np.flatnonzero(np.abs(vec) > 1e-9)
         if len(piv):
             ph = vec[piv[0]] / abs(vec[piv[0]])

@@ -15,7 +15,7 @@ largest singular value across sector blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -143,7 +143,6 @@ class QReport:
     residuals: dict
     irreducible: bool
     tol: float
-    extra: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:

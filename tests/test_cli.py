@@ -163,6 +163,21 @@ def test_enumerate_invariants_refusal_exits_2(data_dir, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "x"])
+def test_tol_must_be_finite_and_positive(data_dir, tol, capsys):
+    # nan fails every comparison, inf passes everything, and <= 0 fails all
+    cat = data_dir / "su2k4.cat"
+    commands = [["verify-category", cat], ["lr-qsystem", cat],
+                ["build-ctps", cat, "--alg", data_dir / "z2.alg"],
+                ["check-invariant", cat, "--matrix", data_dir / "d4_su2k4.mat"],
+                ["enumerate-invariants", cat, "--bound", 2]]
+    for argv in commands:
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, f"--tol={tol}"])
+        assert exc.value.code == 2, argv
+        assert "--tol" in capsys.readouterr().err
+
+
 def test_bundle_round_trip(data_dir, tmp_path):
     for name in ["fibonacci", "ising", "su2k4", "z4", "semion", "z2boson", "trivial", "rep_a4"]:
         src = data_dir / f"{name}.cat"

@@ -1,20 +1,27 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from qsystems import catalog
 from qsystems.ctps import alpha_pair
 from qsystems.induction import (
     AlgebraObject,
     Bimod,
+    BimodMap,
     alpha_object,
     bim_compose,
     bim_identity,
+    bim_object,
     bimodule_hom,
     hom_alpha,
     induced_left_inverse_scalar,
+    left_action,
     lift,
     module_residual,
     mtimes,
     phi_scalar,
+    right_action,
     solve_haploid_algebra,
     to_qsystem,
     trace_ip,
@@ -28,6 +35,8 @@ from qsystems.morphisms import (
     distance,
     hom_basis,
     identity_morphism,
+    lmul,
+    rmul,
     word_obj,
 )
 
@@ -224,6 +233,74 @@ def test_induced_left_inverse_is_standard(algebras):
     for lam in [0, 2, 4]:
         for b in hom_alpha(alg, lam, lam, +1, +1).basis:
             assert abs(induced_left_inverse_scalar(b) - phi_scalar(b)) < 1e-10
+
+
+def oracle_bimodule_maps(a, src, tgt):
+    """Bimodule maps src -> tgt as the null space of both module constraints.
+
+    Every matrix entry of a map Theta src -> Theta tgt is an unknown.  Each
+    unit vector is pushed through the left and the right intertwining
+    constraint, and the null space of the stacked images is returned, with
+    the solver's relative SVD cutoff; the maps are not orthonormalized.
+    """
+    model = a.model
+    so, to = bim_object(a, src), bim_object(a, tgt)
+    shapes = {c: (model.obj_dim(c, to), model.obj_dim(c, so)) for c in range(model.rank)}
+    coords = [(c, i, j) for c, (dt, ds) in shapes.items() for i in range(dt) for j in range(ds)]
+
+    def mor(v):
+        blocks = {c: np.zeros(shape, dtype=complex) for c, shape in shapes.items()}
+        for (c, i, j), val in zip(coords, v):
+            blocks[c][i, j] = val
+        return Morphism(model, so, to, blocks)
+
+    al_s, ar_s = left_action(a, src), right_action(a, src)
+    al_t, ar_t = left_action(a, tgt), right_action(a, tgt)
+    cols = []
+    for v in np.eye(len(coords)):
+        f = mor(v)
+        lres = compose(f, al_s) - compose(al_t, lmul(a.object, f))
+        rres = compose(f, ar_s) - compose(ar_t, rmul(f, a.object))
+        cols.append(np.concatenate([B.ravel() for r in (lres, rres) for B in r.blocks.values()]))
+    if not cols:
+        return []
+    _, s, vh = np.linalg.svd(np.array(cols).T)
+    rank = int(np.sum(s > 1e-8 * max(s[0] if len(s) else 0.0, 1.0)))
+    return [BimodMap(a, src, tgt, mor(v)) for v in vh[rank:].conj()]
+
+
+def _assert_hom_spaces_match_oracle(a, sign1, sign2):
+    # same dimension, and each basis map inside the oracle's span in trace_ip
+    labels = range(a.model.rank)
+    for lam, mu in itertools.product(labels, repeat=2):
+        src, tgt = Bimod((lam,), (sign1,)), Bimod((mu,), (sign2,))
+        basis, oracle = bimodule_hom(a, src, tgt), oracle_bimodule_maps(a, src, tgt)
+        assert len(basis) == len(oracle), (lam, mu)
+        if not oracle:
+            continue
+        gram = np.array([[trace_ip(g, h) for h in oracle] for g in oracle])
+        for f in basis:
+            x = np.linalg.solve(gram, [trace_ip(g, f) for g in oracle])
+            rest = f - sum((z * g for z, g in zip(x, oracle)), start=0.0 * f)
+            assert np.sqrt(abs(trace_ip(rest, rest))) < 1e-10, (lam, mu)
+
+
+def test_hom_spaces_match_oracle_on_bundles(models, algebras):
+    cases = dict(algebras, **{f"trivial_{n}": trivial_algebra(m) for n, m in models.items()})
+    for a in cases.values():
+        for sign1, sign2 in [(+1, -1), (+1, +1), (-1, -1)]:
+            _assert_hom_spaces_match_oracle(a, sign1, sign2)
+
+
+def test_hom_spaces_match_oracle_on_d_series():
+    for k in (6, 8):  # D5 and D6
+        a = solve_haploid_algebra(catalog.su2_level(k), {0: 1, k: 1})
+        _assert_hom_spaces_match_oracle(a, +1, -1)
+
+
+def test_hom_solver_needs_one_letter_source(algebras):
+    with pytest.raises(ValueError):
+        bimodule_hom(algebras["z2"], Bimod((2, 2), (+1, +1)), Bimod((0,), (+1,)))
 
 
 def test_solver_rejects_impossible_multiplicities(models):

@@ -471,6 +471,26 @@ def test_products_match_oracle_on_deligne_product(models, rng):
                                   _sum_obj((c,), (a, c)), rng)
 
 
+def test_lam_insert_is_the_recoupling(models):
+    # the lmul oracle itself calls lam_insert, so it is checked here against F:
+    # on two letters it is F(a, x, y, c) (rows (sig, f1, f2) are the tails of
+    # (x, y), columns (b, e, g) its detached basis); on longer words, unitary
+    cases = dict(models, fib_fib=deligne_product(models["fibonacci"], mirror(models["fibonacci"])))
+    for name, m in cases.items():
+        labels = range(m.rank)
+        for a, x, y, c in itertools.product(labels, repeat=4):
+            got, want = m.lam_insert(a, (x, y))[c], m.F(a, x, y, c)
+            assert got.shape == want.shape and np.allclose(got, want, rtol=0, atol=1e-14), \
+                (name, a, x, y, c)
+        for word in itertools.chain(itertools.product(labels, repeat=3),
+                                    itertools.product(labels, repeat=4)):
+            for a in labels:
+                for c, U in m.lam_insert(a, word).items():
+                    assert U.shape[0] == U.shape[1], (name, a, word, c)
+                    assert np.allclose(U.conj().T @ U, np.eye(U.shape[1]), rtol=0, atol=1e-13), \
+                        (name, a, word, c)
+
+
 def test_path_order_composes_over_prefixes(models):
     # paths(c, u + v) runs over the paths of u in lexicographic order, each
     # followed by the tails from its end label through v; the engine relies on it
