@@ -140,7 +140,8 @@ class CategoryModel:
     ``f_provider(a, b, c, d)`` must return the unitary recoupling matrix in
     the index convention of :func:`CategoryModel.f_left` /
     :func:`CategoryModel.f_right`; it is never called when one of a, b, c is
-    the identity label (unital gauge is assumed there).  ``r_provider`` is
+    the identity label (unital gauge is assumed there).  A subclass that
+    builds F another way overrides :meth:`_f_block` instead.  ``r_provider`` is
     optional; without it the category is unbraided and braiding operations
     raise :class:`UnsupportedOperationError`.
 
@@ -203,7 +204,7 @@ class CategoryModel:
             N = self.N
             out = [
                 (sig, e, f)
-                for sig in range(self.rank)
+                for sig in N[a, b].nonzero()[0].tolist()
                 for e in range(N[a, b, sig])
                 for f in range(N[sig, c, d])
             ]
@@ -218,7 +219,7 @@ class CategoryModel:
             N = self.N
             out = [
                 (tau, g, h)
-                for tau in range(self.rank)
+                for tau in N[b, c].nonzero()[0].tolist()
                 for g in range(N[b, c, tau])
                 for h in range(N[a, tau, d])
             ]
@@ -237,21 +238,24 @@ class CategoryModel:
     def F(self, a, b, c, d) -> np.ndarray:
         key = (a, b, c, d)
         out = self._f_cache.get(key)
-        if out is not None:
-            return out
+        if out is None:
+            out = self._f_cache[key] = self._f_block(a, b, c, d)
+        return out
+
+    def _f_block(self, a, b, c, d) -> np.ndarray:
+        """F(a, b, c, d) from the provider, checked against the tree counts."""
+        key = (a, b, c, d)
         nl = len(self.f_left(a, b, c, d))
         nr = len(self.f_right(a, b, c, d))
         if nl != nr:
             raise StructureError(f"fusion data not associative at {key}: {nl} != {nr}")
         if nl == 0:
-            out = np.zeros((0, 0), dtype=complex)
-        elif a == 0 or b == 0 or c == 0:
-            out = np.eye(nl, dtype=complex)
-        else:
-            out = np.asarray(self._f_provider(a, b, c, d), dtype=complex)
-            if out.shape != (nl, nr):
-                raise StructureError(f"F{key} has shape {out.shape}, expected {(nl, nr)}")
-        self._f_cache[key] = out
+            return np.zeros((0, 0), dtype=complex)
+        if a == 0 or b == 0 or c == 0:
+            return np.eye(nl, dtype=complex)
+        out = np.asarray(self._f_provider(a, b, c, d), dtype=complex)
+        if out.shape != (nl, nr):
+            raise StructureError(f"F{key} has shape {out.shape}, expected {(nl, nr)}")
         return out
 
     def R(self, a, b, c) -> np.ndarray:
@@ -1195,9 +1199,9 @@ class ProductModel(CategoryModel):
         fusion = FusionData(names, dual, N, qd)
         self.factors = (m1, m2)
         self._n2 = n2
+        self._kron_order = int(m1.N.max()) <= 1
         r = self._r_product if (m1.braided and m2.braided) else None
-        super().__init__(fusion, self._f_product, r,
-                         name=name or f"{m1.name}(x){m2.name}")
+        super().__init__(fusion, None, r, name=name or f"{m1.name}(x){m2.name}")
 
     def pack(self, i: int, j: int) -> int:
         return i * self._n2 + j
@@ -1205,33 +1209,49 @@ class ProductModel(CategoryModel):
     def unpack(self, k: int) -> tuple:
         return divmod(k, self._n2)
 
-    def _f_product(self, a, b, c, d):
+    def _f_block(self, a, b, c, d) -> np.ndarray:
+        """F1 (x) F2, with rows and columns in the product's tree order.
+
+        A product tree (s, i, j) packs the factor trees (s1, i1, j1) and
+        (s2, i2, j2) as s = pack(s1, s2), i = i1 * n2_i + i2 and
+        j = j1 * n2_j + j2, where n2_i and n2_j are the second factor's
+        multiplicities at its two vertices.  When the first factor's fusion
+        rules are multiplicity free (i1 = j1 = 0), that is Kronecker order,
+        and F needs neither the product's tree lists nor an index map.  The
+        factors' F checks associativity, shapes and the unit gauge, so they
+        hold for the product too.
+        """
         m1, m2 = self.factors
-        a1, a2 = self.unpack(a)
-        b1, b2 = self.unpack(b)
-        c1, c2 = self.unpack(c)
-        d1, d2 = self.unpack(d)
-        F1 = m1.F(a1, b1, c1, d1)
-        F2 = m2.F(a2, b2, c2, d2)
-        l1 = {t: i for i, t in enumerate(m1.f_left(a1, b1, c1, d1))}
-        l2 = {t: i for i, t in enumerate(m2.f_left(a2, b2, c2, d2))}
-        r1 = {t: i for i, t in enumerate(m1.f_right(a1, b1, c1, d1))}
-        r2 = {t: i for i, t in enumerate(m2.f_right(a2, b2, c2, d2))}
-        left = self.f_left(a, b, c, d)
-        right = self.f_right(a, b, c, d)
-        M = np.zeros((len(left), len(right)), dtype=complex)
-        for i, (sig, e, f) in enumerate(left):
-            s1, s2 = self.unpack(sig)
-            e1, e2 = divmod(e, int(m2.N[a2, b2, s2]))
-            f1, f2 = divmod(f, int(m2.N[s2, c2, d2]))
-            i1 = l1[(s1, e1, f1)]
-            i2 = l2[(s2, e2, f2)]
-            for j, (tau, g, h) in enumerate(right):
-                t1, t2 = self.unpack(tau)
-                g1, g2 = divmod(g, int(m2.N[b2, c2, t2]))
-                h1, h2 = divmod(h, int(m2.N[a2, t2, d2]))
-                M[i, j] = F1[i1, r1[(t1, g1, h1)]] * F2[i2, r2[(t2, g2, h2)]]
-        return M
+        (a1, a2), (b1, b2), (c1, c2), (d1, d2) = map(self.unpack, (a, b, c, d))
+        F1, F2 = m1.F(a1, b1, c1, d1), m2.F(a2, b2, c2, d2)
+        if self._kron_order:
+            n1, n2 = len(F1), len(F2)
+            return (F1[:, None, :, None] * F2[None, :, None, :]).reshape(n1 * n2, n1 * n2)
+        N2 = m2.N
+        rows1, rows2 = self._split_trees(self.f_left(a, b, c, d), m1.f_left(a1, b1, c1, d1),
+                                         m2.f_left(a2, b2, c2, d2), N2[a2, b2], N2[:, c2, d2])
+        cols1, cols2 = self._split_trees(self.f_right(a, b, c, d), m1.f_right(a1, b1, c1, d1),
+                                         m2.f_right(a2, b2, c2, d2), N2[b2, c2], N2[a2, :, d2])
+        rows1, rows2 = np.array(rows1, dtype=np.intp), np.array(rows2, dtype=np.intp)
+        return F1[rows1[:, None], cols1] * F2[rows2[:, None], cols2]
+
+    def _split_trees(self, trees, trees1, trees2, inner2, outer2):
+        """Positions in the factor tree lists of each product tree (s, i, j).
+
+        ``inner2[s2]`` and ``outer2[s2]`` are the second factor's
+        multiplicities at the two vertices of its trees.
+        """
+        pos1 = dict(zip(trees1, range(len(trees1))))
+        pos2 = dict(zip(trees2, range(len(trees2))))
+        inner2, outer2 = inner2.tolist(), outer2.tolist()
+        rows1, rows2 = [], []
+        for s, i, j in trees:
+            s1, s2 = divmod(s, self._n2)
+            i1, i2 = divmod(i, inner2[s2])
+            j1, j2 = divmod(j, outer2[s2])
+            rows1.append(pos1[s1, i1, j1])
+            rows2.append(pos2[s2, i2, j2])
+        return rows1, rows2
 
     def _r_product(self, a, b, c):
         m1, m2 = self.factors

@@ -11,6 +11,30 @@ w1 in Hom(theta, theta^2) subject to
 where theta(x) = 1_theta x x (left monoidal multiplication).  The validator
 reports the operator-norm residual of each relation; residual norms are the
 largest singular value across sector blocks.
+
+Every summand of theta is simple, so w1 is its coefficient tensor
+zeta[n; l, m, e] (:attr:`ThetaSpec.slots`) and w is a vector w_p over the
+summands labelled 0.  :func:`validate_qsystem` forms each sector block c of
+each defect from these numbers and one F-move per summand triple, without
+building theta^3.  Write lam_i for the label of summand i; n' runs over the
+summands labelled c, and sums over p or q run over summands with a given
+label, so repeated labels add up on one tree:
+
+* unit laws: entry (n, n') is sum_{p: lam_p = 0} conj(w_p) zeta[n'; p, n, 0]
+  (left) or conj(w_p) zeta[n'; n, p, 0] (right), minus d(theta)^(-1/2) 1.
+* isometries: B_c^H B_c - 1 on the block B_c of w1, and w^H w - 1.
+* coassociativity: on the left trees (sig, e1, e2) of Hom(c, lam_l lam_m
+  lam_k), the route (w1 x 1) w1 is L = sum_{p: lam_p = sig} zeta[p; l, m, e1]
+  zeta[n'; p, k, e2]; the route (1 x w1) w1 is F(lam_l, lam_m, lam_k; c) R
+  with R[(tau, g, h)] = sum_{q: lam_q = tau} zeta[q; m, k, g] zeta[n'; l, q, h]
+  on the right trees.  The rows of all triples stack to the theta^3 block.
+* Frobenius: B_c B_c^H against the theta^2 x theta^2 block whose entry at
+  row (l, q; h) and column (p, k; e2) is sum_m sum_{e1, g}
+  conj(zeta[q; m, k, g]) conj(F[(lam_p, e1, e2), (lam_q, g, h)]) zeta[p; l, m, e1].
+
+Triples (l, m, k; c) with no tree in Hom(c, lam_l lam_m lam_k) are skipped.
+:func:`relation_defects` forms the same defects as morphisms on theta^3; it
+is the Newton solver's residual and the test oracle of the validator.
 """
 
 from __future__ import annotations
@@ -31,7 +55,6 @@ from .morphisms import (
     identity_morphism,
     lmul,
     mirror,
-    op_norm,
     rmul,
     sum_product,
     unit_intro,
@@ -162,9 +185,11 @@ def relation_defects(q: QSystem, names=None) -> dict:
     """lhs - rhs of each relation, as a morphism, in the order of `names`.
 
     Without `names`, every relation in the order :func:`validate_qsystem`
-    reports them (the operator norm of each defect);
-    :func:`~qsystems.induction.solve_haploid_algebra` drives three of them
-    to zero.
+    reports them.  This is the residual that
+    :func:`~qsystems.induction.solve_haploid_algebra` drives to zero (three
+    of the relations), and the oracle of :func:`validate_qsystem`: the
+    operator norm of each defect is that relation's residual.  It builds
+    theta^3.
     """
     model = q.model
     th = q.theta.object
@@ -186,11 +211,110 @@ def relation_defects(q: QSystem, names=None) -> dict:
     return {name: defects[name]() for name in names or defects}
 
 
+def _norm(M: np.ndarray) -> float:
+    return float(np.linalg.norm(M, 2)) if M.size else 0.0
+
+
+def _trees(inner: np.ndarray, outer: np.ndarray):
+    """Two-vertex trees (i, s, e, f) with e < inner[i, s] and f < outer[i, s].
+
+    Rows i of ``inner`` and ``outer`` are independent problems; the trees of
+    each run over (s, e, f) lexicographically, as :meth:`CategoryModel.f_left`
+    (inner = N[a, b], outer = N[:, x, c]) and :meth:`CategoryModel.f_right`
+    (inner = N[b, x], outer = N[a, :, c]) list them.
+    """
+    i, s = np.nonzero(inner * outer)
+    n = inner[i, s] * outer[i, s]
+    i, s = np.repeat(i, n), np.repeat(s, n)
+    e, f = np.divmod(np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n), outer[i, s])
+    return i, s, e, f
+
+
 def validate_qsystem(q: QSystem, tol: float = 1e-8) -> QReport:
-    """Check the unit, coassociativity, Frobenius and isometry relations."""
-    residuals = {name: op_norm(d) for name, d in relation_defects(q).items()}
-    irreducible = q.model.obj_dim(0, q.theta.object) == 1
-    return QReport(residuals=residuals, irreducible=irreducible, tol=tol)
+    """Check the unit, coassociativity, Frobenius and isometry relations.
+
+    Each residual is the operator norm of the defect that
+    :func:`relation_defects` builds, computed from the coefficients of w and
+    w1 by the formulas of the module docstring.
+    """
+    theta, model = q.theta, q.model
+    N, ns, rank = model.N, len(theta), model.rank
+    lab = np.array([lam for lam, _ in theta.summands], dtype=np.int64)
+    coeffs = theta.coefficients(q.w1.blocks)
+    # zeta[n, l, m, e], zero where e is not a tree vertex of Hom(lam_n, lam_l lam_m)
+    zeta = np.zeros((ns, ns, ns, 1 + max((e for *_, e in coeffs), default=0)), dtype=complex)
+    for key, val in coeffs.items():
+        zeta[key] = val
+    ne = zeta.shape[3]
+    w = np.zeros(ns, dtype=complex)
+    w[lab == 0] = q.w.blocks[0][:, 0]
+    member = np.zeros((rank, ns))  # member[s, p] = 1 if lam_p = s
+    member[lab, np.arange(ns)] = 1.0
+    # N[lam_l, lam_m, s], N[s, lam_k, c] at [c, k, s] and N[lam_l, s, c] at
+    # [c, l, s]: each sector reads contiguous rows
+    n_lm = N[np.ix_(lab, lab)]
+    n_kc = np.ascontiguousarray(N[:, lab, :].transpose(2, 1, 0))
+    n_lc = np.ascontiguousarray(N[lab].transpose(2, 0, 1))
+    # trees[l, m, c, k] = dim Hom(c, lam_l lam_m lam_k)
+    trees = (n_lm.reshape(ns * ns, rank).astype(float)
+             @ n_kc.reshape(rank * ns, rank).T).reshape(ns, ns, rank, ns)
+
+    res = dict.fromkeys(["unit_left", "unit_right", "coassociativity", "frobenius",
+                         "isometry", "w_isometry"], 0.0)
+    for c in range(rank):
+        P = np.flatnonzero(lab == c)
+        zc = zeta[P]
+        B = q.w1.blocks[c]
+        one = theta.d_theta ** -0.5 * np.eye(len(P))
+        res["unit_left"] = max(res["unit_left"],
+                               _norm(np.einsum("p,apb->ba", w.conj(), zc[:, :, P, 0]) - one))
+        res["unit_right"] = max(res["unit_right"],
+                                _norm(np.einsum("p,abp->ba", w.conj(), zc[:, P, :, 0]) - one))
+        res["isometry"] = max(res["isometry"], _norm(B.conj().T @ B - np.eye(len(P))))
+        l, k, m = np.nonzero(trees[:, :, c].transpose(0, 2, 1))
+        labels = list(zip(lab[l].tolist(), lab[m].tolist(), lab[k].tolist()))
+        # every left tree (sig, e1, e2) and right tree (tau, g, h) of every
+        # triple, triple by triple; U and V are (w1 x 1) and (1 x w1) on the
+        # theta^2 columns (p, k; e2) and (l, q; h), which give L and R
+        ti, sig, e1, e2 = _trees(n_lm[l, m], n_kc[c, k])
+        tj, tau, g, h = _trees(n_lm[m, k], n_lc[c, l])
+        u = zeta[:, l[ti], m[ti], e1].T * member[sig]
+        v = zeta[:, m[tj], k[tj], g].T * member[tau]
+        L = np.einsum("tp,npt->tn", u, zc[:, :, k[ti], e2])
+        R = np.einsum("tq,tnq->tn", v, zc[:, l[tj], :, h])
+        U = np.zeros((len(ti), ns, ne), dtype=complex)
+        U[np.arange(len(ti)), :, e2] = u
+        V = np.zeros((len(tj), ns, ne), dtype=complex)
+        V[np.arange(len(tj)), :, h] = v
+        # one F-move per triple whose (1 x w1) rows are not all zero, batched
+        # over triples with the same number of trees (a triple has as many
+        # right trees as left trees, so both run from start)
+        size = np.bincount(ti, minlength=len(l))
+        start = np.cumsum(size) - size
+        moved = np.bincount(tj, weights=v.any(axis=1), minlength=len(l)) > 0
+        # Frobenius terms, summed over m into frob[(l, k), (q, h), (p, e2)]
+        frob = np.zeros((ns * ns, ns * ne, ns * ne), dtype=complex)
+        for n in sorted(set(size[moved].tolist())):
+            batch = np.flatnonzero(moved & (size == n))
+            F = np.stack([model.F(*labels[i], c) for i in batch.tolist()])
+            rows = start[batch][:, None] + np.arange(n)
+            L[rows] -= F @ R[rows]
+            Ub, Vb = U[rows].reshape(len(batch), n, -1), V[rows].reshape(len(batch), n, -1)
+            terms = Vb.conj().transpose(0, 2, 1) @ (F.conj().transpose(0, 2, 1) @ Ub)
+            # batch keeps the (l, k, m) order, so each (l, k) is one run
+            lk = l[batch] * ns + k[batch]
+            first = np.flatnonzero(np.r_[True, lk[1:] != lk[:-1]])
+            frob[lk[first]] += np.add.reduceat(terms, first, axis=0)
+        res["coassociativity"] = max(res["coassociativity"], _norm(L))
+        # back to theta^2 basis order (l, q, h) x (p, k, e2), dropping padded slots
+        frob = frob.reshape(ns, ns, ns, ne, ns, ne).transpose(0, 2, 3, 4, 1, 5)
+        basis = np.flatnonzero(np.arange(ne) < n_lm[:, :, c, None])
+        frob = frob.reshape(ns * ns * ne, -1)[np.ix_(basis, basis)]
+        res["frobenius"] = max(res["frobenius"], _norm(B @ B.conj().T - frob))
+    W = q.w.blocks[0]
+    res["w_isometry"] = _norm(W.conj().T @ W - np.eye(W.shape[1]))
+    irreducible = model.obj_dim(0, theta.object) == 1
+    return QReport(residuals=res, irreducible=irreducible, tol=tol)
 
 
 def assemble_qsystem(theta: ThetaSpec, zeta) -> QSystem:

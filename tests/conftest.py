@@ -7,7 +7,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from qsystems import catalog
 from qsystems.ctps import alpha_pair, build_ctps, trivial_pair
+from qsystems.induction import solve_haploid_algebra
 from qsystems.io import load_algebra, load_category
 from qsystems.qsystem import lr_qsystem
 
@@ -56,6 +58,20 @@ def d4_pair(algebras):
 @pytest.fixture(scope="session")
 def d4_result(d4_pair):
     return build_ctps(d4_pair, tol=1e-8)
+
+
+@pytest.fixture(scope="session")
+def d5_result():
+    """D5: the su2k6 algebra {0:1, 6:1} from the default Newton start, through build_ctps."""
+    a = solve_haploid_algebra(catalog.su2_level(6), {0: 1, 6: 1})
+    return build_ctps(alpha_pair(a, +1, -1), tol=1e-8)
+
+
+@pytest.fixture(scope="session")
+def e6_result():
+    """E6: the su2k10 algebra {0:1, 6:1} from the default Newton start, through build_ctps."""
+    a = solve_haploid_algebra(catalog.su2_level(10), {0: 1, 6: 1})
+    return build_ctps(alpha_pair(a, +1, -1), tol=1e-8)
 
 
 @pytest.fixture(scope="session")

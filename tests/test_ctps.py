@@ -232,3 +232,32 @@ def test_nonlocal_algebra_doubles_have_identity_coupling(algebras):
         res = build_ctps(alpha_pair(algebras[name]), tol=1e-8)
         assert np.array_equal(res.Z, np.eye(res.Z.shape[0], dtype=int))
         assert res.report.ok
+
+
+def _d_theta_from_z(res):
+    qd = res.pair.model.qdim
+    return float(sum(res.Z[lam, mu] * qd[lam] * qd[mu]
+                     for lam in range(len(qd)) for mu in range(len(qd))))
+
+
+def test_d5_ctps_pinned(d5_result):
+    # D5 at su2k6: the non-local simple current 0 + 6 gives the permutation
+    # invariant that swaps 1 and 5
+    pi = [0, 5, 2, 3, 4, 1, 6]
+    res = d5_result
+    assert np.array_equal(res.Z, np.eye(7, dtype=int)[pi])
+    assert res.ok
+    assert res.normality.n2 and res.normality.n3 and res.normality.pi == pi
+    assert res.theta.d_theta == pytest.approx(_d_theta_from_z(res), abs=1e-9)
+
+
+def test_e6_ctps_pinned(e6_result):
+    # E6 at su2k10 from the default Newton start: |x0+x6|^2 + |x3+x7|^2 + |x4+x10|^2
+    res = e6_result
+    Z = np.zeros((11, 11), dtype=int)
+    for block in [(0, 6), (3, 7), (4, 10)]:
+        Z[np.ix_(block, block)] = 1
+    assert np.array_equal(res.Z, Z)
+    assert res.ok
+    assert not res.normality.n2 and not res.normality.n3
+    assert res.theta.d_theta == pytest.approx(_d_theta_from_z(res), abs=1e-9)

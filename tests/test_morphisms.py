@@ -655,3 +655,68 @@ def test_coherence_matches_oracle_on_scrambled_multiplicity_blocks(models, rng):
     _assert_coherence_matches_oracle(m, m.name)
     assert pentagon_residual(m) > 1e-3
     assert hexagon_residual(m) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# tree lists and product recoupling against their label-by-label definitions
+
+
+def _f_left_loop(model, a, b, c, d):
+    N = model.N
+    return [(sig, e, f) for sig in range(model.rank)
+            for e in range(N[a, b, sig]) for f in range(N[sig, c, d])]
+
+
+def _f_right_loop(model, a, b, c, d):
+    N = model.N
+    return [(tau, g, h) for tau in range(model.rank)
+            for g in range(N[b, c, tau]) for h in range(N[a, tau, d])]
+
+
+def _f_product_loop(D, a, b, c, d):
+    """F of a product model, filled entry by entry from the two factors' F."""
+    m1, m2 = D.factors
+    n2 = m2.rank
+    (a1, a2), (b1, b2), (c1, c2), (d1, d2) = (divmod(x, n2) for x in (a, b, c, d))
+    F1, F2 = m1.F(a1, b1, c1, d1), m2.F(a2, b2, c2, d2)
+    l1 = {t: i for i, t in enumerate(m1.f_left(a1, b1, c1, d1))}
+    l2 = {t: i for i, t in enumerate(m2.f_left(a2, b2, c2, d2))}
+    r1 = {t: i for i, t in enumerate(m1.f_right(a1, b1, c1, d1))}
+    r2 = {t: i for i, t in enumerate(m2.f_right(a2, b2, c2, d2))}
+    left, right = D.f_left(a, b, c, d), D.f_right(a, b, c, d)
+    M = np.zeros((len(left), len(right)), dtype=complex)
+    for i, (sig, e, f) in enumerate(left):
+        s1, s2 = divmod(sig, n2)
+        e1, e2 = divmod(e, int(m2.N[a2, b2, s2]))
+        f1, f2 = divmod(f, int(m2.N[s2, c2, d2]))
+        for j, (tau, g, h) in enumerate(right):
+            t1, t2 = divmod(tau, n2)
+            g1, g2 = divmod(g, int(m2.N[b2, c2, t2]))
+            h1, h2 = divmod(h, int(m2.N[a2, t2, d2]))
+            M[i, j] = F1[l1[s1, e1, f1], r1[t1, g1, h1]] * F2[l2[s2, e2, f2], r2[t2, g2, h2]]
+    return M
+
+
+def test_tree_lists_match_full_label_loop(models):
+    for name, m in models.items():
+        for quad in itertools.product(range(m.rank), repeat=4):
+            assert m.f_left(*quad) == _f_left_loop(m, *quad), (name, quad)
+            assert m.f_right(*quad) == _f_right_loop(m, *quad), (name, quad)
+
+
+def test_f_product_matches_entry_loop(models, rng):
+    # every product of two bundles, and of a bundle with a mirrored one; per
+    # product the 40 largest blocks (where multiplicities sit) and 40 more at
+    # random, over labels that are not the identity (where F is the identity)
+    for m1 in models.values():
+        for m2 in models.values():
+            for D in (deligne_product(m1, m2), deligne_product(m1, mirror(m2))):
+                dims = np.tensordot(D.N, D.N, axes=(2, 0))[1:, 1:, 1:]  # dim Hom(d, abc)
+                quads = np.argwhere(dims) + [1, 1, 1, 0]
+                order = np.argsort(-dims[dims > 0], kind="stable")
+                pick = np.r_[order[:40], rng.choice(len(quads), min(len(quads), 40), replace=False)]
+                for quad in quads[pick].tolist():
+                    assert D.f_left(*quad) == _f_left_loop(D, *quad), (D.name, quad)
+                    assert D.f_right(*quad) == _f_right_loop(D, *quad), (D.name, quad)
+                    assert np.abs(D.F(*quad) - _f_product_loop(D, *quad)).max() <= 1e-15, \
+                        (D.name, quad)

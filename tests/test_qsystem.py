@@ -1,24 +1,35 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsystems.morphisms import (
     Morphism,
     braid,
     categorical_trace,
     compose,
+    deligne_product,
     distance,
     identity_morphism,
+    mirror,
+    op_norm,
+    unit_obj,
 )
 from qsystems.qsystem import (
+    QReport,
     QSystem,
     ThetaSpec,
     assemble_qsystem,
     check_commutativity,
     lr_qsystem,
     lr_zeta,
+    relation_defects,
     validate_qsystem,
 )
-from qsystems.ctps import ctps_braiding
+from qsystems.ctps import alpha_pair, assemble_w1, build_theta, ctps_braiding, zeta_tensor
+from qsystems.induction import to_qsystem
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -121,3 +132,89 @@ def test_multiplicity_two_diagonal_system(models):
     assert q.theta.d_theta == pytest.approx(12.0, abs=1e-10)
     eps = braid(D, q.theta.object, q.theta.object)
     assert check_commutativity(q, eps) < 1e-9
+
+
+# -- the coefficient validator against the theta^3 oracle ---------------------
+
+
+def assert_matches_oracle(q, tol=1e-8):
+    """validate_qsystem equals the operator norms of relation_defects.
+
+    Same keys in the same order, each residual within 1e-13 absolute plus
+    1e-13 relative, and the same pass flag.
+    """
+    rep = validate_qsystem(q, tol=tol)
+    want = {name: op_norm(d) for name, d in relation_defects(q).items()}
+    assert list(rep.residuals) == list(want)
+    for name, v in want.items():
+        assert abs(rep.residuals[name] - v) <= 1e-13 + 1e-13 * v, (name, rep.residuals[name], v)
+    assert rep.ok == QReport(want, rep.irreducible, tol).ok
+    return rep
+
+
+def ctps_qsystem(pair):
+    """The Q-system build_ctps validates, without its other checks."""
+    model = pair.model
+    D = deligne_product(model, mirror(model))
+    theta = build_theta(D, pair.Z)
+    return assemble_w1(D, theta, zeta_tensor(pair, theta.d_theta), pair)
+
+
+def broken(q):
+    """1.01 w1, and w scaled by 2 and by a phase: each breaks a relation."""
+    return [QSystem(theta=q.theta, w=q.w, w1=1.01 * q.w1),
+            QSystem(theta=q.theta, w=2.0 * q.w, w1=q.w1),
+            QSystem(theta=q.theta, w=np.exp(0.7j) * q.w, w1=q.w1)]
+
+
+def test_validator_matches_oracle_on_bundled_algebras(algebras):
+    for a in algebras.values():
+        q = to_qsystem(a)
+        assert assert_matches_oracle(q).ok
+        for bad in broken(q):
+            assert not assert_matches_oracle(bad).ok
+
+
+def test_validator_matches_oracle_on_diagonal_systems(models):
+    # rep_a4 carries the multiplicity-two vertex of Hom(3, 3 x 3)
+    for name, m in models.items():
+        q, _ = lr_qsystem(m)
+        assert assert_matches_oracle(q, tol=1e-9).ok, name
+    for bad in broken(lr_qsystem(models["fibonacci"])[0]):
+        assert not assert_matches_oracle(bad).ok
+
+
+def test_validator_matches_oracle_on_ctps(algebras):
+    # D4 has Z[2, 2] = 2, so theta repeats the label (2, 2)
+    for name, signs in [("z2", (+1, -1)), ("z2", (+1, +1)), ("z2", (-1, -1)),
+                        ("fibtau", (+1, -1)), ("isingpsi", (+1, -1)), ("z4fermion", (+1, -1))]:
+        q = ctps_qsystem(alpha_pair(algebras[name], *signs))
+        assert assert_matches_oracle(q).ok, (name, signs)
+        if signs == (+1, -1) and name == "z2":
+            for bad in broken(q):
+                assert not assert_matches_oracle(bad).ok
+
+
+def test_validator_matches_oracle_on_d5(d5_result):
+    assert assert_matches_oracle(to_qsystem(d5_result.pair.algebra)).ok
+    assert assert_matches_oracle(d5_result.qsystem).ok
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["su2k4", "rep_a4"]),
+       labels=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_validator_matches_oracle_on_random_coefficients(models, name, labels, seed):
+    # random complex coefficients on every slot and a random w, over a theta
+    # that may repeat labels or lack the identity
+    model = models[name]
+    theta = ThetaSpec(model, Counter(lam % model.rank for lam in labels))
+    rng = np.random.default_rng(seed)
+
+    def noise(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    zeta = {key: complex(noise()) for key in theta.slots}
+    w1 = Morphism(model, theta.object, theta.square, theta.coefficient_blocks(zeta))
+    w = Morphism(model, unit_obj(), theta.object, {0: noise(model.obj_dim(0, theta.object), 1)})
+    assert_matches_oracle(QSystem(theta=theta, w=w, w1=w1))
