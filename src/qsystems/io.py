@@ -13,6 +13,7 @@ recouplings (implied by the unital gauge) are omitted; a parse -> serialize
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +66,10 @@ def _c2j(z) -> list:
 
 
 def _j2c(v) -> complex:
-    return complex(float(v[0]), float(v[1]))
+    re, im = float(v[0]), float(v[1])
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise BundleError(f"number {v!r} is not finite")
+    return complex(re, im)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +131,10 @@ def load_category(path) -> CategoryModel:
         N = np.zeros((n, n, n), dtype=int)
         for a, b, c, v in doc["N"]:
             N[a, b, c] = v
-        fus = FusionData(names, doc["dual"], N, doc.get("qdim"))
+        qdim = doc.get("qdim")
+        if qdim is not None and not np.all(np.isfinite(np.asarray(qdim, dtype=float))):
+            raise BundleError(f"qdim {qdim!r} is not finite")
+        fus = FusionData(names, doc["dual"], N, qdim)
         f_entries = {}
         for a, b, c, d, lt, rt, v in doc["F"]:
             f_entries.setdefault((a, b, c, d), []).append((tuple(lt), tuple(rt), _j2c(v)))

@@ -33,8 +33,11 @@ label, so repeated labels add up on one tree:
   conj(zeta[q; m, k, g]) conj(F[(lam_p, e1, e2), (lam_q, g, h)]) zeta[p; l, m, e1].
 
 Triples (l, m, k; c) with no tree in Hom(c, lam_l lam_m lam_k) are skipped.
-:func:`relation_defects` forms the same defects as morphisms on theta^3; it
-is the Newton solver's residual and the test oracle of the validator.
+:func:`_defects` forms these blocks; the validator takes their operator
+norms, and :func:`~qsystems.induction.solve_haploid_algebra` drives three
+of them to zero by Newton iteration while max |r| falls.  Its Jacobian is
+exact: every entry is real-quadratic in (Re, Im) of the coefficients, so
+column j is (r(x + e_j) - r(x - e_j)) / 2 up to rounding.
 """
 
 from __future__ import annotations
@@ -48,19 +51,15 @@ from .morphisms import (
     CategoryModel,
     Morphism,
     SumObject,
-    adjoint,
     compose,
     deligne_product,
     distance,
-    identity_morphism,
-    lmul,
     mirror,
-    rmul,
     sum_product,
     unit_intro,
 )
 
-__all__ = ["ThetaSpec", "QSystem", "QReport", "relation_defects", "validate_qsystem",
+__all__ = ["ThetaSpec", "QSystem", "QReport", "validate_qsystem",
            "assemble_qsystem", "lr_zeta", "lr_qsystem", "check_commutativity"]
 
 
@@ -135,6 +134,14 @@ class ThetaSpec:
         """Inverse of :meth:`coefficient_blocks`: every slot's entry, keyed as :attr:`slots`."""
         return {key: blocks[c][row, col] for key, (c, row, col) in self.slots.items()}
 
+    def dense(self, zeta) -> np.ndarray:
+        """``zeta``, keyed as :attr:`slots`, as the array zeta[n, l, m, e]; zero off the slots."""
+        ne = 1 + max((e for *_, e in self.slots), default=0)
+        out = np.zeros((len(self),) * 3 + (ne,), dtype=complex)
+        for key, val in zeta.items():
+            out[key] = val
+        return out
+
     def index(self, lam: int, copy: int = 1) -> int:
         return self.summands.index((lam, copy))
 
@@ -181,36 +188,6 @@ class QReport:
         return "\n".join(lines)
 
 
-def relation_defects(q: QSystem, names=None) -> dict:
-    """lhs - rhs of each relation, as a morphism, in the order of `names`.
-
-    Without `names`, every relation in the order :func:`validate_qsystem`
-    reports them.  This is the residual that
-    :func:`~qsystems.induction.solve_haploid_algebra` drives to zero (three
-    of the relations), and the oracle of :func:`validate_qsystem`: the
-    operator norm of each defect is that relation's residual.  It builds
-    theta^3.
-    """
-    model = q.model
-    th = q.theta.object
-    c = q.theta.d_theta ** -0.5
-    id_th = identity_morphism(model, th)
-    w_star = adjoint(q.w)
-    w1_star = adjoint(q.w1)
-    defects = {
-        "unit_left": lambda: compose(rmul(w_star, th), q.w1) - c * id_th,
-        "unit_right": lambda: compose(lmul(th, w_star), q.w1) - c * id_th,
-        "coassociativity": lambda: (compose(rmul(q.w1, th), q.w1)
-                                    - compose(lmul(th, q.w1), q.w1)),
-        "frobenius": lambda: (compose(q.w1, w1_star)
-                              - compose(lmul(th, w1_star), rmul(q.w1, th))),
-        "isometry": lambda: compose(w1_star, q.w1) - id_th,
-        "w_isometry": lambda: (compose(w_star, q.w)
-                               - identity_morphism(model, q.w.source)),
-    }
-    return {name: defects[name]() for name in names or defects}
-
-
 def _norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2)) if M.size else 0.0
 
@@ -230,24 +207,20 @@ def _trees(inner: np.ndarray, outer: np.ndarray):
     return i, s, e, f
 
 
-def validate_qsystem(q: QSystem, tol: float = 1e-8) -> QReport:
-    """Check the unit, coassociativity, Frobenius and isometry relations.
+_RELATIONS = ("unit_left", "unit_right", "coassociativity", "frobenius", "isometry", "w_isometry")
 
-    Each residual is the operator norm of the defect that
-    :func:`relation_defects` builds, computed from the coefficients of w and
-    w1 by the formulas of the module docstring.
+
+def _defects(theta: ThetaSpec, zeta: np.ndarray, w: np.ndarray, names=_RELATIONS) -> dict:
+    """lhs - rhs of each relation in ``names``: a list of sector blocks each.
+
+    ``zeta`` is w1 as :meth:`ThetaSpec.dense` lays it out and ``w`` is w over
+    the summands, zero off the label 0.  Blocks follow the module docstring;
+    w_isometry has one 1 x 1 block.
     """
-    theta, model = q.theta, q.model
+    model = theta.model
     N, ns, rank = model.N, len(theta), model.rank
     lab = np.array([lam for lam, _ in theta.summands], dtype=np.int64)
-    coeffs = theta.coefficients(q.w1.blocks)
-    # zeta[n, l, m, e], zero where e is not a tree vertex of Hom(lam_n, lam_l lam_m)
-    zeta = np.zeros((ns, ns, ns, 1 + max((e for *_, e in coeffs), default=0)), dtype=complex)
-    for key, val in coeffs.items():
-        zeta[key] = val
     ne = zeta.shape[3]
-    w = np.zeros(ns, dtype=complex)
-    w[lab == 0] = q.w.blocks[0][:, 0]
     member = np.zeros((rank, ns))  # member[s, p] = 1 if lam_p = s
     member[lab, np.arange(ns)] = 1.0
     # N[lam_l, lam_m, s], N[s, lam_k, c] at [c, k, s] and N[lam_l, s, c] at
@@ -258,19 +231,21 @@ def validate_qsystem(q: QSystem, tol: float = 1e-8) -> QReport:
     # trees[l, m, c, k] = dim Hom(c, lam_l lam_m lam_k)
     trees = (n_lm.reshape(ns * ns, rank).astype(float)
              @ n_kc.reshape(rank * ns, rank).T).reshape(ns, ns, rank, ns)
+    frobenius = "frobenius" in names
 
-    res = dict.fromkeys(["unit_left", "unit_right", "coassociativity", "frobenius",
-                         "isometry", "w_isometry"], 0.0)
+    out = {name: [] for name in _RELATIONS}
     for c in range(rank):
         P = np.flatnonzero(lab == c)
+        if not len(P) and not frobenius:
+            continue  # every other block has a column per summand labelled c
         zc = zeta[P]
-        B = q.w1.blocks[c]
+        # the sector block of w1: theta^2 rows (l, m, e) with e a tree vertex
+        basis = np.flatnonzero(np.arange(ne) < n_lm[:, :, c, None])
+        B = zc.reshape(len(P), ns * ns * ne)[:, basis].T
         one = theta.d_theta ** -0.5 * np.eye(len(P))
-        res["unit_left"] = max(res["unit_left"],
-                               _norm(np.einsum("p,apb->ba", w.conj(), zc[:, :, P, 0]) - one))
-        res["unit_right"] = max(res["unit_right"],
-                                _norm(np.einsum("p,abp->ba", w.conj(), zc[:, P, :, 0]) - one))
-        res["isometry"] = max(res["isometry"], _norm(B.conj().T @ B - np.eye(len(P))))
+        out["unit_left"].append(np.einsum("p,apb->ba", w.conj(), zc[:, :, P, 0]) - one)
+        out["unit_right"].append(np.einsum("p,abp->ba", w.conj(), zc[:, P, :, 0]) - one)
+        out["isometry"].append(B.conj().T @ B - np.eye(len(P)))
         l, k, m = np.nonzero(trees[:, :, c].transpose(0, 2, 1))
         labels = list(zip(lab[l].tolist(), lab[m].tolist(), lab[k].tolist()))
         # every left tree (sig, e1, e2) and right tree (tau, g, h) of every
@@ -282,38 +257,54 @@ def validate_qsystem(q: QSystem, tol: float = 1e-8) -> QReport:
         v = zeta[:, m[tj], k[tj], g].T * member[tau]
         L = np.einsum("tp,npt->tn", u, zc[:, :, k[ti], e2])
         R = np.einsum("tq,tnq->tn", v, zc[:, l[tj], :, h])
-        U = np.zeros((len(ti), ns, ne), dtype=complex)
-        U[np.arange(len(ti)), :, e2] = u
-        V = np.zeros((len(tj), ns, ne), dtype=complex)
-        V[np.arange(len(tj)), :, h] = v
+        if frobenius:
+            U = np.zeros((len(ti), ns, ne), dtype=complex)
+            U[np.arange(len(ti)), :, e2] = u
+            V = np.zeros((len(tj), ns, ne), dtype=complex)
+            V[np.arange(len(tj)), :, h] = v
+            # Frobenius terms, summed over m into frob[(l, k), (q, h), (p, e2)]
+            frob = np.zeros((ns * ns, ns * ne, ns * ne), dtype=complex)
         # one F-move per triple whose (1 x w1) rows are not all zero, batched
         # over triples with the same number of trees (a triple has as many
         # right trees as left trees, so both run from start)
         size = np.bincount(ti, minlength=len(l))
         start = np.cumsum(size) - size
         moved = np.bincount(tj, weights=v.any(axis=1), minlength=len(l)) > 0
-        # Frobenius terms, summed over m into frob[(l, k), (q, h), (p, e2)]
-        frob = np.zeros((ns * ns, ns * ne, ns * ne), dtype=complex)
         for n in sorted(set(size[moved].tolist())):
             batch = np.flatnonzero(moved & (size == n))
             F = np.stack([model.F(*labels[i], c) for i in batch.tolist()])
             rows = start[batch][:, None] + np.arange(n)
             L[rows] -= F @ R[rows]
-            Ub, Vb = U[rows].reshape(len(batch), n, -1), V[rows].reshape(len(batch), n, -1)
-            terms = Vb.conj().transpose(0, 2, 1) @ (F.conj().transpose(0, 2, 1) @ Ub)
-            # batch keeps the (l, k, m) order, so each (l, k) is one run
-            lk = l[batch] * ns + k[batch]
-            first = np.flatnonzero(np.r_[True, lk[1:] != lk[:-1]])
-            frob[lk[first]] += np.add.reduceat(terms, first, axis=0)
-        res["coassociativity"] = max(res["coassociativity"], _norm(L))
-        # back to theta^2 basis order (l, q, h) x (p, k, e2), dropping padded slots
-        frob = frob.reshape(ns, ns, ns, ne, ns, ne).transpose(0, 2, 3, 4, 1, 5)
-        basis = np.flatnonzero(np.arange(ne) < n_lm[:, :, c, None])
-        frob = frob.reshape(ns * ns * ne, -1)[np.ix_(basis, basis)]
-        res["frobenius"] = max(res["frobenius"], _norm(B @ B.conj().T - frob))
-    W = q.w.blocks[0]
-    res["w_isometry"] = _norm(W.conj().T @ W - np.eye(W.shape[1]))
-    irreducible = model.obj_dim(0, theta.object) == 1
+            if frobenius:
+                Ub, Vb = U[rows].reshape(len(batch), n, -1), V[rows].reshape(len(batch), n, -1)
+                terms = Vb.conj().transpose(0, 2, 1) @ (F.conj().transpose(0, 2, 1) @ Ub)
+                # batch keeps the (l, k, m) order, so each (l, k) is one run
+                lk = l[batch] * ns + k[batch]
+                first = np.flatnonzero(np.r_[True, lk[1:] != lk[:-1]])
+                frob[lk[first]] += np.add.reduceat(terms, first, axis=0)
+        out["coassociativity"].append(L)
+        if frobenius:
+            # back to theta^2 basis order (l, q, h) x (p, k, e2), dropping padded slots
+            frob = frob.reshape(ns, ns, ns, ne, ns, ne).transpose(0, 2, 3, 4, 1, 5)
+            frob = frob.reshape(ns * ns * ne, -1)[np.ix_(basis, basis)]
+            out["frobenius"].append(B @ B.conj().T - frob)
+    out["w_isometry"].append(np.array([[np.vdot(w, w) - 1.0]]))
+    return {name: out[name] for name in names}
+
+
+def validate_qsystem(q: QSystem, tol: float = 1e-8) -> QReport:
+    """Check the unit, coassociativity, Frobenius and isometry relations.
+
+    Each residual is the operator norm of the defect, computed from the
+    coefficients of w and w1 by the formulas of the module docstring.
+    """
+    theta = q.theta
+    zeta = theta.dense(theta.coefficients(q.w1.blocks))
+    w = np.zeros(len(theta), dtype=complex)
+    w[[lam == 0 for lam, _ in theta.summands]] = q.w.blocks[0][:, 0]
+    res = {name: max(map(_norm, blocks))
+           for name, blocks in _defects(theta, zeta, w).items()}
+    irreducible = q.model.obj_dim(0, theta.object) == 1
     return QReport(residuals=res, irreducible=irreducible, tol=tol)
 
 

@@ -49,6 +49,24 @@ def test_verify_category_truncated_file(data_dir, tmp_path):
     assert run(["verify-category", trunc]) == 2
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["F", "R", "qdim"])
+def test_verify_category_non_finite_number(data_dir, tmp_path, capsys, field, bad):
+    # a NaN used to vanish inside max() and pass; inf and a NaN qdim raised
+    doc = json.loads((data_dir / "su2k4.cat").read_text())
+    if field == "F":
+        next(e for e in doc["F"] if e[:4] == [1, 1, 2, 0])[6] = [bad, 0.0]
+    elif field == "R":
+        doc["R"][0][5] = [bad, 0.0]
+    else:
+        doc["qdim"][1] = bad
+    path = tmp_path / "bad.cat"
+    path.write_text(json.dumps(doc))
+    assert run(["verify-category", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not finite" in err
+
+
 def test_missing_file_is_io_error(tmp_path):
     assert run(["verify-category", tmp_path / "nope.cat"]) == 2
 
@@ -218,6 +236,16 @@ def test_algebra_coefficient_outside_slots(data_dir, tmp_path, capsys):
     assert run(["build-ctps", data_dir / "su2k4.cat", "--alg", bad]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "[0, 0, 0, 1]" in err and "not fusion compatible" in err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_algebra_coefficient_non_finite(data_dir, tmp_path, capsys, bad):
+    doc = json.loads((data_dir / "z2.alg").read_text())
+    coeffs = [c[:4] + [[bad, 0.0]] if c[:4] == [1, 1, 0, 0] else c for c in doc["coefficients"]]
+    path = _z2_variant(data_dir, tmp_path, coefficients=coeffs)
+    assert run(["build-ctps", data_dir / "su2k4.cat", "--alg", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not finite" in err
 
 
 def test_algebra_without_unit_summand(data_dir, tmp_path, capsys):

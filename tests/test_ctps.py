@@ -261,3 +261,9 @@ def test_e6_ctps_pinned(e6_result):
     assert res.ok
     assert not res.normality.n2 and not res.normality.n3
     assert res.theta.d_theta == pytest.approx(_d_theta_from_z(res), abs=1e-9)
+
+
+def test_e6_ctps_residuals_at_rounding_level(e6_result):
+    # the E6 algebra is exact, so its Q-system and chiral locality are too
+    assert e6_result.report.worst() < 1e-13, e6_result.report.residuals
+    assert e6_result.e3_residual < 1e-13

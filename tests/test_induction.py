@@ -298,6 +298,14 @@ def test_hom_spaces_match_oracle_on_d_series():
         _assert_hom_spaces_match_oracle(a, +1, -1)
 
 
+def test_solved_algebras_at_rounding_level(algebras, d5_result, e6_result):
+    # the exact Jacobian takes every relation to rounding level, with no threshold
+    d6 = solve_haploid_algebra(catalog.su2_level(8), {0: 1, 8: 1}, rng=np.random.default_rng(5))
+    for a in [*algebras.values(), d5_result.pair.algebra, e6_result.pair.algebra, d6]:
+        rep = verify_algebra(a)
+        assert max(rep.residuals.values()) < 1e-14, (a.theta, rep.residuals)
+
+
 def test_hom_solver_needs_one_letter_source(algebras):
     with pytest.raises(ValueError):
         bimodule_hom(algebras["z2"], Bimod((2, 2), (+1, +1)), Bimod((0,), (+1,)))

@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 from qsystems.morphisms import (
     Morphism,
+    adjoint,
     braid,
     categorical_trace,
     compose,
     deligne_product,
     distance,
     identity_morphism,
+    lmul,
     mirror,
     op_norm,
+    rmul,
     unit_obj,
 )
 from qsystems.qsystem import (
@@ -25,7 +28,6 @@ from qsystems.qsystem import (
     check_commutativity,
     lr_qsystem,
     lr_zeta,
-    relation_defects,
     validate_qsystem,
 )
 from qsystems.ctps import alpha_pair, assemble_w1, build_theta, ctps_braiding, zeta_tensor
@@ -135,6 +137,34 @@ def test_multiplicity_two_diagonal_system(models):
 
 
 # -- the coefficient validator against the theta^3 oracle ---------------------
+
+
+def relation_defects(q: QSystem, names=None) -> dict:
+    """lhs - rhs of each relation, as a morphism, in the order of `names`.
+
+    Without `names`, every relation in the order :func:`validate_qsystem`
+    reports them.  This is the oracle of :func:`validate_qsystem`: the
+    operator norm of each defect is that relation's residual.  It builds
+    theta^3.
+    """
+    model = q.model
+    th = q.theta.object
+    c = q.theta.d_theta ** -0.5
+    id_th = identity_morphism(model, th)
+    w_star = adjoint(q.w)
+    w1_star = adjoint(q.w1)
+    defects = {
+        "unit_left": lambda: compose(rmul(w_star, th), q.w1) - c * id_th,
+        "unit_right": lambda: compose(lmul(th, w_star), q.w1) - c * id_th,
+        "coassociativity": lambda: (compose(rmul(q.w1, th), q.w1)
+                                    - compose(lmul(th, q.w1), q.w1)),
+        "frobenius": lambda: (compose(q.w1, w1_star)
+                              - compose(lmul(th, w1_star), rmul(q.w1, th))),
+        "isometry": lambda: compose(w1_star, q.w1) - id_th,
+        "w_isometry": lambda: (compose(w_star, q.w)
+                               - identity_morphism(model, q.w.source)),
+    }
+    return {name: defects[name]() for name in names or defects}
 
 
 def assert_matches_oracle(q, tol=1e-8):
