@@ -27,18 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .morphisms import (
-    CategoryModel,
-    Morphism,
-    SumObject,
-    adjoint,
-    braid,
-    deligne_product,
-    distance,
-    hom_basis,
-    mirror,
-    word_obj,
-)
+from .morphisms import CategoryModel, adjoint, braid, deligne_product, distance, hom_basis, mirror, word_obj
 from .qsystem import QReport, QSystem, ThetaSpec, assemble_qsystem, check_commutativity, validate_qsystem
 from .induction import (
     AlgebraObject,
@@ -107,21 +96,6 @@ class ExtensionPair:
     def phi_of(self, s: SummandIndex) -> BimodMap:
         return self.phi[(s.lam1, s.lam2)][s.copy - 1]
 
-    def rotate_bases(self, rng) -> None:
-        """Apply a random unitary to each hom-space basis (gauge move, for tests).
-
-        The identity space (0, 0) is left untouched: its phase is pinned by
-        the unit-law convention of the construction.
-        """
-        for key, basis in self.phi.items():
-            k = len(basis)
-            if k == 0 or key == (0, 0):
-                continue
-            a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-            u, _ = np.linalg.qr(a)
-            self.phi[key] = [sum((u[i, j] * basis[i] for i in range(k)),
-                                 start=0.0 * basis[0]) for j in range(k)]
-
 
 def alpha_pair(algebra: AlgebraObject, sign1: int = +1, sign2: int = -1) -> ExtensionPair:
     return ExtensionPair(algebra, sign1, sign2)
@@ -132,11 +106,13 @@ def trivial_pair(model: CategoryModel) -> ExtensionPair:
 
 
 def zeta_tensor(pair: ExtensionPair, d_theta: float) -> dict:
-    """All nonzero fusion-compatible coefficients, keyed (n, l, m, e1, e2).
+    """All nonzero fusion-compatible coefficients, keyed as :attr:`ThetaSpec.slots`.
 
-    n, l, m are the :class:`SummandIndex` of the summands and e1, e2 the tree
-    vertices of the two factors; missing keys are zero.  Each coefficient is
-    the trace formula of the module docstring, evaluated on
+    A key is (n, l, m, e): the positions of the summands in ``pair.summands``,
+    which runs in the summand order of :func:`build_theta`, and the product
+    tree vertex e = e1 * N2 + e2 of the factor vertices e1 and e2, with N2
+    the second factor's multiplicity; missing keys are zero.  Each
+    coefficient is the trace formula of the module docstring, evaluated on
     ``lift(T_e1*, sign1)``, ``mtimes(phi_l*, phi_m*)``, ``lift(T_e2, sign2)``
     and ``phi_n``; the lifts and the product are built once and shared
     between the slots that use them.
@@ -154,9 +130,10 @@ def zeta_tensor(pair: ExtensionPair, d_theta: float) -> dict:
             lift_cache[key] = [lift(a, adjoint(t) if adjoints else t, sign) for t in trees]
         return lift_cache[key]
 
-    for l, m in itertools.product(pair.summands, repeat=2):
+    summands = list(enumerate(pair.summands))
+    for (i, l), (j, m) in itertools.product(summands, repeat=2):
         phi_lm = None
-        for n in pair.summands:
+        for k, n in summands:
             if model.N[l.lam1, m.lam1, n.lam1] == 0 or model.N[l.lam2, m.lam2, n.lam2] == 0:
                 continue
             if phi_lm is None:
@@ -164,12 +141,13 @@ def zeta_tensor(pair: ExtensionPair, d_theta: float) -> dict:
             phi_n = pair.phi_of(n)
             pref = np.sqrt(model.qdim[l.lam2] * model.qdim[m.lam2]
                            / (d_theta * model.qdim[n.lam2]))
+            second = lifted(n.lam2, l.lam2, m.lam2, pair.sign2, False)
             for e1, t1 in enumerate(lifted(n.lam1, l.lam1, m.lam1, pair.sign1, True)):
-                for e2, t2 in enumerate(lifted(n.lam2, l.lam2, m.lam2, pair.sign2, False)):
+                for e2, t2 in enumerate(second):
                     x = bim_compose(t1, bim_compose(phi_lm, bim_compose(t2, phi_n)))
                     val = complex(pref * phi_scalar(x))
                     if val != 0.0:
-                        out[(n, l, m, e1, e2)] = val
+                        out[(k, i, j, e1 * len(second) + e2)] = val
     return out
 
 
@@ -188,44 +166,43 @@ def build_theta(D, Z: np.ndarray) -> ThetaSpec:
 
 
 def assemble_w1(D, theta: ThetaSpec, zeta: dict, pair: ExtensionPair) -> QSystem:
-    """QSystem over the product category from factor-indexed coefficients."""
-    m2 = D.factors[1]
-    packed = {}
-    pos = {}
-    for i, (lam, copy) in enumerate(theta.summands):
-        l1, l2 = D.unpack(lam)
-        pos[SummandIndex(l1, l2, copy)] = i
-    for (n, l, m, e1, e2), val in zeta.items():
-        n2 = int(m2.N[l.lam2, m.lam2, n.lam2])
-        packed[(pos[n], pos[l], pos[m], e1 * n2 + e2)] = val
-    return assemble_qsystem(theta, packed)
+    """QSystem over the product category from the coefficients of :func:`zeta_tensor`.
+
+    ``zeta`` is keyed as ``theta.slots`` already, so neither ``D`` nor
+    ``pair`` is read.
+    """
+    return assemble_qsystem(theta, zeta)
 
 
-def ctps_braiding(D, theta: ThetaSpec, convention: str = "opposite") -> Morphism:
-    """The braiding operator on theta^2 induced by the two factor braidings.
+def ctps_braiding(D, theta: ThetaSpec, convention: str = "opposite") -> np.ndarray:
+    """The braiding eps(theta, theta) on theta^2, as coefficients.
 
-    ``convention="opposite"`` uses the product braiding of the category with
-    its antilinear opposite (conjugated second-factor R data, the faithful
-    model); ``convention="unconjugated"`` deliberately braids the second
-    factor with the unmirrored R symbols, a negative control that must break
-    the w1 fixed-point identity.
+    eps[n, l, m] = R_D(lam_l, lam_m; lam_n), the braiding of the summand pair
+    (l, m) in sector lam_n, zero-padded to the e axis of
+    :meth:`ThetaSpec.dense`; :func:`~qsystems.qsystem.check_commutativity`
+    reads it.  ``convention="opposite"`` uses the product braiding of the
+    category with its antilinear opposite (conjugated second-factor R data,
+    the faithful model); ``convention="unconjugated"`` deliberately braids
+    the second factor with the unmirrored R symbols, R1 (x) R2, a negative
+    control that must break the w1 fixed-point identity.
     """
     if convention == "opposite":
-        return braid(D, theta.object, theta.object)
-    if convention != "unconjugated":
+        R = D.R
+    elif convention == "unconjugated":
+        m1, m2 = D.factors
+
+        def R(a, b, c):
+            (a1, a2), (b1, b2), (c1, c2) = map(D.unpack, (a, b, c))
+            return np.kron(m1.R(a1, b1, c1), np.conj(m2.R(a2, b2, c2)))
+    else:
         raise ValueError("convention must be 'opposite' or 'unconjugated'")
-    m1 = D.factors[0]
-    m2 = D.factors[1]
-    bad_second = CategoryModel(m2.fusion,
-                               lambda a, b, c, d: m2.F(a, b, c, d),
-                               lambda a, b, c: np.conj(m2.R(a, b, c)),
-                               name="unconjugated")
-    Dbad = deligne_product(m1, bad_second)
-    th_bad = ThetaSpec(Dbad, theta.multiplicities)
-    eps = braid(Dbad, th_bad.object, th_bad.object)
-    src = eps.source
-    tgt = eps.target
-    return Morphism(D, SumObject(src.words, src.tags), SumObject(tgt.words, tgt.tags), eps.blocks)
+    lab = [lam for lam, _ in theta.summands]
+    ns, ne = len(lab), theta.vertices
+    eps = np.zeros((ns, ns, ns, ne, ne), dtype=complex)
+    for l, m, n in zip(*np.nonzero(D.N[np.ix_(lab, lab, lab)])):
+        B = R(lab[l], lab[m], lab[n])
+        eps[n, l, m, :B.shape[0], :B.shape[1]] = B
+    return eps
 
 
 def check_e3(pair: ExtensionPair) -> float:

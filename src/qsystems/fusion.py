@@ -71,6 +71,8 @@ class FusionData:
         self.dual = np.asarray(dual, dtype=int)
         if self.dual.shape != (n,):
             raise StructureError(f"dual map has shape {self.dual.shape}, expected ({n},)")
+        if np.any((self.dual < 0) | (self.dual >= n)):
+            raise StructureError(f"dual map {self.dual.tolist()} names a label outside 0..{n - 1}")
         N = np.asarray(N)
         if N.shape != (n, n, n):
             raise StructureError(f"fusion tensor has shape {N.shape}, expected {(n, n, n)}")

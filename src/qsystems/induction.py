@@ -33,8 +33,6 @@ from .morphisms import (
     braid,
     categorical_trace,
     compose,
-    conjugate_pair,
-    distance,
     hom_basis,
     identity_morphism,
     lmul,
@@ -60,13 +58,9 @@ __all__ = [
     "right_action",
     "lift",
     "mtimes",
-    "module_residual",
     "trace_ip",
     "phi_scalar",
-    "induced_left_inverse_scalar",
     "bimodule_hom",
-    "InducedBimodule",
-    "alpha_object",
     "InducedMorphismSpace",
     "hom_alpha",
 ]
@@ -238,10 +232,6 @@ def bim_compose(f: BimodMap, g: BimodMap) -> BimodMap:
     return BimodMap(f.algebra, g.src, f.tgt, compose(f.mor, g.mor))
 
 
-def bim_identity(a: AlgebraObject, b: Bimod) -> BimodMap:
-    return BimodMap(a, b, b, identity_morphism(a.model, bim_object(a, b)))
-
-
 def _eps_signed(a: AlgebraObject, b: Bimod) -> Morphism:
     """Crossing of Theta left past the signed word: Hom(word Theta, Theta word)."""
     model = a.model
@@ -318,16 +308,6 @@ def mtimes(f: BimodMap, g: BimodMap) -> BimodMap:
     return BimodMap(a, src, tgt, mor)
 
 
-def module_residual(f: BimodMap) -> float:
-    """Violation of the left and right module-intertwining constraints."""
-    a = f.algebra
-    lhs_l = compose(f.mor, left_action(a, f.src))
-    rhs_l = compose(left_action(a, f.tgt), lmul(a.object, f.mor))
-    lhs_r = compose(f.mor, right_action(a, f.src))
-    rhs_r = compose(right_action(a, f.tgt), rmul(f.mor, a.object))
-    return max(distance(lhs_l, rhs_l), distance(lhs_r, rhs_r))
-
-
 def trace_ip(f: BimodMap, g: BimodMap) -> complex:
     """(f, g) = Tr(f* g) / (d(Theta) d(word)): the induced left-inverse pairing."""
     a = f.algebra
@@ -339,26 +319,6 @@ def phi_scalar(f: BimodMap) -> complex:
     """Induced standard left inverse on endomorphisms: normalized trace."""
     a = f.algebra
     return complex(categorical_trace(f.mor) / (a.d * a.model.word_dim(f.src.word)))
-
-
-def induced_left_inverse_scalar(x: BimodMap) -> complex:
-    """Left inverse of an induced endomorphism via the lifted duality isometry.
-
-    Evaluates iota(R)* (1_conj x X) iota(R) and extracts the scalar; by the
-    uniqueness of standard inverses this must equal :func:`phi_scalar`.
-    """
-    a = x.algebra
-    model = a.model
-    if len(x.src.word) != 1 or x.src != x.tgt:
-        raise ValueError("expected an endomorphism of a single induced sector")
-    lam = x.src.word[0]
-    sign = x.src.signs[0]
-    pair = conjugate_pair(model, lam)
-    r_lift = lift(a, pair.r, sign)
-    lamd_id = bim_identity(a, Bimod((int(model.dual[lam]),), (sign,)))
-    inner = mtimes(lamd_id, x)
-    total = bim_compose(r_lift.H, bim_compose(inner, r_lift))
-    return complex(categorical_trace(total.mor) / a.d)
 
 
 # ---------------------------------------------------------------------------
@@ -411,27 +371,6 @@ def bimodule_hom(a: AlgebraObject, src: Bimod, tgt: Bimod):
             f = np.conj(ph) * f
         ortho.append(f)
     return ortho
-
-
-@dataclass
-class InducedBimodule:
-    """Descriptor of alpha^sign_lam: underlying object, actions, dimension."""
-
-    lam: int
-    sign: int
-    object: SumObject
-    left: Morphism
-    right: Morphism
-    dimension: float
-
-
-def alpha_object(a: AlgebraObject, lam: int, sign: int) -> InducedBimodule:
-    b = Bimod((int(lam),), (sign,))
-    obj = bim_object(a, b)
-    dim = categorical_trace(identity_morphism(a.model, obj)).real / a.d
-    return InducedBimodule(lam=int(lam), sign=sign, object=obj,
-                           left=left_action(a, b), right=right_action(a, b),
-                           dimension=float(dim))
 
 
 @dataclass

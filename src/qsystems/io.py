@@ -128,8 +128,18 @@ def load_category(path) -> CategoryModel:
             raise BundleError(f"unexpected format field {doc.get('format')!r}")
         names = doc["labels"]
         n = len(names)
+
+        def labels(*xs):
+            # numpy would wrap a negative label and never look up a large one
+            for x in xs:
+                if not (isinstance(x, int) and 0 <= x < n):
+                    raise BundleError(f"label {x!r} is not one of 0..{n - 1}")
+
         N = np.zeros((n, n, n), dtype=int)
         for a, b, c, v in doc["N"]:
+            labels(a, b, c)
+            if not (isinstance(v, int) and v >= 0):
+                raise BundleError(f"N entry {[a, b, c, v]} is not a nonnegative integer")
             N[a, b, c] = v
         qdim = doc.get("qdim")
         if qdim is not None and not np.all(np.isfinite(np.asarray(qdim, dtype=float))):
@@ -137,9 +147,14 @@ def load_category(path) -> CategoryModel:
         fus = FusionData(names, doc["dual"], N, qdim)
         f_entries = {}
         for a, b, c, d, lt, rt, v in doc["F"]:
+            labels(a, b, c, d, lt[0], rt[0])
             f_entries.setdefault((a, b, c, d), []).append((tuple(lt), tuple(rt), _j2c(v)))
         r_entries = {}
         for a, b, c, f, e, v in doc.get("R", []):
+            labels(a, b, c)
+            if not (isinstance(f, int) and isinstance(e, int)
+                    and 0 <= f < N[b, a, c] and 0 <= e < N[a, b, c]):
+                raise BundleError(f"R entry {(a, b, c, f, e)} is not fusion compatible")
             r_entries.setdefault((a, b, c), []).append((f, e, _j2c(v)))
         braided = bool(doc.get("braided", False))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -162,11 +177,8 @@ def load_category(path) -> CategoryModel:
 
     def r_provider(a, b, c):
         model = cell["model"]
-        rows, cols = int(model.N[b, a, c]), int(model.N[a, b, c])
-        M = np.zeros((rows, cols), dtype=complex)
+        M = np.zeros((int(model.N[b, a, c]), int(model.N[a, b, c])), dtype=complex)
         for f, e, v in r_entries.get((a, b, c), []):
-            if f >= rows or e >= cols:
-                raise BundleError(f"R entry {(a, b, c, f, e)} is not fusion compatible")
             M[f, e] = v
         return M
 

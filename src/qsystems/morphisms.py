@@ -57,16 +57,11 @@ __all__ = [
     "mono_product",
     "ConjugatePair",
     "conjugate_pair",
-    "word_dual",
-    "word_conjugate_pair",
-    "left_inverse",
-    "right_inverse",
     "braid",
     "categorical_trace",
     "twist",
     "op_norm",
     "distance",
-    "random_morphism",
     "pentagon_residual",
     "hexagon_residual",
     "f_unitarity_residual",
@@ -727,69 +722,6 @@ def conjugate_pair(model: CategoryModel, lam: int) -> ConjugatePair:
     return pair
 
 
-def word_dual(model: CategoryModel, word) -> tuple:
-    return tuple(int(model.dual[x]) for x in reversed(word))
-
-
-def word_conjugate_pair(model: CategoryModel, word) -> ConjugatePair:
-    """Conjugate solution for a tensor word, built iteratively from letters."""
-    word = tuple(word)
-    if not word:
-        one = identity_morphism(model, unit_obj())
-        return ConjugatePair(r=one, rbar=one)
-    v, x = word[:-1], word[-1]
-    px = conjugate_pair(model, x)
-    if not v:
-        return px
-    pv = word_conjugate_pair(model, v)
-    xd = (int(model.dual[x]),)
-    r = compose(lmul(word_obj(xd), rmul(pv.r, word_obj((x,)))), px.r)
-    rbar = compose(lmul(word_obj(v), rmul(px.rbar, word_obj(word_dual(model, v)))), pv.rbar)
-    return ConjugatePair(r=r, rbar=rbar)
-
-
-def _strip_prefix(obj: SumObject, word) -> SumObject:
-    k = len(word)
-    for w in obj.words:
-        if w[:k] != word:
-            raise ObjectMismatchError(f"object {obj!r} is not left divisible by {word}")
-    return SumObject(tuple(w[k:] for w in obj.words), obj.tags)
-
-
-def _strip_suffix(obj: SumObject, word) -> SumObject:
-    k = len(word)
-    for w in obj.words:
-        if k and w[-k:] != word:
-            raise ObjectMismatchError(f"object {obj!r} is not right divisible by {word}")
-    return SumObject(tuple(w[:len(w) - k] for w in obj.words), obj.tags)
-
-
-def left_inverse(model: CategoryModel, word, f: Morphism) -> Morphism:
-    """Standard left inverse: strips the word prefix of an intertwiner.
-
-    For f in Hom(word A, word B) returns
-    (r* x 1_B)(1_conj(word) x f)(r x 1_A) in Hom(A, B).
-    """
-    word = tuple(word) if not isinstance(word, int) else (word,)
-    a = _strip_prefix(f.source, word)
-    b = _strip_prefix(f.target, word)
-    pair = word_conjugate_pair(model, word)
-    wd = word_obj(word_dual(model, word))
-    lo = compose(rmul(adjoint(pair.r), b), compose(lmul(wd, f), rmul(pair.r, a)))
-    return Morphism(model, a, b, lo.blocks)
-
-
-def right_inverse(model: CategoryModel, word, f: Morphism) -> Morphism:
-    """Standard right inverse: strips the word suffix of an intertwiner."""
-    word = tuple(word) if not isinstance(word, int) else (word,)
-    a = _strip_suffix(f.source, word)
-    b = _strip_suffix(f.target, word)
-    pair = word_conjugate_pair(model, word)
-    wd = word_obj(word_dual(model, word))
-    lo = compose(lmul(b, adjoint(pair.rbar)), compose(rmul(f, wd), lmul(a, pair.rbar)))
-    return Morphism(model, a, b, lo.blocks)
-
-
 # ---------------------------------------------------------------------------
 # braiding
 
@@ -853,7 +785,7 @@ def twist(model: CategoryModel, lam: int) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# norms / test helpers
+# norms
 
 
 def op_norm(f: Morphism) -> float:
@@ -866,15 +798,6 @@ def op_norm(f: Morphism) -> float:
 
 def distance(f: Morphism, g: Morphism) -> float:
     return op_norm(f - g)
-
-
-def random_morphism(model: CategoryModel, source, target, rng) -> Morphism:
-    source, target = as_obj(source), as_obj(target)
-    blocks = {}
-    for c in range(model.rank):
-        dt, ds = model.obj_dim(c, target), model.obj_dim(c, source)
-        blocks[c] = rng.standard_normal((dt, ds)) + 1j * rng.standard_normal((dt, ds))
-    return Morphism(model, source, target, blocks)
 
 
 # ---------------------------------------------------------------------------

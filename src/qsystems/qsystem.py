@@ -38,6 +38,10 @@ norms, and :func:`~qsystems.induction.solve_haploid_algebra` drives three
 of them to zero by Newton iteration while max |r| falls.  Its Jacobian is
 exact: every entry is real-quadratic in (Re, Im) of the coefficients, so
 column j is (r(x + e_j) - r(x - e_j)) / 2 up to rounding.
+
+The braiding fixed-point identity eps(theta, theta) w1 = w1 is read from the
+same coefficients: :func:`check_commutativity` applies R(lam_l, lam_m; lam_n)
+to zeta[n; l, m, .] and compares the result with zeta[n; m, l, .].
 """
 
 from __future__ import annotations
@@ -51,9 +55,7 @@ from .morphisms import (
     CategoryModel,
     Morphism,
     SumObject,
-    compose,
     deligne_product,
-    distance,
     mirror,
     sum_product,
     unit_intro,
@@ -134,10 +136,14 @@ class ThetaSpec:
         """Inverse of :meth:`coefficient_blocks`: every slot's entry, keyed as :attr:`slots`."""
         return {key: blocks[c][row, col] for key, (c, row, col) in self.slots.items()}
 
+    @cached_property
+    def vertices(self) -> int:
+        """Length of the e axis of :meth:`dense`: the most tree vertices of a summand triple."""
+        return 1 + max((e for *_, e in self.slots), default=0)
+
     def dense(self, zeta) -> np.ndarray:
         """``zeta``, keyed as :attr:`slots`, as the array zeta[n, l, m, e]; zero off the slots."""
-        ne = 1 + max((e for *_, e in self.slots), default=0)
-        out = np.zeros((len(self),) * 3 + (ne,), dtype=complex)
+        out = np.zeros((len(self),) * 3 + (self.vertices,), dtype=complex)
         for key, val in zeta.items():
             out[key] = val
         return out
@@ -208,6 +214,15 @@ def _trees(inner: np.ndarray, outer: np.ndarray):
 
 
 _RELATIONS = ("unit_left", "unit_right", "coassociativity", "frobenius", "isometry", "w_isometry")
+
+
+def _coefficients(q: QSystem) -> tuple:
+    """(zeta, w) of ``q``: w1 as :meth:`ThetaSpec.dense` lays it out, w over the summands."""
+    theta = q.theta
+    zeta = theta.dense(theta.coefficients(q.w1.blocks))
+    w = np.zeros(len(theta), dtype=complex)
+    w[[lam == 0 for lam, _ in theta.summands]] = q.w.blocks[0][:, 0]
+    return zeta, w
 
 
 def _defects(theta: ThetaSpec, zeta: np.ndarray, w: np.ndarray, names=_RELATIONS) -> dict:
@@ -298,13 +313,9 @@ def validate_qsystem(q: QSystem, tol: float = 1e-8) -> QReport:
     Each residual is the operator norm of the defect, computed from the
     coefficients of w and w1 by the formulas of the module docstring.
     """
-    theta = q.theta
-    zeta = theta.dense(theta.coefficients(q.w1.blocks))
-    w = np.zeros(len(theta), dtype=complex)
-    w[[lam == 0 for lam, _ in theta.summands]] = q.w.blocks[0][:, 0]
     res = {name: max(map(_norm, blocks))
-           for name, blocks in _defects(theta, zeta, w).items()}
-    irreducible = q.model.obj_dim(0, theta.object) == 1
+           for name, blocks in _defects(q.theta, *_coefficients(q)).items()}
+    irreducible = q.model.obj_dim(0, q.theta.object) == 1
     return QReport(residuals=res, irreducible=irreducible, tol=tol)
 
 
@@ -370,6 +381,19 @@ def lr_qsystem(model: CategoryModel):
     return q, D
 
 
-def check_commutativity(q: QSystem, eps_theta: Morphism) -> float:
-    """Residual of eps(theta, theta) w1 = w1 for a given braiding operator."""
-    return distance(compose(eps_theta, q.w1), q.w1)
+def check_commutativity(q: QSystem, eps: np.ndarray) -> float:
+    """Residual of eps(theta, theta) w1 = w1, from the coefficients of w1.
+
+    ``eps[n, l, m]`` is the braiding R(lam_l, lam_m; lam_n) of the summand
+    pair (l, m), zero-padded to the e axis of :meth:`ThetaSpec.dense` (see
+    :func:`~qsystems.ctps.ctps_braiding`).  The braided w1 has the
+    coefficients (eps w1)[n; m, l, f] = sum_e eps[n, l, m][f, e] zeta[n; l, m, e].
+    The residual is the largest operator norm, over the sectors c, of the
+    block of (eps w1 - w1) whose columns are the summands n labelled c.
+    """
+    zeta, _ = _coefficients(q)
+    defect = (eps @ zeta[..., None])[..., 0].transpose(0, 2, 1, 3) - zeta
+    lab = np.array([lam for lam, _ in q.theta.summands])
+    # a set, not np.unique(lab): on numpy 2.4 that imports numpy.ma (1.6 MB of peak RSS)
+    return max(_norm(defect[lab == c].reshape(np.count_nonzero(lab == c), -1).T)
+               for c in set(lab.tolist()))

@@ -1,0 +1,212 @@
+"""Reference forms the tests compare the package against.
+
+These are the direct, morphism-level forms of identities the package
+computes another way (standard inverses, module constraints, the braiding
+of theta^2), plus helpers that only tests need.  Nothing in the package
+imports this module.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from qsystems.induction import (
+    AlgebraObject,
+    Bimod,
+    BimodMap,
+    bim_compose,
+    bim_object,
+    left_action,
+    lift,
+    mtimes,
+    right_action,
+)
+from qsystems.morphisms import (
+    CategoryModel,
+    ConjugatePair,
+    Morphism,
+    ObjectMismatchError,
+    SumObject,
+    adjoint,
+    as_obj,
+    braid,
+    categorical_trace,
+    compose,
+    conjugate_pair,
+    deligne_product,
+    distance,
+    identity_morphism,
+    lmul,
+    rmul,
+    unit_obj,
+    word_obj,
+)
+from qsystems.qsystem import QSystem, ThetaSpec
+
+# -- morphisms -----------------------------------------------------------------
+
+
+def random_morphism(model: CategoryModel, source, target, rng) -> Morphism:
+    source, target = as_obj(source), as_obj(target)
+    blocks = {}
+    for c in range(model.rank):
+        dt, ds = model.obj_dim(c, target), model.obj_dim(c, source)
+        blocks[c] = rng.standard_normal((dt, ds)) + 1j * rng.standard_normal((dt, ds))
+    return Morphism(model, source, target, blocks)
+
+
+def word_dual(model: CategoryModel, word) -> tuple:
+    return tuple(int(model.dual[x]) for x in reversed(word))
+
+
+def word_conjugate_pair(model: CategoryModel, word) -> ConjugatePair:
+    """Conjugate solution for a tensor word, built iteratively from letters."""
+    word = tuple(word)
+    if not word:
+        one = identity_morphism(model, unit_obj())
+        return ConjugatePair(r=one, rbar=one)
+    v, x = word[:-1], word[-1]
+    px = conjugate_pair(model, x)
+    if not v:
+        return px
+    pv = word_conjugate_pair(model, v)
+    xd = (int(model.dual[x]),)
+    r = compose(lmul(word_obj(xd), rmul(pv.r, word_obj((x,)))), px.r)
+    rbar = compose(lmul(word_obj(v), rmul(px.rbar, word_obj(word_dual(model, v)))), pv.rbar)
+    return ConjugatePair(r=r, rbar=rbar)
+
+
+def _strip_prefix(obj: SumObject, word) -> SumObject:
+    k = len(word)
+    for w in obj.words:
+        if w[:k] != word:
+            raise ObjectMismatchError(f"object {obj!r} is not left divisible by {word}")
+    return SumObject(tuple(w[k:] for w in obj.words), obj.tags)
+
+
+def _strip_suffix(obj: SumObject, word) -> SumObject:
+    k = len(word)
+    for w in obj.words:
+        if k and w[-k:] != word:
+            raise ObjectMismatchError(f"object {obj!r} is not right divisible by {word}")
+    return SumObject(tuple(w[:len(w) - k] for w in obj.words), obj.tags)
+
+
+def left_inverse(model: CategoryModel, word, f: Morphism) -> Morphism:
+    """Standard left inverse: strips the word prefix of an intertwiner.
+
+    For f in Hom(word A, word B) returns
+    (r* x 1_B)(1_conj(word) x f)(r x 1_A) in Hom(A, B).
+    """
+    word = tuple(word) if not isinstance(word, int) else (word,)
+    a = _strip_prefix(f.source, word)
+    b = _strip_prefix(f.target, word)
+    pair = word_conjugate_pair(model, word)
+    wd = word_obj(word_dual(model, word))
+    lo = compose(rmul(adjoint(pair.r), b), compose(lmul(wd, f), rmul(pair.r, a)))
+    return Morphism(model, a, b, lo.blocks)
+
+
+def right_inverse(model: CategoryModel, word, f: Morphism) -> Morphism:
+    """Standard right inverse: strips the word suffix of an intertwiner."""
+    word = tuple(word) if not isinstance(word, int) else (word,)
+    a = _strip_suffix(f.source, word)
+    b = _strip_suffix(f.target, word)
+    pair = word_conjugate_pair(model, word)
+    wd = word_obj(word_dual(model, word))
+    lo = compose(lmul(b, adjoint(pair.rbar)), compose(rmul(f, wd), lmul(a, pair.rbar)))
+    return Morphism(model, a, b, lo.blocks)
+
+
+# -- induced bimodules ---------------------------------------------------------
+
+
+def bim_identity(a: AlgebraObject, b: Bimod) -> BimodMap:
+    return BimodMap(a, b, b, identity_morphism(a.model, bim_object(a, b)))
+
+
+def module_residual(f: BimodMap) -> float:
+    """Violation of the left and right module-intertwining constraints."""
+    a = f.algebra
+    lhs_l = compose(f.mor, left_action(a, f.src))
+    rhs_l = compose(left_action(a, f.tgt), lmul(a.object, f.mor))
+    lhs_r = compose(f.mor, right_action(a, f.src))
+    rhs_r = compose(right_action(a, f.tgt), rmul(f.mor, a.object))
+    return max(distance(lhs_l, rhs_l), distance(lhs_r, rhs_r))
+
+
+def induced_left_inverse_scalar(x: BimodMap) -> complex:
+    """Left inverse of an induced endomorphism via the lifted duality isometry.
+
+    Evaluates iota(R)* (1_conj x X) iota(R) and extracts the scalar; by the
+    uniqueness of standard inverses this must equal
+    :func:`~qsystems.induction.phi_scalar`.
+    """
+    a = x.algebra
+    model = a.model
+    if len(x.src.word) != 1 or x.src != x.tgt:
+        raise ValueError("expected an endomorphism of a single induced sector")
+    lam = x.src.word[0]
+    sign = x.src.signs[0]
+    pair = conjugate_pair(model, lam)
+    r_lift = lift(a, pair.r, sign)
+    lamd_id = bim_identity(a, Bimod((int(model.dual[lam]),), (sign,)))
+    inner = mtimes(lamd_id, x)
+    total = bim_compose(r_lift.H, bim_compose(inner, r_lift))
+    return complex(categorical_trace(total.mor) / a.d)
+
+
+def alpha_dimension(a: AlgebraObject, lam: int, sign: int) -> float:
+    """Dimension of alpha^sign_lam: d(Theta lam) / d(Theta)."""
+    obj = bim_object(a, Bimod((int(lam),), (sign,)))
+    return float(categorical_trace(identity_morphism(a.model, obj)).real / a.d)
+
+
+# -- extension pairs -----------------------------------------------------------
+
+
+def rotate_bases(pair, rng) -> None:
+    """Apply a random unitary to each hom-space basis of ``pair`` (a gauge move).
+
+    The identity space (0, 0) is left untouched: its phase is pinned by
+    the unit-law convention of the construction.
+    """
+    for key, basis in pair.phi.items():
+        k = len(basis)
+        if k == 0 or key == (0, 0):
+            continue
+        a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        u, _ = np.linalg.qr(a)
+        pair.phi[key] = [sum((u[i, j] * basis[i] for i in range(k)),
+                             start=0.0 * basis[0]) for j in range(k)]
+
+
+# -- the braiding fixed-point identity -----------------------------------------
+
+
+def braiding_morphism(D, theta: ThetaSpec, convention: str = "opposite") -> Morphism:
+    """eps(theta, theta) as a morphism on theta^2: the oracle of ``ctps_braiding``.
+
+    ``"unconjugated"`` rebuilds the product with the second factor's R
+    conjugated back, so the second factor braids with the unmirrored R.
+    """
+    if convention == "opposite":
+        return braid(D, theta.object, theta.object)
+    if convention != "unconjugated":
+        raise ValueError("convention must be 'opposite' or 'unconjugated'")
+    m1, m2 = D.factors
+    bad_second = CategoryModel(m2.fusion,
+                               lambda a, b, c, d: m2.F(a, b, c, d),
+                               lambda a, b, c: np.conj(m2.R(a, b, c)),
+                               name="unconjugated")
+    Dbad = deligne_product(m1, bad_second)
+    th_bad = ThetaSpec(Dbad, theta.multiplicities)
+    eps = braid(Dbad, th_bad.object, th_bad.object)
+    src, tgt = eps.source, eps.target
+    return Morphism(D, SumObject(src.words, src.tags), SumObject(tgt.words, tgt.tags), eps.blocks)
+
+
+def commutativity_oracle(q: QSystem, eps: Morphism) -> float:
+    """Residual of eps(theta, theta) w1 = w1, on the morphisms: the oracle of
+    ``check_commutativity``."""
+    return distance(compose(eps, q.w1), q.w1)

@@ -67,6 +67,38 @@ def test_verify_category_non_finite_number(data_dir, tmp_path, capsys, field, ba
     assert err.startswith("error:") and "not finite" in err
 
 
+@pytest.mark.parametrize("dual", [7, -1])
+def test_verify_category_dual_out_of_range(data_dir, tmp_path, capsys, dual):
+    # an out-of-range dual used to raise IndexError after the bijection check
+    doc = json.loads((data_dir / "su2k4.cat").read_text())
+    doc["dual"][1] = dual
+    path = tmp_path / "bad.cat"
+    path.write_text(json.dumps(doc))
+    assert run(["verify-category", path]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _set_first(entries, head, index, value):
+    next(e for e in entries if e[:len(head)] == head)[index] = value
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["N"].append([-1, -1, 0, 1]),                 # numpy wraps -1 to the last label
+    lambda doc: _set_first(doc["N"], [1, 1, 0], 3, 1.5),         # an int array truncates it to 1
+    lambda doc: doc["F"].append([9, 9, 9, 9, [0, 0, 0], [0, 0, 0], [1, 0]]),  # never looked up
+    lambda doc: doc["R"].append([9, 9, 9, 0, 0, [1, 0]]),        # never looked up
+    lambda doc: _set_first(doc["R"], [1, 1, 0], 3, -1),          # f >= rows misses it; it wraps
+    lambda doc: doc["R"].append([1, 1, 1, 0, 0, [1, 0]]),        # N[1, 1, 1] = 0: never looked up
+], ids=["N-label", "N-value", "F-label", "R-label", "R-multiplicity", "R-forbidden"])
+def test_verify_category_bad_index(data_dir, tmp_path, capsys, edit):
+    doc = json.loads((data_dir / "su2k4.cat").read_text())
+    edit(doc)
+    path = tmp_path / "bad.cat"
+    path.write_text(json.dumps(doc))
+    assert run(["verify-category", path]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_missing_file_is_io_error(tmp_path):
     assert run(["verify-category", tmp_path / "nope.cat"]) == 2
 

@@ -21,27 +21,24 @@ from qsystems.morphisms import (
     hexagon_residual,
     hom_basis,
     identity_morphism,
-    left_inverse,
     lmul,
     mirror,
     mono_product,
     op_norm,
     pentagon_residual,
     r_unitarity_residual,
-    random_morphism,
-    right_inverse,
     rmul,
     sum_product,
     twist,
     unit_obj,
     validate_category,
-    word_conjugate_pair,
-    word_dual,
     word_obj,
     UnsupportedOperationError,
 )
 from qsystems import catalog
 from qsystems.io import load_algebra
+
+from oracles import left_inverse, random_morphism, right_inverse, word_conjugate_pair, word_dual
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 

@@ -2,13 +2,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsystems.morphisms import (
+    CategoryModel,
     Morphism,
     adjoint,
-    braid,
     categorical_trace,
     compose,
     deligne_product,
@@ -32,6 +32,8 @@ from qsystems.qsystem import (
 )
 from qsystems.ctps import alpha_pair, assemble_w1, build_theta, ctps_braiding, zeta_tensor
 from qsystems.induction import to_qsystem
+
+from oracles import braiding_morphism, commutativity_oracle
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -103,7 +105,7 @@ def test_unitary_perturbation_of_w1_rejected(lr_systems, rng):
 def test_commutativity_diagonal_systems(lr_systems):
     for name in ["fibonacci", "ising", "semion", "z4"]:
         q, D = lr_systems[name]
-        eps = braid(D, q.theta.object, q.theta.object)
+        eps = ctps_braiding(D, q.theta)
         assert check_commutativity(q, eps) < 1e-9, name
 
 
@@ -132,7 +134,7 @@ def test_multiplicity_two_diagonal_system(models):
     rep = validate_qsystem(q, tol=1e-9)
     assert rep.ok, rep.residuals
     assert q.theta.d_theta == pytest.approx(12.0, abs=1e-10)
-    eps = braid(D, q.theta.object, q.theta.object)
+    eps = ctps_braiding(D, q.theta)
     assert check_commutativity(q, eps) < 1e-9
 
 
@@ -248,3 +250,80 @@ def test_validator_matches_oracle_on_random_coefficients(models, name, labels, s
     w1 = Morphism(model, theta.object, theta.square, theta.coefficient_blocks(zeta))
     w = Morphism(model, unit_obj(), theta.object, {0: noise(model.obj_dim(0, theta.object), 1)})
     assert_matches_oracle(QSystem(theta=theta, w=w, w1=w1))
+
+
+# -- commutativity on the coefficients against the theta^2 braiding -----------
+
+
+def assert_commutativity_matches_oracle(q):
+    """check_commutativity equals the morphism oracle in both conventions.
+
+    Each residual is within 1e-13 absolute plus 1e-13 relative of the
+    operator norm of eps(theta, theta) w1 - w1, with eps built by braid on
+    theta^2.  Returns the two residuals.
+    """
+    out = []
+    for convention in ("opposite", "unconjugated"):
+        got = check_commutativity(q, ctps_braiding(q.model, q.theta, convention))
+        want = commutativity_oracle(q, braiding_morphism(q.model, q.theta, convention))
+        assert abs(got - want) <= 1e-13 + 1e-13 * want, (convention, got, want)
+        out.append(got)
+    return out
+
+
+def test_commutativity_matches_oracle_on_ctps(algebras, d4_result, d5_result, e6_result):
+    qs = [ctps_qsystem(alpha_pair(algebras[name])) for name in ("fibtau", "isingpsi", "z4fermion")]
+    for q in qs + [d4_result.qsystem, d5_result.qsystem, e6_result.qsystem]:
+        good, bad = assert_commutativity_matches_oracle(q)
+        assert good < 1e-9 and bad > 0.1
+
+
+def test_commutativity_matches_oracle_on_diagonal_systems(models):
+    # rep_a4 carries the multiplicity-two vertex of Hom(3, 3 x 3)
+    for name, m in models.items():
+        good, _ = assert_commutativity_matches_oracle(lr_qsystem(m)[0])
+        assert good < 1e-9, name
+
+
+def random_r(model: CategoryModel, rng) -> CategoryModel:
+    """``model`` with random complex R blocks of the same shapes.
+
+    Neither check_commutativity nor its oracle needs R to satisfy the
+    hexagon, and the bundled R blocks are all symmetric (the one of size
+    two, rep_a4's R(3, 3; 3), is diagonal), so only random R data shows a
+    transposed block.
+    """
+    def r(a, b, c):
+        rows, cols = int(model.N[b, a, c]), int(model.N[a, b, c])
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    return CategoryModel(model.fusion, model.F, r, name=model.name + "_random_r")
+
+
+@pytest.fixture(scope="module")
+def products(models):
+    factors = {"su2k4": models["su2k4"], "rep_a4": models["rep_a4"],
+               "rep_a4, random R": random_r(models["rep_a4"], np.random.default_rng(7))}
+    return {name: deligne_product(m, mirror(m)) for name, m in factors.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["su2k4", "rep_a4", "rep_a4, random R"]),
+       labels=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+@example(name="rep_a4, random R", labels=[(0, 0), (3, 0)], seed=0)  # R(3, 3; 3) is 2 x 2
+def test_commutativity_matches_oracle_on_random_coefficients(products, name, labels, seed):
+    # random complex coefficients on every slot, so that no defect is about 0
+    # (a real Q-system's would hide a transposed R); theta may repeat labels
+    D = products[name]
+    n = D.factors[0].rank
+    theta = ThetaSpec(D, Counter(D.pack(a % n, b % n) for a, b in labels))
+    rng = np.random.default_rng(seed)
+
+    def noise(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    zeta = {key: complex(noise()) for key in theta.slots}
+    w1 = Morphism(D, theta.object, theta.square, theta.coefficient_blocks(zeta))
+    w = Morphism(D, unit_obj(), theta.object, {0: noise(D.obj_dim(0, theta.object), 1)})
+    assert_commutativity_matches_oracle(QSystem(theta=theta, w=w, w1=w1))
