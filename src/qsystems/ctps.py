@@ -15,7 +15,11 @@ is
         * Phi_nu[ lift1(T_e1)* (phi_l* x phi_m*) lift2(T_e2) phi_n ]
 
 with phi_l the orthonormal bases of the induced hom spaces and Phi the
-induced (normalized-trace) left inverse.  Everything downstream is checked,
+induced (normalized-trace) left inverse.  The relative tensor products
+phi_l x phi_m are built once per ordered pair of summands and kept on the
+:class:`ExtensionPair`: chiral locality reads them as they are, and zeta
+reads their adjoints, since (phi_l x phi_m)* = phi_l* x phi_m* (the split
+map is mult* / d(Theta)).  Everything downstream is checked,
 not trusted: the Q-system relations, isometry, chiral locality, the braiding
 fixed-point identity, and the normality predicates on Z.
 """
@@ -72,7 +76,8 @@ class ExtensionPair:
     Realized as the (sign1, sign2) pair of chiral inductions of a single
     algebra object; the trivial algebra gives the pair of trivial
     extensions.  Solves and stores the orthonormal hom-space bases phi and
-    the coupling matrix Z.
+    the coupling matrix Z, and keeps the relative tensor products of the
+    basis maps that :meth:`product` has built.
     """
 
     def __init__(self, algebra: AlgebraObject, sign1: int = +1, sign2: int = -1):
@@ -92,9 +97,23 @@ class ExtensionPair:
         self.summands = [SummandIndex(l1, l2, copy)
                          for l1 in range(n) for l2 in range(n)
                          for copy in range(1, Z[l1, l2] + 1)]
+        self._products = {}
 
     def phi_of(self, s: SummandIndex) -> BimodMap:
         return self.phi[(s.lam1, s.lam2)][s.copy - 1]
+
+    def product(self, i: int, j: int) -> BimodMap:
+        """mtimes(phi_i, phi_j) for the summands at positions i and j, built once.
+
+        An entry keeps its two operands and is rebuilt when either is no
+        longer the pair's basis map, so replacing ``phi`` entries (a gauge
+        move) never serves a stale product.
+        """
+        f, g = self.phi_of(self.summands[i]), self.phi_of(self.summands[j])
+        entry = self._products.get((i, j))
+        if entry is None or entry[0] is not f or entry[1] is not g:
+            entry = self._products[(i, j)] = (f, g, mtimes(f, g))
+        return entry[2]
 
 
 def alpha_pair(algebra: AlgebraObject, sign1: int = +1, sign2: int = -1) -> ExtensionPair:
@@ -113,9 +132,10 @@ def zeta_tensor(pair: ExtensionPair, d_theta: float) -> dict:
     tree vertex e = e1 * N2 + e2 of the factor vertices e1 and e2, with N2
     the second factor's multiplicity; missing keys are zero.  Each
     coefficient is the trace formula of the module docstring, evaluated on
-    ``lift(T_e1*, sign1)``, ``mtimes(phi_l*, phi_m*)``, ``lift(T_e2, sign2)``
-    and ``phi_n``; the lifts and the product are built once and shared
-    between the slots that use them.
+    ``lift(T_e1*, sign1)``, ``phi_l* x phi_m*``, ``lift(T_e2, sign2)`` and
+    ``phi_n``.  The middle factor is the adjoint of the shared product
+    ``pair.product(l, m)``, which :func:`check_e3` reads too; the lifts are
+    built once and shared between the slots that use them.
     """
     model = pair.model
     a = pair.algebra
@@ -137,7 +157,7 @@ def zeta_tensor(pair: ExtensionPair, d_theta: float) -> dict:
             if model.N[l.lam1, m.lam1, n.lam1] == 0 or model.N[l.lam2, m.lam2, n.lam2] == 0:
                 continue
             if phi_lm is None:
-                phi_lm = mtimes(pair.phi_of(l).H, pair.phi_of(m).H)
+                phi_lm = pair.product(i, j).H
             phi_n = pair.phi_of(n)
             pref = np.sqrt(model.qdim[l.lam2] * model.qdim[m.lam2]
                            / (d_theta * model.qdim[n.lam2]))
@@ -209,7 +229,8 @@ def check_e3(pair: ExtensionPair) -> float:
     """Max residual of the braided-transition identity over all basis pairs.
 
     (psi x phi) lift1(eps(lam1, mu1)) = lift2(eps(lam2, mu2)) (phi x psi)
-    for phi in Hom(alpha1_lam1, alpha2_lam2), psi in Hom(alpha1_mu1, alpha2_mu2).
+    for phi in Hom(alpha1_lam1, alpha2_lam2), psi in Hom(alpha1_mu1, alpha2_mu2),
+    with the products taken from :meth:`ExtensionPair.product`.
     """
     model = pair.model
     a = pair.algebra
@@ -221,22 +242,16 @@ def check_e3(pair: ExtensionPair) -> float:
             eps_cache[key] = lift(a, braid(model, word_obj((lam,)), word_obj((mu,))), sign)
         return eps_cache[key]
 
-    def residual(left, right, lam1, mu1, lam2, mu2):
-        lhs = bim_compose(left, eps(lam1, mu1, pair.sign1))
-        rhs = bim_compose(eps(lam2, mu2, pair.sign2), right)
+    def residual(i, j):
+        """The identity for phi = phi_i and psi = phi_j, on the shared products."""
+        s, t = pair.summands[i], pair.summands[j]
+        lhs = bim_compose(pair.product(j, i), eps(s.lam1, t.lam1, pair.sign1))
+        rhs = bim_compose(eps(s.lam2, t.lam2, pair.sign2), pair.product(i, j))
         return distance(lhs.mor, rhs.mor)
 
-    # the ordered pairs (phi, psi) and (psi, phi) use the same two products,
-    # so each unordered pair builds them once and checks both identities
-    maps = [(key, f) for key, basis in pair.phi.items() for f in basis]
     worst = 0.0
-    for i, ((lam1, lam2), phi) in enumerate(maps):
-        square = mtimes(phi, phi)
-        worst = max(worst, residual(square, square, lam1, lam1, lam2, lam2))
-        for (mu1, mu2), psi in maps[i + 1:]:
-            psi_phi, phi_psi = mtimes(psi, phi), mtimes(phi, psi)
-            worst = max(worst, residual(psi_phi, phi_psi, lam1, mu1, lam2, mu2),
-                        residual(phi_psi, psi_phi, mu1, lam1, mu2, lam2))
+    for i, j in itertools.product(range(len(pair.summands)), repeat=2):
+        worst = max(worst, residual(i, j))
     return worst
 
 

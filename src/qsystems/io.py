@@ -145,15 +145,28 @@ def load_category(path) -> CategoryModel:
         if qdim is not None and not np.all(np.isfinite(np.asarray(qdim, dtype=float))):
             raise BundleError(f"qdim {qdim!r} is not finite")
         fus = FusionData(names, doc["dual"], N, qdim)
+
+        def vertices(*pairs):
+            """True when each (i, count) has an int index i with 0 <= i < count."""
+            return all(isinstance(i, int) and 0 <= i < count for i, count in pairs)
+
+        # the model never reads an entry at an identity label (the unital
+        # gauge fixes those) or off the tree bases, so such entries are errors
         f_entries = {}
         for a, b, c, d, lt, rt, v in doc["F"]:
             labels(a, b, c, d, lt[0], rt[0])
+            if 0 in (a, b, c):
+                raise BundleError(f"F entry {(a, b, c, d)} has the identity label in a, b or c")
+            (s, e, f), (t, g, h) = lt, rt
+            if not vertices((e, N[a, b, s]), (f, N[s, c, d]), (g, N[b, c, t]), (h, N[a, t, d])):
+                raise BundleError(f"F entry {(a, b, c, d, lt, rt)} is not fusion compatible")
             f_entries.setdefault((a, b, c, d), []).append((tuple(lt), tuple(rt), _j2c(v)))
         r_entries = {}
         for a, b, c, f, e, v in doc.get("R", []):
             labels(a, b, c)
-            if not (isinstance(f, int) and isinstance(e, int)
-                    and 0 <= f < N[b, a, c] and 0 <= e < N[a, b, c]):
+            if 0 in (a, b):
+                raise BundleError(f"R entry {(a, b, c)} has the identity label in a or b")
+            if not vertices((f, N[b, a, c]), (e, N[a, b, c])):
                 raise BundleError(f"R entry {(a, b, c, f, e)} is not fusion compatible")
             r_entries.setdefault((a, b, c), []).append((f, e, _j2c(v)))
         braided = bool(doc.get("braided", False))
@@ -170,8 +183,6 @@ def load_category(path) -> CategoryModel:
         right = {t: i for i, t in enumerate(model.f_right(a, b, c, d))}
         M = np.zeros((len(left), len(right)), dtype=complex)
         for lt, rt, v in f_entries.get((a, b, c, d), []):
-            if lt not in left or rt not in right:
-                raise BundleError(f"F entry {(a, b, c, d, lt, rt)} is not fusion compatible")
             M[left[lt], right[rt]] = v
         return M
 

@@ -8,6 +8,8 @@ imports this module.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from qsystems.induction import (
@@ -19,6 +21,7 @@ from qsystems.induction import (
     left_action,
     lift,
     mtimes,
+    phi_scalar,
     right_action,
 )
 from qsystems.morphisms import (
@@ -35,6 +38,7 @@ from qsystems.morphisms import (
     conjugate_pair,
     deligne_product,
     distance,
+    hom_basis,
     identity_morphism,
     lmul,
     rmul,
@@ -179,6 +183,43 @@ def rotate_bases(pair, rng) -> None:
         u, _ = np.linalg.qr(a)
         pair.phi[key] = [sum((u[i, j] * basis[i] for i in range(k)),
                              start=0.0 * basis[0]) for j in range(k)]
+
+
+def zeta_oracle(pair, d_theta: float) -> dict:
+    """zeta with mtimes(phi_l*, phi_m*) built afresh for each summand pair
+    (l, m): the oracle of ``zeta_tensor``, which reads the adjoint of the
+    shared ``pair.product(l, m)``."""
+    model = pair.model
+    a = pair.algebra
+    out = {}
+    lift_cache = {}
+
+    def lifted(nu, lam, mu, sign, adjoints):
+        key = (nu, lam, mu, sign, adjoints)
+        if key not in lift_cache:
+            trees = hom_basis(model, nu, word_obj((lam, mu)))
+            lift_cache[key] = [lift(a, adjoint(t) if adjoints else t, sign) for t in trees]
+        return lift_cache[key]
+
+    summands = list(enumerate(pair.summands))
+    for (i, l), (j, m) in itertools.product(summands, repeat=2):
+        phi_lm = None
+        for k, n in summands:
+            if model.N[l.lam1, m.lam1, n.lam1] == 0 or model.N[l.lam2, m.lam2, n.lam2] == 0:
+                continue
+            if phi_lm is None:
+                phi_lm = mtimes(pair.phi_of(l).H, pair.phi_of(m).H)
+            phi_n = pair.phi_of(n)
+            pref = np.sqrt(model.qdim[l.lam2] * model.qdim[m.lam2]
+                           / (d_theta * model.qdim[n.lam2]))
+            second = lifted(n.lam2, l.lam2, m.lam2, pair.sign2, False)
+            for e1, t1 in enumerate(lifted(n.lam1, l.lam1, m.lam1, pair.sign1, True)):
+                for e2, t2 in enumerate(second):
+                    x = bim_compose(t1, bim_compose(phi_lm, bim_compose(t2, phi_n)))
+                    val = complex(pref * phi_scalar(x))
+                    if val != 0.0:
+                        out[(k, i, j, e1 * len(second) + e2)] = val
+    return out
 
 
 # -- the braiding fixed-point identity -----------------------------------------

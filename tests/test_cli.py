@@ -89,7 +89,15 @@ def _set_first(entries, head, index, value):
     lambda doc: doc["R"].append([9, 9, 9, 0, 0, [1, 0]]),        # never looked up
     lambda doc: _set_first(doc["R"], [1, 1, 0], 3, -1),          # f >= rows misses it; it wraps
     lambda doc: doc["R"].append([1, 1, 1, 0, 0, [1, 0]]),        # N[1, 1, 1] = 0: never looked up
-], ids=["N-label", "N-value", "F-label", "R-label", "R-multiplicity", "R-forbidden"])
+    # Hom(0, 1 1 1) = 0: no trees, never looked up
+    lambda doc: doc["F"].append([1, 1, 1, 0, [0, 0, 0], [0, 0, 0], [1, 0]]),
+    # a left tree through the forbidden channel 1 x 1 -> 1
+    lambda doc: doc["F"].append([1, 1, 1, 1, [1, 0, 0], [0, 0, 0], [1, 0]]),
+    # fusion compatible, but the unital gauge fixes F and R at an identity label
+    lambda doc: doc["F"].append([0, 1, 1, 0, [1, 0, 0], [0, 0, 0], [-1, 0]]),
+    lambda doc: doc["R"].append([0, 1, 1, 0, 0, [-1, 0]]),
+], ids=["N-label", "N-value", "F-label", "R-label", "R-multiplicity", "R-forbidden",
+        "F-no-trees", "F-tree", "F-identity", "R-identity"])
 def test_verify_category_bad_index(data_dir, tmp_path, capsys, edit):
     doc = json.loads((data_dir / "su2k4.cat").read_text())
     edit(doc)

@@ -16,7 +16,7 @@ from qsystems.induction import _mult_map, _split_map, lift
 from qsystems.morphisms import braid, compose, deligne_product, distance, mirror, mono_product, word_obj
 from qsystems.qsystem import check_commutativity, lr_qsystem, validate_qsystem
 
-from oracles import rotate_bases
+from oracles import rotate_bases, zeta_oracle
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -143,6 +143,40 @@ def _check_e3_ordered_pairs(pair):
                     rhs = compose(eps2.mor, times(phi, psi))
                     worst = max(worst, distance(lhs, rhs))
     return worst
+
+
+def _assert_zeta_matches_oracle(res):
+    want = zeta_oracle(res.pair, res.theta.d_theta)
+    assert set(res.zeta) == set(want)
+    assert max(abs(res.zeta[k] - want[k]) for k in want) <= 1e-13
+
+
+@pytest.mark.parametrize("name, signs", [
+    ("fibtau", (+1, -1)), ("isingpsi", (+1, -1)), ("z4fermion", (+1, -1)),
+    ("z2", (+1, +1)), ("z2", (-1, -1)),
+], ids=["fibtau", "isingpsi", "z4fermion", "z2(+,+)", "z2(-,-)"])
+def test_zeta_matches_per_pair_oracle(algebras, name, signs):
+    _assert_zeta_matches_oracle(build_ctps(alpha_pair(algebras[name], *signs), tol=1e-8))
+
+
+def test_zeta_matches_per_pair_oracle_on_pinned_cases(d4_result, d5_result, e6_result):
+    for res in (d4_result, d5_result, e6_result):
+        _assert_zeta_matches_oracle(res)
+
+
+def test_product_table_follows_replaced_bases(algebras):
+    # rotate_bases replaces pair.phi entries, so a filled table must rebuild
+    # every product whose operands are no longer the pair's bases
+    filled, fresh = alpha_pair(algebras["z2"], +1, -1), alpha_pair(algebras["z2"], +1, -1)
+    check_e3(filled)
+    rotate_bases(filled, np.random.default_rng(7))
+    rotate_bases(fresh, np.random.default_rng(7))
+    got, want = build_ctps(filled, tol=1e-8), build_ctps(fresh, tol=1e-8)
+    assert got.zeta == want.zeta
+    assert got.e3_residual == want.e3_residual
+    assert got.commutativity == want.commutativity
+    assert got.report.residuals == want.report.residuals
+    assert (got.ok, got.report.ok, got.normality) == (want.ok, want.report.ok, want.normality)
 
 
 def test_e3_matches_ordered_pair_loop(algebras, d4_pair):
