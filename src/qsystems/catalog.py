@@ -96,19 +96,20 @@ def _qfactorials(k: int, top: int) -> list:
     return out
 
 
-def _qdelta(fac, a, b, c) -> float:
-    return np.sqrt(
-        fac[(-a + b + c) // 2] * fac[(a - b + c) // 2]
-        * fac[(a + b - c) // 2] / fac[(a + b + c) // 2 + 1]
-    )
+def _qdeltas(fac, N) -> dict:
+    """Triangle coefficients Delta(a, b, c) of the admissible triples (the nonzero N)."""
+    return {(a, b, c): np.sqrt(fac[(-a + b + c) // 2] * fac[(a - b + c) // 2]
+                               * fac[(a + b - c) // 2] / fac[(a + b + c) // 2 + 1])
+            for a, b, c in np.argwhere(N).tolist()}
 
 
 def _admissible(k, a, b, c) -> bool:
     return (a + b + c) % 2 == 0 and abs(a - b) <= c <= min(a + b, 2 * k - a - b)
 
 
-def _sixj(fac, a, b, ab, c, d, bc) -> float:
-    """q-deformed 6j symbol in doubled-spin labels; `fac` is the table of :func:`_qfactorials`."""
+def _sixj(fac, delta, a, b, ab, c, d, bc) -> float:
+    """q-deformed 6j symbol in doubled-spin labels, from the tables `fac` of :func:`_qfactorials`
+    and `delta` of :func:`_qdeltas` (so the four triples must be admissible at the level)."""
     for (x, y, z) in [(a, b, ab), (ab, c, d), (b, c, bc), (a, bc, d)]:
         if (x + y + z) % 2 != 0 or z > x + y or z < abs(x - y):
             return 0.0
@@ -122,8 +123,7 @@ def _sixj(fac, a, b, ab, c, d, bc) -> float:
                * fac[(a + ab + c + bc) // 2 - z]
                * fac[(b + ab + d + bc) // 2 - z])
         res += (-1) ** z * fac[z + 1] / den
-    return res * (_qdelta(fac, a, b, ab) * _qdelta(fac, ab, c, d)
-                  * _qdelta(fac, b, c, bc) * _qdelta(fac, a, bc, d))
+    return res * (delta[a, b, ab] * delta[ab, c, d] * delta[b, c, bc] * delta[a, bc, d])
 
 
 def su2_level(k: int) -> CategoryModel:
@@ -139,6 +139,7 @@ def su2_level(k: int) -> CategoryModel:
     fus = FusionData([str(a) for a in range(n)], list(range(n)), N, qd)
     # labels are at most k, so a 6j symbol needs [m]_q! up to m = 2k + 1
     fac = _qfactorials(k, 2 * k + 1)
+    delta = _qdeltas(fac, N)
 
     def f(a, b, c, d):
         left = [(sig, e, ff) for sig in range(n) if N[a, b, sig] and N[sig, c, d]
@@ -149,7 +150,7 @@ def su2_level(k: int) -> CategoryModel:
         sign = (-1) ** (((a + b + c + d) // 2) % 2)
         for i, (sig, _, _) in enumerate(left):
             for j, (tau, _, _) in enumerate(right):
-                M[i, j] = sign * np.sqrt(qd[sig] * qd[tau]) * _sixj(fac, a, b, sig, c, d, tau)
+                M[i, j] = sign * np.sqrt(qd[sig] * qd[tau]) * _sixj(fac, delta, a, b, sig, c, d, tau)
         return M
 
     def r(a, b, c):

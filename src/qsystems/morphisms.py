@@ -804,54 +804,77 @@ def distance(f: Morphism, g: Morphism) -> float:
 # coherence validators
 
 
-def _join(keys: np.ndarray, sorted_keys: np.ndarray):
-    """All index pairs (i, j) with keys[i] == sorted_keys[j], ordered by i, then j."""
-    lo = np.searchsorted(sorted_keys, keys, "left")
-    cnt = np.searchsorted(sorted_keys, keys, "right") - lo
-    i = np.repeat(np.arange(len(keys)), cnt)
-    j = np.arange(len(i)) + np.repeat(lo - _run_starts(cnt), cnt)
-    return i, j
+# Batch limits of the stacked checks (right trees per pentagon batch, matrix
+# entries per hexagon stack): they bound the working memory at any rank.
+_PENTAGON_BATCH = 512
+_HEXAGON_ENTRIES = 1 << 14
 
 
-def _f_table(model: CategoryModel, off: np.ndarray, nv: int):
-    """Every nonzero F entry as (right pair key, left vertex 1, left vertex 2, value).
+def _pairs(start: np.ndarray, cnt: np.ndarray):
+    """Index pairs (i, j), j in start[i]:start[i] + cnt[i], ordered by i, then j."""
+    i = np.repeat(np.arange(len(start)), cnt)
+    return i, np.arange(len(i)) + np.repeat(start - _run_starts(cnt), cnt)
 
-    Entry F(a, b, c, d)[(sig, e, f), (tau, g, h)] has the left vertices
-    (a, b, sig, e), (sig, c, d, f) and the right vertices (b, c, tau, g),
-    (a, tau, d, h); vertex (x, y, z, mu) has the number ``off[x, y, z] + mu``
-    and a right pair (r1, r2) the key ``r1 * nv + r2``.  Entries are sorted by
-    key; those of one key keep their left-tree order.
+
+def _tree_quads(N: np.ndarray) -> np.ndarray:
+    """Labels (a, b, c, d), in lexicographic order, where Hom(d, abc) has left or right trees.
+
+    Where it has only one kind, N is not associative and :meth:`CategoryModel.F` raises.
     """
-    n = model.rank
-    lefts, rights, vals = [], [], []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    Fm = model.F(a, b, c, d)
-                    if not Fm.size:
-                        continue
-                    left = [(off[a, b, s] + e, off[s, c, d] + f)
-                            for s, e, f in model.f_left(a, b, c, d)]
-                    right = [(off[b, c, t] + g) * nv + off[a, t, d] + h
-                             for t, g, h in model.f_right(a, b, c, d)]
-                    lefts.append(np.repeat(left, len(right), axis=0))
-                    rights.append(np.tile(right, len(left)))
-                    vals.append(Fm.ravel())
-    left, rkey, val = np.concatenate(lefts), np.concatenate(rights), np.concatenate(vals)
+    right = np.tensordot(N, N, axes=(2, 1)).transpose(2, 0, 1, 3)
+    return np.argwhere((np.tensordot(N, N, axes=(2, 0)) > 0) | (right > 0))
+
+
+def _f_blocks(model: CategoryModel):
+    """(quads, blocks, start, left, right) for every F block with trees.
+
+    blocks[q] is F(*quads[q]); rows start[q]:start[q + 1] of `left` and
+    `right` are its trees (s, e, f) and (t, g, h), in row and column order.
+    """
+    quads = _tree_quads(model.N)
+    labels = quads.tolist()
+    blocks = [model.F(*q) for q in labels]
+    start = np.cumsum([0] + [len(F) for F in blocks])
+    left = np.array([t for q in labels for t in model.f_left(*q)], dtype=np.int64).reshape(-1, 3)
+    right = np.array([t for q in labels for t in model.f_right(*q)], dtype=np.int64).reshape(-1, 3)
+    return quads, blocks, start, left, right
+
+
+def _f_table(model: CategoryModel, off: np.ndarray, pair, npairs: int):
+    """Every nonzero F entry as (left vertex 1, left vertex 2, value), by right pair.
+
+    Entry F(a, b, c, d)[(s, e, f), (t, g, h)] has the left vertices
+    (a, b, s, e), (s, c, d, f) and the right vertices (b, c, t, g),
+    (a, t, d, h); vertex (x, y, z, mu) has the number ``off[x, y, z] + mu``
+    and a right pair (r1, r2) the number ``pair(r1, r2) < npairs``.  Entry k
+    of the raveled block q of :func:`_f_blocks`, of size m, has left tree
+    start[q] + k // m and right tree start[q] + k % m.  Returns (lo, l1, l2,
+    val): the entries of right pair p are lo[p]:lo[p + 1], in left-tree order.
+    """
+    quads, blocks, start, left, right = _f_blocks(model)
+    size = np.diff(start)
+    a, b, c, d = (np.repeat(lab, size) for lab in quads.T)  # labels of each tree
+    l1 = off[a, b, left[:, 0]] + left[:, 1]
+    l2 = off[left[:, 0], c, d] + left[:, 2]
+    key = pair(off[b, c, right[:, 0]] + right[:, 1], off[a, right[:, 0], d] + right[:, 2])
+    block = np.repeat(np.arange(len(blocks)), size * size)
+    k = np.arange(len(block)) - np.repeat(_run_starts(size * size), size * size)
+    row, col = start[block] + k // size[block], start[block] + k % size[block]
+    val = np.concatenate([F.ravel() for F in blocks])
     keep = np.flatnonzero(val != 0)
-    order = keep[np.argsort(rkey[keep], kind="stable")]
-    return rkey[order], left[order, 0], left[order, 1], val[order]
+    order = keep[np.argsort(key[col[keep]], kind="stable")]
+    lo = np.searchsorted(key[col[order]], np.arange(npairs + 1))
+    return lo, l1[row[order]], l2[row[order]], val[order]
 
 
 def _recouple(table, keys: np.ndarray, vals: np.ndarray):
-    """Apply F to the vertex pairs with the given right pair keys.
+    """Apply F to the vertex pairs with the given right pair numbers.
 
     Returns, per resulting term, the index of its source term, the two
     left vertices that replace the pair and the product of the values.
     """
-    rkey, l1, l2, fval = table
-    i, j = _join(keys, rkey)
+    lo, l1, l2, fval = table
+    i, j = _pairs(lo[keys], lo[keys + 1] - lo[keys])
     return i, l1[j], l2[j], vals[i] * fval[j]
 
 
@@ -869,8 +892,8 @@ def pentagon_residual(model: CategoryModel) -> float:
 
     and the residual is max |A - B| over all pairs of trees.  Each F move is
     a join of the current terms with the table of nonzero F entries on the
-    right vertex pair it replaces.  The trees are enumerated and joined one
-    (a, b, c) at a time, so memory stays proportional to one such chunk.
+    right vertex pair it replaces.  The right trees are enumerated one label
+    a at a time and checked in batches of ``_PENTAGON_BATCH``.
     """
     n, N = model.rank, model.N
     counts = N.ravel()
@@ -878,95 +901,96 @@ def pentagon_residual(model: CategoryModel) -> float:
     off = (np.cumsum(counts) - counts).reshape(N.shape)
     reps = counts[counts > 0]
     vx, vy, vz = (np.repeat(lab, reps) for lab in np.nonzero(N))
-    # vertices are numbered in (x, y, z, mu) order: those with first label x
-    # form the range [first[x], first[x + 1]), sorted by their second label
+    # vertices are numbered in (x, y, z, mu) order: [first[x], first[x + 1])
+    # have first label x, and by_z[zfirst[z]:zfirst[z] + zcount[z]] third label z
     first = np.searchsorted(vx, np.arange(n + 1))
-    table = _f_table(model, off, nv)
+    by_z = np.argsort(vz, kind="stable")
+    zcount = np.bincount(vz, minlength=n)
+    zfirst = _run_starts(zcount)
+    # a right pair (r1, r2) has vy[r2] == vz[r1]: number it by r1 and the
+    # rank of r2 among the vertices with that second label
+    ycount = np.bincount(vy, minlength=n)
+    y_rank = np.empty(nv, dtype=np.int64)
+    y_rank[np.argsort(vy, kind="stable")] = np.arange(nv) - np.repeat(_run_starts(ycount), ycount)
+    ymax = int(ycount.max())
+    pair = lambda r1, r2: r1 * ymax + y_rank[r2]
+    table = _f_table(model, off, pair, nv * ymax)
+    # in one right tree, the left vertex (a b -> f; al) is fixed by (f c -> g) up to al
+    mu, width = np.arange(nv) - np.repeat(off[np.nonzero(N)], reps), int(N.max())
     worst = 0.0
     for a in range(n):
-        v3s = np.arange(first[a], first[a + 1])
-        for b in range(n):
-            v2s = np.arange(first[b], first[b + 1])
-            for c in range(n):
-                # right trees: (c d -> h) = v1, (b h -> k) = v2, (a k -> e) = v3
-                v1 = np.arange(first[c], first[c + 1])
-                i, j = _join(vz[v1], vy[v2s])
-                v1, v2 = v1[i], v2s[j]
-                i, j = _join(vz[v2], vy[v3s])
-                if not len(i):
-                    continue
-                v1, v2, v3 = v1[i], v2[i], v3s[j]
-                one = np.ones(len(v1), dtype=complex)
-                # route B: (v2, v3) -> (l1, w), then (v1, w) -> (l2, l3)
-                col, l1, w, val = _recouple(table, v2 * nv + v3, one)
-                i, l2, l3, val_b = _recouple(table, v1[col] * nv + w, val)
-                col_b, tree_b = col[i], (l1[i] * nv + l2) * nv + l3
-                # route A: (v1, v2) -> (x, y), then (y, v3) -> (z, l3), then (x, z) -> (l1, l2)
-                col, x, y, val = _recouple(table, v1 * nv + v2, one)
-                i, z, l3, val = _recouple(table, y * nv + v3[col], val)
-                col, x = col[i], x[i]
-                i, l1, l2, val_a = _recouple(table, x * nv + z, val)
-                col_a, tree_a = col[i], (l1 * nv + l2) * nv + l3[i]
-                trees, tree_id = np.unique(np.concatenate([tree_a, tree_b]), return_inverse=True)
-                keys = np.concatenate([col_a, col_b]) * len(trees) + tree_id
-                cells, pos = np.unique(keys, return_inverse=True)
-                PA = np.zeros(len(cells), dtype=complex)
-                PB = np.zeros_like(PA)
-                np.add.at(PA, pos[:len(col_a)], val_a)
-                np.add.at(PB, pos[len(col_a):], val_b)
-                worst = max(worst, float(np.max(np.abs(PA - PB), initial=0.0)))
+        # right trees: (c d -> h) = v1, (b h -> k) = v2, (a k -> e) = v3
+        v3 = np.arange(first[a], first[a + 1])
+        i, j = _pairs(zfirst[vy[v3]], zcount[vy[v3]])
+        v2, v3 = by_z[j], v3[i]
+        i, j = _pairs(zfirst[vy[v2]], zcount[vy[v2]])
+        v1, v2, v3 = by_z[j], v2[i], v3[i]
+        for s in range(0, len(v1), _PENTAGON_BATCH):
+            t1, t2, t3 = (v[s:s + _PENTAGON_BATCH] for v in (v1, v2, v3))
+            one = np.ones(len(t1), dtype=complex)
+            # route B: (t2, t3) -> (l1, w), then (t1, w) -> (l2, l3)
+            col, l1, w, val = _recouple(table, pair(t2, t3), one)
+            i, l2, l3, val_b = _recouple(table, pair(t1[col], w), val)
+            key_b = ((col[i] * nv + l2) * nv + l3) * width + mu[l1[i]]
+            # route A: (t1, t2) -> (x, y), then (y, t3) -> (z, l3), then (x, z) -> (l1, l2)
+            col, x, y, val = _recouple(table, pair(t1, t2), one)
+            i, z, l3, val = _recouple(table, pair(y, t3[col]), val)
+            col, x = col[i], x[i]
+            i, l1, l2, val_a = _recouple(table, pair(x, z), val)
+            key_a = ((col[i] * nv + l2) * nv + l3[i]) * width + mu[l1]
+            # sum each route's terms per (right tree, left tree), in the order
+            # they came: the sort is stable and route A comes first
+            key = np.concatenate([key_a, key_b])
+            order = np.argsort(key, kind="stable")
+            key, val, from_a = key[order], np.concatenate([val_a, val_b])[order], order < len(key_a)
+            cells = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])[:len(key)]
+            diff = (np.add.reduceat(np.where(from_a, val, 0), cells)
+                    - np.add.reduceat(np.where(from_a, 0, val), cells))
+            worst = max(worst, float(np.max(np.abs(diff), initial=0.0)))
+    return worst
+
+
+def _unitarity(blocks: list) -> float:
+    """max |B B^* - 1| over the square blocks, stacked by size; a block with NaN counts 0."""
+    worst = 0.0
+    for m in sorted({len(B) for B in blocks}):
+        S = np.array([B for B in blocks if len(B) == m])
+        dev = np.abs(S @ S.conj().transpose(0, 2, 1) - np.eye(m)).max(axis=(1, 2))
+        worst = max([worst] + dev.tolist())
     return worst
 
 
 def f_unitarity_residual(model: CategoryModel) -> float:
-    n = model.rank
-    worst = 0.0
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    F = model.F(a, b, c, d)
-                    if F.size:
-                        worst = max(worst, float(np.max(np.abs(F @ F.conj().T - np.eye(F.shape[0])))))
-    return worst
+    return _unitarity([model.F(*q) for q in _tree_quads(model.N).tolist()])
 
 
-def _block_diag(blocks) -> np.ndarray:
-    """Block-diagonal matrix with the given blocks in order."""
-    out = np.zeros((sum(B.shape[0] for B in blocks), sum(B.shape[1] for B in blocks)),
-                   dtype=complex)
-    r = q = 0
-    for B in blocks:
-        out[r:r + B.shape[0], q:q + B.shape[1]] = B
-        r, q = r + B.shape[0], q + B.shape[1]
+def _agree(rows: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
+    """Mask [g, i, j]: the trees rows[g, i] and cols[g, j] agree outside position k."""
+    other = [p for p in range(3) if p != k]
+    return np.all(rows[:, :, None, other] == cols[:, None, :, other], axis=-1)
+
+
+def _braid_stack(Rv, off, rows, cols, k, x, y, z) -> np.ndarray:
+    """Stack with R(x, y, z)[rows[g, i, k], cols[g, j, k]] at [g, i, j] if the trees agree, else 0.
+
+    x, y, z are labels per row tree; ``Rv[off[x, y, z] + e, e2]`` is R(x, y, z)[e2, e].
+    """
+    g, i, j = np.nonzero(_agree(rows, cols, k))
+    x, y, z = (np.broadcast_to(lab, rows.shape[:2])[g, i] for lab in (x, y, z))
+    out = np.zeros((rows.shape[0], rows.shape[1], cols.shape[1]), dtype=complex)
+    out[g, i, j] = Rv[off[x, y, z] + cols[g, j, k], rows[g, i, k]]
     return out
 
 
-def _vertex_braid(model: CategoryModel, x, y, spectators) -> np.ndarray:
-    """R(x, y, s) on the vertex x y -> s of trees (s, e, f), block by block in s.
+def _group_norm(D: np.ndarray, cols: np.ndarray) -> float:
+    """Largest spectral norm over the column groups of the stack D, by the trees cols[g, j][:2].
 
-    The index e runs over Hom(s, x y) and f over a spectator space of
-    dimension ``spectators[s]``, which stays fixed.  On the left trees of
-    Hom(c, x y z), with spectators N[:, z, c], this is eps(x, y) x 1_z into
-    the left trees of Hom(c, y x z); on the right trees of Hom(c, w x y), with
-    spectators N[w, :, c], it is 1_w x eps(x, y) into those of Hom(c, w y x).
+    D^H D with the entries between groups set to 0 is block diagonal up to a
+    permutation: its largest eigenvalue is the largest group norm squared.
     """
-    return _block_diag([_kron_eye(model.R(x, y, s), k)
-                        for s, k in enumerate(spectators) if k and model.N[x, y, s]])
-
-
-def _max_group_norm(D: np.ndarray, widths) -> float:
-    """Largest spectral norm over the consecutive column groups of D of the given widths."""
-    if not D.size:
-        return 0.0
-    if all(w <= 1 for w in widths):
-        return float(np.max(np.linalg.norm(D, axis=0)))
-    worst, q = 0.0, 0
-    for w in widths:
-        if w:
-            worst = max(worst, float(np.linalg.norm(D[:, q:q + w], 2)))
-        q += w
-    return worst
+    gram = D.conj().transpose(0, 2, 1) @ D
+    gram[~_agree(cols, cols, 2)] = 0
+    return float(np.sqrt(max(float(np.linalg.eigvalsh(gram).max(initial=0.0)), 0.0)))
 
 
 def hexagon_residual(model: CategoryModel) -> float:
@@ -976,57 +1000,66 @@ def hexagon_residual(model: CategoryModel) -> float:
     eps(y1 y2, a)(T x 1_a) = (1_a x T) eps(h, a) for every vertex
     T = T^{y1 y2 -> h}_g; together with unitarity these are the hexagon
     identities.  Both are evaluated on the F and R blocks of each
-    (a, y1, y2, c).  With B1 = eps(a, y1) x 1_y2 on left trees and
-    B2 = 1_y1 x eps(a, y2) on right trees (see :func:`_vertex_braid`), the
-    first identity reads, on the columns (h, g, k) of the right trees of
-    Hom(c, a y1 y2)::
+    (a, y1, y2, c) with trees, F_a = F(a,y1,y2,c), F_m = F(y1,a,y2,c) and
+    F_r = F(y1,y2,a,c), in the trees (s, e, f), (t, g, h) of ``f_left``,
+    ``f_right``.  On the columns (h, g, k) of the right trees of Hom(c, a y1 y2)::
 
-        F(y1,y2,a,c) B2 F(y1,a,y2,c)^* B1 F(a,y1,y2,c) = RHS,
-        RHS[(h,g,f), (h,g,k)] = R(a,h,c)[f,k]
+        B1[(s,e',f), (s,e,f)] = R(a,y1,s)[e',e]    eps(a, y1) x 1_y2 on left trees
+        B2[(t,g',h), (t,g,h)] = R(a,y2,t)[g',g]    1_y1 x eps(a, y2) on right trees
+        F_r B2 F_m^* B1 F_a = RHS,   RHS[(h,g,f), (h,g,k)] = R(a,h,c)[f,k]
 
-    in the left trees of Hom(c, y1 y2 a).  The mirror, with
-    B1' = eps(y1, a) x 1_y2 and B2' = 1_y1 x eps(y2, a), reads on the columns
-    (h, g, k) of the left trees of Hom(c, y1 y2 a)::
+    With B1' = eps(y1, a) x 1_y2 and B2' = 1_y1 x eps(y2, a), that is R(y1,a,s)
+    and R(y2,a,t) on the transposed positions, the mirror reads on the
+    columns (h, g, k) of the left trees of Hom(c, y1 y2 a)::
 
-        B1' F(y1,a,y2,c) B2' F(y1,y2,a,c)^* = sum_f F(a,y1,y2,c)[:, (h,g,f)] R(h,a,c)[f,k]
+        B1' F_m B2' F_r^* = F_a X,   X[(h,g,f), (h,g,k)] = R(h,a,c)[f,k]
 
-    The residual of a vertex (h, g) is the spectral norm of the difference on
-    its column group, and the result is the largest over all of them.
+    The residual of a vertex (h, g) is the spectral norm of the difference
+    on its column group, and the result is the largest over all of them.
+    Quadruples are stacked by block size, ``_HEXAGON_ENTRIES`` entries per
+    stack, and each product is batched in the order written.
     """
     if not model.braided:
         raise UnsupportedOperationError("category carries no braiding")
-    n, N = model.rank, model.N
+    quads, blocks, start, left, right = _f_blocks(model)
+    N = model.N
+    if not np.array_equal(N, N.transpose(1, 0, 2)):
+        raise StructureError("a braided category needs commutative fusion rules")
+    counts = N.ravel()
+    off = (np.cumsum(counts) - counts).reshape(N.shape)
+    Rv = np.zeros((int(counts.sum()), int(N.max())), dtype=complex)
+    for x, y, z in np.argwhere(N).tolist():
+        Rv[off[x, y, z]:off[x, y, z] + N[x, y, z]] = model.R(x, y, z).T
+    index = np.zeros(N.shape + N.shape[:1], dtype=np.int64)
+    index[tuple(quads.T)] = np.arange(len(quads))
+    size = np.diff(start)
     worst = 0.0
-    for a in range(n):
-        for y1 in range(n):
-            for y2 in range(n):
-                verts = [h for h in range(n) for _ in range(N[y1, y2, h])]
-                for c in range(n):
-                    F_a = model.F(a, y1, y2, c)
-                    if not F_a.size:
-                        continue
-                    F_m, F_r = model.F(y1, a, y2, c), model.F(y1, y2, a, c)
-                    lhs = (F_r @ _vertex_braid(model, a, y2, N[y1, :, c]) @ F_m.conj().T
-                           @ _vertex_braid(model, a, y1, N[:, y2, c]) @ F_a)
-                    rhs = _block_diag([model.R(a, h, c) for h in verts])
-                    worst = max(worst, _max_group_norm(lhs - rhs, [N[a, h, c] for h in verts]))
-                    lhs = (_vertex_braid(model, y1, a, N[:, y2, c]) @ F_m
-                           @ _vertex_braid(model, y2, a, N[y1, :, c]) @ F_r.conj().T)
-                    rhs = F_a @ _block_diag([model.R(h, a, c) for h in verts])
-                    worst = max(worst, _max_group_norm(lhs - rhs, [N[h, a, c] for h in verts]))
+    for m in sorted(set(size.tolist())):
+        group = np.flatnonzero(size == m)
+        step = max(1, _HEXAGON_ENTRIES // (m * m))
+        for qa in (group[s:s + step] for s in range(0, len(group), step)):
+            a, y1, y2, c = quads[qa].T
+            qm, qr = index[y1, a, y2, c], index[y1, y2, a, c]
+            FA, FM, FR = (np.array([blocks[q] for q in qs.tolist()]) for qs in (qa, qm, qr))
+            A, Lm, Lr = (left[start[q][:, None] + np.arange(m)] for q in (qa, qm, qr))
+            Ra, Rm, Rr = (right[start[q][:, None] + np.arange(m)] for q in (qa, qm, qr))
+            a, y1, y2, c = a[:, None], y1[:, None], y2[:, None], c[:, None]
+            B1 = _braid_stack(Rv, off, Lm, A, 1, a, y1, Lm[..., 0])
+            B2 = _braid_stack(Rv, off, Rr, Rm, 1, a, y2, Rr[..., 0])
+            rhs = _braid_stack(Rv, off, Lr, Ra, 2, a, Lr[..., 0], c)
+            lhs = FR @ B2 @ FM.conj().transpose(0, 2, 1) @ B1 @ FA
+            worst = max(worst, _group_norm(lhs - rhs, Ra))
+            B1 = _braid_stack(Rv, off, A, Lm, 1, y1, a, A[..., 0])
+            B2 = _braid_stack(Rv, off, Rm, Rr, 1, y2, a, Rm[..., 0])
+            rhs = FA @ _braid_stack(Rv, off, Ra, Lr, 2, Ra[..., 0], a, c)
+            lhs = B1 @ FM @ B2 @ FR.conj().transpose(0, 2, 1)
+            worst = max(worst, _group_norm(lhs - rhs, Lr))
     return worst
 
 
 def r_unitarity_residual(model: CategoryModel) -> float:
-    n = model.rank
-    worst = 0.0
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                R = model.R(a, b, c)
-                if R.size:
-                    worst = max(worst, float(np.max(np.abs(R @ R.conj().T - np.eye(R.shape[0])))))
-    return worst
+    both = (model.N > 0) & (model.N.transpose(1, 0, 2) > 0)
+    return _unitarity([model.R(*t) for t in np.argwhere(both).tolist()])
 
 
 def conjugate_residual(model: CategoryModel) -> float:

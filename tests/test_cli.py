@@ -67,6 +67,16 @@ def test_verify_category_non_finite_number(data_dir, tmp_path, capsys, field, ba
     assert err.startswith("error:") and "not finite" in err
 
 
+def test_verify_category_non_associative_fusion(data_dir, tmp_path, capsys):
+    # s x p = 2 s leaves Hom(s, s s s) with more trees on one side than the other
+    doc = json.loads((data_dir / "ising.cat").read_text())
+    next(e for e in doc["N"] if e[:3] == [1, 2, 1])[3] = 2
+    path = tmp_path / "bad.cat"
+    path.write_text(json.dumps(doc))
+    assert run(["verify-category", path]) == 2
+    assert "fusion data not associative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("dual", [7, -1])
 def test_verify_category_dual_out_of_range(data_dir, tmp_path, capsys, dual):
     # an out-of-range dual used to raise IndexError after the bijection check

@@ -36,6 +36,7 @@ from qsystems.morphisms import (
     UnsupportedOperationError,
 )
 from qsystems import catalog
+from qsystems.fusion import FusionData, StructureError
 from qsystems.io import load_algebra
 
 from oracles import left_inverse, random_morphism, right_inverse, word_conjugate_pair, word_dual
@@ -611,6 +612,36 @@ def _scrambled(model, rng, f=True, r=True, where=lambda labels: True):
                          name=model.name + "_scrambled")
 
 
+def _gauged(model, u):
+    """Copy of `model` in another basis of some vertex spaces: T'_e = sum_e2 T_e2 u[(a, b, c)][e2, e].
+
+    Trees change by U[(s, e, f), (s, e2, f2)] = u(a, b, s)[e, e2] u(s, c, d)[f, f2]
+    (left) and u(b, c, t)[g, g2] u(a, t, d)[h, h2] (right), so F becomes
+    U_left^* F U_right and R(a, b; c) becomes u(b, a, c)^* R u(a, b, c).
+    """
+    def vertex(a, b, c):
+        return u.get((a, b, c), np.eye(model.N[a, b, c]))
+
+    def change(trees, inner, outer):
+        """U of the trees (s, e, f) whose vertices are inner(s) and outer(s)."""
+        U = np.zeros((len(trees), len(trees)), dtype=complex)
+        for i, (s, e, f) in enumerate(trees):
+            for j, (s2, e2, f2) in enumerate(trees):
+                if s == s2:
+                    U[i, j] = vertex(*inner(s))[e, e2] * vertex(*outer(s))[f, f2]
+        return U
+
+    def f(a, b, c, d):
+        UL = change(model.f_left(a, b, c, d), lambda s: (a, b, s), lambda s: (s, c, d))
+        UR = change(model.f_right(a, b, c, d), lambda t: (b, c, t), lambda t: (a, t, d))
+        return UL.conj().T @ model.F(a, b, c, d) @ UR
+
+    def r(a, b, c):
+        return vertex(b, a, c).conj().T @ model.R(a, b, c) @ vertex(a, b, c)
+
+    return CategoryModel(model.fusion, f, r, name=model.name + "_gauged")
+
+
 def _assert_close(got, want, what):
     assert abs(got - want) <= max(1e-12 * abs(want), 1e-15), (what, got, want)
 
@@ -652,6 +683,44 @@ def test_coherence_matches_oracle_on_scrambled_multiplicity_blocks(models, rng):
     _assert_coherence_matches_oracle(m, m.name)
     assert pentagon_residual(m) > 1e-3
     assert hexagon_residual(m) > 1e-3
+
+
+def test_vertex_gauge_keeps_multiplicity_blocks_coherent(models, rng):
+    # a U(2) on the vertex space of Hom(3, 3 x 3) makes the 2x2 R(3,3,3) of
+    # rep_a4 neither real nor symmetric, so a transposed or unconjugated
+    # block in the checks shows on data that is coherent
+    m = _gauged(models["rep_a4"], {(3, 3, 3): _random_unitary(rng, 2)})
+    R = m.R(3, 3, 3)
+    assert np.abs(R - R.T).max() > 0.1 and np.abs(m.F(3, 3, 3, 3).imag).max() > 0.1
+    rep = validate_category(m)
+    assert rep.ok and max(rep.residuals().values()) < 1e-13, rep.residuals()
+
+
+def test_quadruple_with_right_trees_only_is_not_associative():
+    # y x = x and y y has no summand: Hom(x, y y x) has the right tree y(yx)
+    # but no left tree, and it is the only place where N is not associative
+    N = np.zeros((3, 3, 3), dtype=int)
+    for x in range(3):
+        N[0, x, x] = N[x, 0, x] = 1
+    N[2, 1, 1] = 1
+    fusion = FusionData(["1", "x", "y"], [0, 1, 2], N, [1.0, 1.0, 1.0])
+    m = CategoryModel(fusion, lambda a, b, c, d: np.eye(int(N[a, b] @ N[:, c, d])))
+    with pytest.raises(StructureError, match="not associative"):
+        validate_category(m)
+
+
+def test_braiding_on_noncommutative_fusion_is_refused():
+    # the group S3 as a pointed category: associative, but g h != h g
+    perms = list(itertools.permutations(range(3)))
+    N = np.zeros((6, 6, 6), dtype=int)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            N[i, j, perms.index(tuple(p[x] for x in q))] = 1
+    dual = [perms.index(tuple(np.argsort(p))) for p in perms]
+    one = lambda *labels: np.eye(1)
+    m = CategoryModel(FusionData([str(p) for p in perms], dual, N, np.ones(6)), one, one)
+    with pytest.raises(StructureError, match="commutative"):
+        validate_category(m)
 
 
 # ---------------------------------------------------------------------------
