@@ -21,6 +21,7 @@ calculus of the extension happens at the level of category morphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .morphisms import (
     mono_product,
     rmul,
     sum_product,
-    unit_intro,
     word_obj,
 )
 from .qsystem import QReport, QSystem, ThetaSpec, _defects, validate_qsystem
@@ -70,14 +70,16 @@ __all__ = [
 class AlgebraObject:
     """Haploid Frobenius algebra: object with unit and multiplication.
 
-    ``unit`` is an isometry in Hom(id, Theta) and ``mult`` in Hom(Theta^2,
-    Theta) is normalized so that mult (unit x 1) = 1 and mult mult* =
+    ``unit`` is the isometry in Hom(id, Theta) as a vector over the summands,
+    zero off the label 0, and ``coeffs`` are the coefficients of mult in
+    Hom(Theta^2, Theta), keyed as :attr:`ThetaSpec.slots` (missing keys are
+    zero).  mult is normalized so that mult (unit x 1) = 1 and mult mult* =
     d(Theta); equivalently mult = sqrt(d) w1* for the Q-system isometry w1.
     """
 
     theta: ThetaSpec
-    unit: Morphism
-    mult: Morphism
+    unit: np.ndarray
+    coeffs: dict
     # maps built from (unit, mult) that depend only on signed words, keyed
     # by the Bimod or Bimod pair they serve; see _memo
     _maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -100,14 +102,27 @@ class AlgebraObject:
     def d(self) -> float:
         return self.theta.d_theta
 
+    @cached_property
+    def mult(self) -> Morphism:
+        """mult in Hom(Theta^2, Theta), built once: each coefficient sits at the
+        transpose of its slot."""
+        theta, model = self.theta, self.model
+        offs, offs2 = model.sector_offsets(theta.object), model.sector_offsets(theta.square)
+        blocks = {c: np.zeros((offs[c][-1], offs2[c][-1]), dtype=complex) for c in range(model.rank)}
+        for key, (c, row, col) in theta.slots.items():
+            blocks[c][col, row] = self.coeffs.get(key, 0.0)
+        return Morphism(model, theta.square, theta.object, blocks)
+
 
 def trivial_algebra(model: CategoryModel) -> AlgebraObject:
     return algebra_from_coefficients(ThetaSpec(model, {0: 1}), {(0, 0, 0, 0): 1.0})
 
 
 def to_qsystem(a: AlgebraObject) -> QSystem:
-    scale = 1.0 / np.sqrt(a.d)
-    return QSystem(theta=a.theta, w=a.unit, w1=scale * adjoint(a.mult))
+    """(theta, w, w1) of ``a``: w is the unit and w1 = mult* / sqrt(d(Theta)),
+    so zeta = conj(coeff) d(Theta)^(-1/2).  The Newton solver's residual reads
+    the same zeta."""
+    return QSystem(theta=a.theta, zeta=a.theta.dense(a.coeffs).conj() * a.d ** -0.5, w=a.unit)
 
 
 def verify_algebra(a: AlgebraObject, tol: float = 1e-8) -> QReport:
@@ -118,14 +133,10 @@ def verify_algebra(a: AlgebraObject, tol: float = 1e-8) -> QReport:
 def algebra_from_coefficients(theta: ThetaSpec, coeffs) -> AlgebraObject:
     """The algebra on theta whose multiplication has coefficients ``coeffs``.
 
-    ``coeffs`` is keyed as :attr:`ThetaSpec.slots`; mult in Hom(theta^2,
-    theta) holds each coefficient at the transpose of its slot, and the unit
-    is the identity summand.
+    ``coeffs`` is keyed as :attr:`ThetaSpec.slots`; the unit is the identity
+    summand.
     """
-    model = theta.model
-    blocks = {c: np.ascontiguousarray(B.T) for c, B in theta.coefficient_blocks(coeffs).items()}
-    mult = Morphism(model, theta.square, theta.object, blocks)
-    return AlgebraObject(theta=theta, unit=unit_intro(model, theta.object), mult=mult)
+    return AlgebraObject(theta=theta, unit=np.eye(len(theta))[theta.index(0)], coeffs=coeffs)
 
 
 def solve_haploid_algebra(model: CategoryModel, multiplicities: dict,
@@ -133,13 +144,13 @@ def solve_haploid_algebra(model: CategoryModel, multiplicities: dict,
     """Solve multiplication coefficients making Theta a Q-system.
 
     Newton iteration on the validator's unit_left, coassociativity and
-    isometry defects at zeta = conj(coeff) / sqrt(d(Theta)), over the
-    coefficient space of Hom(Theta^2, Theta), with the unit channels pinned
-    by the unit law.  The defects are real-quadratic in the unknowns, so
-    column j of the Jacobian is exactly (r(x + e_j) - r(x - e_j)) / 2.  Each
-    random start iterates while max |r| falls and is kept if it passes
-    :func:`verify_algebra` at 1e-9.  Intended for small algebras
-    (simple-current and two-summand cases); raises if no start succeeds.
+    isometry defects of :func:`to_qsystem`, over the coefficient space of
+    Hom(Theta^2, Theta), with the unit channels pinned by the unit law.  The
+    defects are real-quadratic in the unknowns, so column j of the Jacobian
+    is exactly (r(x + e_j) - r(x - e_j)) / 2.  Each random start iterates
+    while max |r| falls and is kept if it passes :func:`verify_algebra` at
+    1e-9.  Intended for small algebras (simple-current and two-summand
+    cases); raises if no start succeeds.
     """
     rng = rng or np.random.default_rng(0)
     theta = ThetaSpec(model, multiplicities)
@@ -152,14 +163,13 @@ def solve_haploid_algebra(model: CategoryModel, multiplicities: dict,
     fixed = {(n, l, m, e): 1.0 for (n, l, m, e) in keys
              if theta.summands[l][0] == 0 or theta.summands[m][0] == 0}
     free = [k for k in keys if k not in fixed]
-    w = np.eye(len(theta))[theta.index(0)]
 
-    def coefficients(x):
-        return {**fixed, **dict(zip(free, x[0::2] + 1j * x[1::2]))}
+    def algebra(x):
+        return algebra_from_coefficients(theta, {**fixed, **dict(zip(free, x[0::2] + 1j * x[1::2]))})
 
     def residual(x):
-        zeta = theta.dense(coefficients(x)).conj() * theta.d_theta ** -0.5
-        blocks = _defects(theta, zeta, w, ("unit_left", "coassociativity", "isometry"))
+        q = to_qsystem(algebra(x))
+        blocks = _defects(theta, q.zeta, q.w, ("unit_left", "coassociativity", "isometry"))
         r = np.concatenate([B.ravel() for bs in blocks.values() for B in bs])
         return np.concatenate([r.real, r.imag])
 
@@ -173,7 +183,7 @@ def solve_haploid_algebra(model: CategoryModel, multiplicities: dict,
             if not np.max(np.abs(r_next)) < np.max(np.abs(r)):
                 break
             x, r = x + step, r_next
-        a = algebra_from_coefficients(theta, coefficients(x))
+        a = algebra(x)
         if verify_algebra(a, tol=1e-9).ok:
             return a
     raise ValueError("no Q-system structure found for the given multiplicities")

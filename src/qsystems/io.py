@@ -206,8 +206,7 @@ def load_category(path) -> CategoryModel:
 def save_algebra(alg: AlgebraObject, path, name: str = "", provenance: str = "") -> None:
     model = alg.model
     mult_vec = [int(alg.theta.multiplicities.get(lam, 0)) for lam in range(model.rank)]
-    # mult holds each coefficient at the transpose of its slot
-    coeffs = alg.theta.coefficients({c: B.T for c, B in alg.mult.blocks.items()})
+    coeffs = {key: alg.coeffs.get(key, 0.0) for key in alg.theta.slots}
     entries = [[l, m, n, e, _c2j(v)] for (n, l, m, e), v in coeffs.items() if abs(v) > 1e-15]
     doc = {
         "format": ALGEBRA_FORMAT,

@@ -46,7 +46,6 @@ __all__ = [
     "ObjectMismatchError",
     "UnsupportedOperationError",
     "identity_morphism",
-    "injection",
     "basis_vector",
     "unit_intro",
     "hom_basis",
@@ -329,9 +328,6 @@ class CategoryModel:
             self._ends[word] = out
         return out
 
-    def dim_word(self, c, word) -> int:
-        return len(self.tails(0, word, c))
-
     def obj_dim(self, c, obj: SumObject) -> int:
         return self.obj_offsets(c, obj)[-1]
 
@@ -482,18 +478,6 @@ def identity_morphism(model: CategoryModel, obj) -> Morphism:
     obj = as_obj(obj)
     return Morphism(model, obj, obj, {c: np.eye(model.obj_dim(c, obj), dtype=complex)
                                       for c in range(model.rank)})
-
-
-def injection(model: CategoryModel, obj: SumObject, k: int) -> Morphism:
-    """Isometry of the k-th summand into `obj` (the W_k of a direct sum)."""
-    src = SumObject((obj.words[k],), (obj.tags[k],))
-    blocks = {}
-    for c in range(model.rank):
-        offs = model.obj_offsets(c, obj)
-        B = np.zeros((offs[-1], offs[k + 1] - offs[k]), dtype=complex)
-        B[offs[k]:offs[k + 1], :] = np.eye(offs[k + 1] - offs[k])
-        blocks[c] = B
-    return Morphism(model, src, obj, blocks)
 
 
 def basis_vector(model: CategoryModel, nu: int, obj, index: int) -> Morphism:
@@ -840,18 +824,19 @@ def _f_blocks(model: CategoryModel):
     return quads, blocks, start, left, right
 
 
-def _f_table(model: CategoryModel, off: np.ndarray, pair, npairs: int):
+def _f_table(fb, off: np.ndarray, pair, npairs: int):
     """Every nonzero F entry as (left vertex 1, left vertex 2, value), by right pair.
 
     Entry F(a, b, c, d)[(s, e, f), (t, g, h)] has the left vertices
     (a, b, s, e), (s, c, d, f) and the right vertices (b, c, t, g),
     (a, t, d, h); vertex (x, y, z, mu) has the number ``off[x, y, z] + mu``
     and a right pair (r1, r2) the number ``pair(r1, r2) < npairs``.  Entry k
-    of the raveled block q of :func:`_f_blocks`, of size m, has left tree
-    start[q] + k // m and right tree start[q] + k % m.  Returns (lo, l1, l2,
-    val): the entries of right pair p are lo[p]:lo[p + 1], in left-tree order.
+    of the raveled block q of ``fb``, the output of :func:`_f_blocks`, of
+    size m, has left tree start[q] + k // m and right tree start[q] + k % m.
+    Returns (lo, l1, l2, val): the entries of right pair p are lo[p]:lo[p + 1],
+    in left-tree order.
     """
-    quads, blocks, start, left, right = _f_blocks(model)
+    quads, blocks, start, left, right = fb
     size = np.diff(start)
     a, b, c, d = (np.repeat(lab, size) for lab in quads.T)  # labels of each tree
     l1 = off[a, b, left[:, 0]] + left[:, 1]
@@ -895,6 +880,11 @@ def pentagon_residual(model: CategoryModel) -> float:
     right vertex pair it replaces.  The right trees are enumerated one label
     a at a time and checked in batches of ``_PENTAGON_BATCH``.
     """
+    return _pentagon(model, _f_blocks(model))
+
+
+def _pentagon(model: CategoryModel, fb) -> float:
+    """:func:`pentagon_residual` on the F blocks ``fb`` of :func:`_f_blocks`."""
     n, N = model.rank, model.N
     counts = N.ravel()
     nv = int(counts.sum())
@@ -914,7 +904,7 @@ def pentagon_residual(model: CategoryModel) -> float:
     y_rank[np.argsort(vy, kind="stable")] = np.arange(nv) - np.repeat(_run_starts(ycount), ycount)
     ymax = int(ycount.max())
     pair = lambda r1, r2: r1 * ymax + y_rank[r2]
-    table = _f_table(model, off, pair, nv * ymax)
+    table = _f_table(fb, off, pair, nv * ymax)
     # in one right tree, the left vertex (a b -> f; al) is fixed by (f c -> g) up to al
     mu, width = np.arange(nv) - np.repeat(off[np.nonzero(N)], reps), int(N.max())
     worst = 0.0
@@ -1021,7 +1011,12 @@ def hexagon_residual(model: CategoryModel) -> float:
     """
     if not model.braided:
         raise UnsupportedOperationError("category carries no braiding")
-    quads, blocks, start, left, right = _f_blocks(model)
+    return _hexagon(model, _f_blocks(model))
+
+
+def _hexagon(model: CategoryModel, fb) -> float:
+    """:func:`hexagon_residual` of a braided model on the F blocks ``fb`` of :func:`_f_blocks`."""
+    quads, blocks, start, left, right = fb
     N = model.N
     if not np.array_equal(N, N.transpose(1, 0, 2)):
         raise StructureError("a braided category needs commutative fusion rules")
@@ -1108,17 +1103,22 @@ class CategoryReport:
 
 
 def validate_category(model: CategoryModel, tol: float = 1e-9) -> CategoryReport:
-    """Fusion axioms plus pentagon / unitarity / duality (and hexagon if braided)."""
+    """Fusion axioms plus pentagon / unitarity / duality (and hexagon if braided).
+
+    The F blocks and their trees are gathered once and shared by the hexagon,
+    the pentagon and F unitarity.
+    """
     frep = validate_fusion(model.fusion)
+    fb = _f_blocks(model)
     hexa = r_uni = None
     if model.braided:
-        hexa = hexagon_residual(model)
+        hexa = _hexagon(model, fb)
         r_uni = r_unitarity_residual(model)
     return CategoryReport(
         fusion_ok=frep.ok,
         fusion_violations=frep.violations,
-        pentagon=pentagon_residual(model),
-        f_unitarity=f_unitarity_residual(model),
+        pentagon=_pentagon(model, fb),
+        f_unitarity=_unitarity(fb[1]),
         conjugates=conjugate_residual(model),
         hexagon=hexa,
         r_unitarity=r_uni,

@@ -58,7 +58,6 @@ from .morphisms import (
     deligne_product,
     mirror,
     sum_product,
-    unit_intro,
 )
 
 __all__ = ["ThetaSpec", "QSystem", "QReport", "validate_qsystem",
@@ -116,25 +115,16 @@ class ThetaSpec:
                         out[(n, l, m, e)] = (nu, row + e, offs[nu][n])
         return out
 
-    def coefficient_blocks(self, zeta) -> dict:
-        """Sector blocks of the map in Hom(theta, theta^2) with coefficients ``zeta``.
-
-        ``zeta`` maps keys of :attr:`slots` to complex values; missing keys
-        are zero and keys outside :attr:`slots` are ignored.
-        """
+    def coefficient_blocks(self, zeta: np.ndarray) -> dict:
+        """Sector blocks of the map in Hom(theta, theta^2) with coefficients ``zeta``,
+        laid out as :meth:`dense` lays them out."""
         offs = self.model.sector_offsets(self.object)
         offs2 = self.model.sector_offsets(self.square)
         blocks = {c: np.zeros((offs2[c][-1], offs[c][-1]), dtype=complex)
                   for c in range(self.model.rank)}
         for key, (c, row, col) in self.slots.items():
-            val = zeta.get(key)
-            if val:
-                blocks[c][row, col] = val
+            blocks[c][row, col] = zeta[key]
         return blocks
-
-    def coefficients(self, blocks) -> dict:
-        """Inverse of :meth:`coefficient_blocks`: every slot's entry, keyed as :attr:`slots`."""
-        return {key: blocks[c][row, col] for key, (c, row, col) in self.slots.items()}
 
     @cached_property
     def vertices(self) -> int:
@@ -161,15 +151,26 @@ class ThetaSpec:
 
 @dataclass
 class QSystem:
-    """Canonical triple: theta with w in Hom(id, theta), w1 in Hom(theta, theta^2)."""
+    """Canonical triple (theta, w, w1), held as the coefficients of w and w1.
+
+    ``zeta`` is w1 in Hom(theta, theta^2) as :meth:`ThetaSpec.dense` lays it
+    out, and ``w`` is w in Hom(id, theta) as a vector over the summands, zero
+    off the label 0.  :attr:`w1` is the same map as a :class:`Morphism`.
+    """
 
     theta: ThetaSpec
-    w: Morphism
-    w1: Morphism
+    zeta: np.ndarray
+    w: np.ndarray
 
     @property
     def model(self) -> CategoryModel:
         return self.theta.model
+
+    @cached_property
+    def w1(self) -> Morphism:
+        """w1 as a :class:`Morphism`, built from ``zeta`` when first read."""
+        theta = self.theta
+        return Morphism(self.model, theta.object, theta.square, theta.coefficient_blocks(self.zeta))
 
 
 @dataclass
@@ -214,15 +215,6 @@ def _trees(inner: np.ndarray, outer: np.ndarray):
 
 
 _RELATIONS = ("unit_left", "unit_right", "coassociativity", "frobenius", "isometry", "w_isometry")
-
-
-def _coefficients(q: QSystem) -> tuple:
-    """(zeta, w) of ``q``: w1 as :meth:`ThetaSpec.dense` lays it out, w over the summands."""
-    theta = q.theta
-    zeta = theta.dense(theta.coefficients(q.w1.blocks))
-    w = np.zeros(len(theta), dtype=complex)
-    w[[lam == 0 for lam, _ in theta.summands]] = q.w.blocks[0][:, 0]
-    return zeta, w
 
 
 def _defects(theta: ThetaSpec, zeta: np.ndarray, w: np.ndarray, names=_RELATIONS) -> dict:
@@ -314,7 +306,7 @@ def validate_qsystem(q: QSystem, tol: float = 1e-8) -> QReport:
     coefficients of w and w1 by the formulas of the module docstring.
     """
     res = {name: max(map(_norm, blocks))
-           for name, blocks in _defects(q.theta, *_coefficients(q)).items()}
+           for name, blocks in _defects(q.theta, q.zeta, q.w).items()}
     irreducible = q.model.obj_dim(0, q.theta.object) == 1
     return QReport(residuals=res, irreducible=irreducible, tol=tol)
 
@@ -330,23 +322,21 @@ def assemble_qsystem(theta: ThetaSpec, zeta) -> QSystem:
         w1 = sum (W_l x W_m) T^n_lm W_n*,
         T^n_lm = sum_e zeta[n,l,m,e] T_e.
     """
-    model = theta.model
-    th = theta.object
-    if model.obj_dim(0, th) != 1:
+    if theta.model.obj_dim(0, theta.object) != 1:
         raise ValueError("theta must contain the identity sector exactly once")
-    w = unit_intro(model, th, 0)
-    w1 = Morphism(model, th, theta.square, theta.coefficient_blocks(zeta))
-    return QSystem(theta=theta, w=w, w1=w1)
+    return QSystem(theta=theta, zeta=theta.dense(zeta), w=np.eye(len(theta))[theta.index(0)])
 
 
-def lr_zeta(D, theta: ThetaSpec, pairs: list) -> dict:
+def lr_zeta(theta: ThetaSpec) -> dict:
     """Closed-form coefficients for the identity coupling matrix.
 
     With both extensions trivial the coefficient formula collapses to
     sqrt(d(lam) d(mu) / (d(theta) d(nu))) delta_{e1 e2} on the diagonal
-    summands lam x lam-op; `pairs` lists the factor pair of each summand.
+    summands lam x lam-op of theta over a Deligne product.
     """
+    D = theta.model
     m1, m2 = D.factors
+    pairs = [D.unpack(lam) for lam, _ in theta.summands]
     dth = theta.d_theta
     zeta = {}
     for n, (nu, _) in enumerate(theta.summands):
@@ -374,11 +364,8 @@ def lr_qsystem(model: CategoryModel):
     formula.  Returns (qsystem, product_model).
     """
     D = deligne_product(model, mirror(model))
-    mult = {D.pack(lam, lam): 1 for lam in range(model.rank)}
-    theta = ThetaSpec(D, mult)
-    pairs = [D.unpack(lam) for lam, _ in theta.summands]
-    q = assemble_qsystem(theta, lr_zeta(D, theta, pairs))
-    return q, D
+    theta = ThetaSpec(D, {D.pack(lam, lam): 1 for lam in range(model.rank)})
+    return assemble_qsystem(theta, lr_zeta(theta)), D
 
 
 def check_commutativity(q: QSystem, eps: np.ndarray) -> float:
@@ -391,8 +378,7 @@ def check_commutativity(q: QSystem, eps: np.ndarray) -> float:
     The residual is the largest operator norm, over the sectors c, of the
     block of (eps w1 - w1) whose columns are the summands n labelled c.
     """
-    zeta, _ = _coefficients(q)
-    defect = (eps @ zeta[..., None])[..., 0].transpose(0, 2, 1, 3) - zeta
+    defect = (eps @ q.zeta[..., None])[..., 0].transpose(0, 2, 1, 3) - q.zeta
     lab = np.array([lam for lam, _ in q.theta.summands])
     # a set, not np.unique(lab): on numpy 2.4 that imports numpy.ma (1.6 MB of peak RSS)
     return max(_norm(defect[lab == c].reshape(np.count_nonzero(lab == c), -1).T)

@@ -2,8 +2,9 @@
 
 These are the direct, morphism-level forms of identities the package
 computes another way (standard inverses, module constraints, the braiding
-of theta^2), plus helpers that only tests need.  Nothing in the package
-imports this module.
+of theta^2), the conversions between those forms and the coefficients that
+QSystem and AlgebraObject hold, plus helpers that only tests need.  Nothing
+in the package imports this module.
 """
 
 from __future__ import annotations
@@ -47,6 +48,58 @@ from qsystems.morphisms import (
 )
 from qsystems.qsystem import QSystem, ThetaSpec
 
+# -- coefficients and morphisms ------------------------------------------------
+
+
+def slot_coefficients(theta: ThetaSpec, blocks: dict) -> dict:
+    """Every slot's entry of the sector blocks of a map in Hom(theta, theta^2),
+    keyed as ``theta.slots``: the inverse of ``ThetaSpec.coefficient_blocks``."""
+    return {key: blocks[c][row, col] for key, (c, row, col) in theta.slots.items()}
+
+
+def _identity_summands(theta: ThetaSpec) -> np.ndarray:
+    return np.array([lam == 0 for lam, _ in theta.summands])
+
+
+def unit_vector(theta: ThetaSpec, w: Morphism) -> np.ndarray:
+    """w in Hom(id, theta) as the vector over the summands that QSystem and AlgebraObject hold."""
+    out = np.zeros(len(theta), dtype=complex)
+    out[_identity_summands(theta)] = w.blocks[0][:, 0]
+    return out
+
+
+def unit_morphism(theta: ThetaSpec, w: np.ndarray) -> Morphism:
+    """The vector ``w`` over the summands as a morphism in Hom(id, theta)."""
+    return Morphism(theta.model, unit_obj(), theta.object, {0: w[_identity_summands(theta), None]})
+
+
+def qsystem_of(theta: ThetaSpec, w: Morphism, w1: Morphism) -> QSystem:
+    """The QSystem whose w and w1 are the morphisms ``w`` and ``w1``."""
+    zeta = theta.dense(slot_coefficients(theta, w1.blocks))
+    return QSystem(theta=theta, zeta=zeta, w=unit_vector(theta, w))
+
+
+def algebra_of(theta: ThetaSpec, unit: Morphism, mult: Morphism) -> AlgebraObject:
+    """The AlgebraObject whose unit and mult are the morphisms ``unit`` and ``mult``.
+
+    mult in Hom(theta^2, theta) holds each coefficient at the transpose of its slot.
+    """
+    coeffs = slot_coefficients(theta, {c: B.T for c, B in mult.blocks.items()})
+    return AlgebraObject(theta=theta, unit=unit_vector(theta, unit), coeffs=coeffs)
+
+
+def random_qsystem(theta: ThetaSpec, rng) -> QSystem:
+    """Random complex coefficients on every slot of w1, and a random w."""
+
+    def noise(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    zeta = theta.dense({key: complex(noise()) for key in theta.slots})
+    w = np.zeros(len(theta), dtype=complex)
+    w[_identity_summands(theta)] = noise(theta.model.obj_dim(0, theta.object))
+    return QSystem(theta=theta, zeta=zeta, w=w)
+
+
 # -- morphisms -----------------------------------------------------------------
 
 
@@ -57,6 +110,23 @@ def random_morphism(model: CategoryModel, source, target, rng) -> Morphism:
         dt, ds = model.obj_dim(c, target), model.obj_dim(c, source)
         blocks[c] = rng.standard_normal((dt, ds)) + 1j * rng.standard_normal((dt, ds))
     return Morphism(model, source, target, blocks)
+
+
+def dim_word(model: CategoryModel, c: int, word) -> int:
+    """dim Hom(c, word): the number of fusion trees of ``word`` ending in c."""
+    return len(model.tails(0, word, c))
+
+
+def injection(model: CategoryModel, obj: SumObject, k: int) -> Morphism:
+    """Isometry of the k-th summand into `obj` (the W_k of a direct sum)."""
+    src = SumObject((obj.words[k],), (obj.tags[k],))
+    blocks = {}
+    for c in range(model.rank):
+        offs = model.obj_offsets(c, obj)
+        B = np.zeros((offs[-1], offs[k + 1] - offs[k]), dtype=complex)
+        B[offs[k]:offs[k + 1], :] = np.eye(offs[k + 1] - offs[k])
+        blocks[c] = B
+    return Morphism(model, src, obj, blocks)
 
 
 def word_dual(model: CategoryModel, word) -> tuple:

@@ -16,7 +16,7 @@ from qsystems.induction import _mult_map, _split_map, lift
 from qsystems.morphisms import braid, compose, deligne_product, distance, mirror, mono_product, word_obj
 from qsystems.qsystem import check_commutativity, lr_qsystem, validate_qsystem
 
-from oracles import rotate_bases, zeta_oracle
+from oracles import rotate_bases, slot_coefficients, zeta_oracle
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -50,6 +50,17 @@ def test_pair_summands_run_in_theta_order(d4_result, d5_result, e6_result):
         D = res.product_model
         assert [(D.pack(s.lam1, s.lam2), s.copy) for s in res.pair.summands] == res.theta.summands
         assert set(res.zeta) <= set(res.theta.slots)
+
+
+def test_derived_w1_holds_the_stored_zeta(d4_result, d5_result, e6_result):
+    # q.w1 is built from q.zeta when first read: its blocks read back to that
+    # zeta bitwise, and its nonzero entries are the coefficients of res.zeta
+    for res in (d4_result, d5_result, e6_result):
+        q, theta = res.qsystem, res.theta
+        assert q.zeta.tobytes() == theta.dense(res.zeta).tobytes()
+        blocks = q.w1.blocks
+        assert theta.dense(slot_coefficients(theta, blocks)).tobytes() == q.zeta.tobytes()
+        assert sum(int(np.count_nonzero(B)) for B in blocks.values()) == len(res.zeta)
 
 
 def test_zeta_values_diagonal_fibonacci(lr_pairs):

@@ -6,7 +6,6 @@ import pytest
 from qsystems import catalog
 from qsystems.ctps import alpha_pair
 from qsystems.induction import (
-    AlgebraObject,
     Bimod,
     BimodMap,
     bim_compose,
@@ -36,7 +35,15 @@ from qsystems.morphisms import (
     word_obj,
 )
 
-from oracles import alpha_dimension, bim_identity, induced_left_inverse_scalar, module_residual
+from oracles import (
+    algebra_of,
+    alpha_dimension,
+    bim_identity,
+    induced_left_inverse_scalar,
+    injection,
+    module_residual,
+    unit_morphism,
+)
 
 
 def test_trivial_algebra_valid(models):
@@ -53,7 +60,7 @@ def test_bundled_algebras_valid(algebras):
 
 def _channel_coeff(alg, l, m, n, e=0):
     """Multiplication coefficient on summand channel (l, m) -> n, vertex e."""
-    from qsystems.morphisms import injection, mono_product
+    from qsystems.morphisms import mono_product
 
     model = alg.model
     th = alg.object
@@ -165,6 +172,42 @@ def test_coupling_dimension_sum(models, algebras):
     assert total == pytest.approx(12.0, abs=1e-9)
 
 
+def test_verify_algebra_checks_the_newton_zeta(monkeypatch, models, algebras):
+    # the zeta verify_algebra validates is bitwise the zeta of the Newton
+    # residual at the same coefficients: the returned start's last accepted
+    # residual was formed at the algebra's coefficients
+    import qsystems.induction as induction
+    import qsystems.qsystem as qsystem
+
+    newton, validated = set(), []
+
+    def spy(record, defects):
+        def wrapped(theta, zeta, w, *names):
+            record(zeta.tobytes())
+            return defects(theta, zeta, w, *names)
+        return wrapped
+
+    monkeypatch.setattr(induction, "_defects", spy(newton.add, induction._defects))
+    monkeypatch.setattr(qsystem, "_defects", spy(validated.append, qsystem._defects))
+
+    def solved_zeta_is_validated(model, mult, rng=None):
+        newton.clear()
+        a = solve_haploid_algebra(model, mult, rng=rng)
+        verify_algebra(a)
+        assert validated[-1] in newton, mult
+        return validated[-1]
+
+    # the bundles' solves, in the order and from the seed of scripts/build_bundles.py
+    rng = np.random.default_rng(2024)
+    for name, cat, mult in [("z2", "su2k4", {0: 1, 4: 1}), ("fibtau", "fibonacci", {0: 1, 1: 1}),
+                            ("isingpsi", "ising", {0: 1, 2: 1}), ("z4fermion", "z4", {0: 1, 2: 1})]:
+        zeta = solved_zeta_is_validated(models[cat], mult, rng)
+        verify_algebra(algebras[name])  # the bundle holds the solved coefficients exactly
+        assert validated[-1] == zeta, name
+    solved_zeta_is_validated(catalog.su2_level(8), {0: 1, 8: 1})  # D6
+    solved_zeta_is_validated(catalog.su2_level(10), {0: 1, 6: 1})  # E6
+
+
 def _regauged(alg, rng):
     """The algebra conjugated by a random unitary on Theta."""
     model = alg.model
@@ -178,8 +221,8 @@ def _regauged(alg, rng):
     u = Morphism(model, th, th, blocks)
     from qsystems.morphisms import mono_product
     mult2 = compose(u, compose(alg.mult, mono_product(adjoint(u), adjoint(u))))
-    unit2 = compose(u, alg.unit)
-    return AlgebraObject(theta=alg.theta, unit=unit2, mult=mult2)
+    unit2 = compose(u, unit_morphism(alg.theta, alg.unit))
+    return algebra_of(alg.theta, unit2, mult2)
 
 
 def test_coupling_invariant_under_algebra_gauge(algebras, rng):

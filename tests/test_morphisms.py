@@ -39,7 +39,7 @@ from qsystems import catalog
 from qsystems.fusion import FusionData, StructureError
 from qsystems.io import load_algebra
 
-from oracles import left_inverse, random_morphism, right_inverse, word_conjugate_pair, word_dual
+from oracles import dim_word, left_inverse, random_morphism, right_inverse, word_conjugate_pair, word_dual
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -159,7 +159,7 @@ def test_one_times_duality_lands_in_predicted_space(models):
     assert f.source.words == ((1,),)
     assert f.target.words == ((1, 1, 1),)
     for c in range(m.rank):
-        assert f.blocks[c].shape == (m.dim_word(c, (1, 1, 1)), m.dim_word(c, (1,)))
+        assert f.blocks[c].shape == (dim_word(m, c, (1, 1, 1)), dim_word(m, c, (1,)))
 
 
 def test_hom_basis_dimensions(models):

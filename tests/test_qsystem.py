@@ -18,7 +18,6 @@ from qsystems.morphisms import (
     mirror,
     op_norm,
     rmul,
-    unit_obj,
 )
 from qsystems.qsystem import (
     QReport,
@@ -33,7 +32,13 @@ from qsystems.qsystem import (
 from qsystems.ctps import alpha_pair, assemble_w1, build_theta, ctps_braiding, zeta_tensor
 from qsystems.induction import to_qsystem
 
-from oracles import braiding_morphism, commutativity_oracle
+from oracles import (
+    braiding_morphism,
+    commutativity_oracle,
+    qsystem_of,
+    random_qsystem,
+    unit_morphism,
+)
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -66,17 +71,16 @@ def test_d_theta_equals_trace(lr_systems):
 def test_unit_law_constant_is_dim_sqrt(lr_systems):
     # scaling w1 breaks the unit law with its sqrt(d(theta)) constant
     q, D = lr_systems["fibonacci"]
-    bad = QSystem(theta=q.theta, w=q.w, w1=1.01 * q.w1)
+    bad = QSystem(theta=q.theta, zeta=1.01 * q.zeta, w=q.w)
     rep = validate_qsystem(bad, tol=1e-9)
     assert rep.residuals["unit_left"] > 1e-3
     assert rep.residuals["isometry"] > 1e-3
 
 
 def test_zeta_perturbation_rejected(lr_systems):
-    q, D = lr_systems["fibonacci"]
+    q, _ = lr_systems["fibonacci"]
     theta = q.theta
-    pairs = [D.unpack(lam) for lam, _ in theta.summands]
-    base = lr_zeta(D, theta, pairs)
+    base = lr_zeta(theta)
     for key in list(base):
         z = dict(base)
         z[key] = z[key] + 1e-3
@@ -96,7 +100,7 @@ def test_unitary_perturbation_of_w1_rejected(lr_systems, rng):
         w, v = np.linalg.eigh(h)
         blocks[c] = v @ np.diag(np.exp(1e-3j * w)) @ v.conj().T
     u = Morphism(D, th2, th2, blocks)
-    q2 = QSystem(theta=q.theta, w=q.w, w1=compose(u, q.w1))
+    q2 = qsystem_of(q.theta, unit_morphism(q.theta, q.w), compose(u, q.w1))
     rep = validate_qsystem(q2, tol=1e-8)
     assert rep.residuals["isometry"] < 1e-10  # unitary: still an isometry
     assert not rep.ok  # but the algebra relations fail
@@ -153,7 +157,8 @@ def relation_defects(q: QSystem, names=None) -> dict:
     th = q.theta.object
     c = q.theta.d_theta ** -0.5
     id_th = identity_morphism(model, th)
-    w_star = adjoint(q.w)
+    w = unit_morphism(q.theta, q.w)
+    w_star = adjoint(w)
     w1_star = adjoint(q.w1)
     defects = {
         "unit_left": lambda: compose(rmul(w_star, th), q.w1) - c * id_th,
@@ -163,8 +168,8 @@ def relation_defects(q: QSystem, names=None) -> dict:
         "frobenius": lambda: (compose(q.w1, w1_star)
                               - compose(lmul(th, w1_star), rmul(q.w1, th))),
         "isometry": lambda: compose(w1_star, q.w1) - id_th,
-        "w_isometry": lambda: (compose(w_star, q.w)
-                               - identity_morphism(model, q.w.source)),
+        "w_isometry": lambda: (compose(w_star, w)
+                               - identity_morphism(model, w.source)),
     }
     return {name: defects[name]() for name in names or defects}
 
@@ -194,9 +199,9 @@ def ctps_qsystem(pair):
 
 def broken(q):
     """1.01 w1, and w scaled by 2 and by a phase: each breaks a relation."""
-    return [QSystem(theta=q.theta, w=q.w, w1=1.01 * q.w1),
-            QSystem(theta=q.theta, w=2.0 * q.w, w1=q.w1),
-            QSystem(theta=q.theta, w=np.exp(0.7j) * q.w, w1=q.w1)]
+    return [QSystem(theta=q.theta, zeta=1.01 * q.zeta, w=q.w),
+            QSystem(theta=q.theta, zeta=q.zeta, w=2.0 * q.w),
+            QSystem(theta=q.theta, zeta=q.zeta, w=np.exp(0.7j) * q.w)]
 
 
 def test_validator_matches_oracle_on_bundled_algebras(algebras):
@@ -241,15 +246,7 @@ def test_validator_matches_oracle_on_random_coefficients(models, name, labels, s
     # that may repeat labels or lack the identity
     model = models[name]
     theta = ThetaSpec(model, Counter(lam % model.rank for lam in labels))
-    rng = np.random.default_rng(seed)
-
-    def noise(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    zeta = {key: complex(noise()) for key in theta.slots}
-    w1 = Morphism(model, theta.object, theta.square, theta.coefficient_blocks(zeta))
-    w = Morphism(model, unit_obj(), theta.object, {0: noise(model.obj_dim(0, theta.object), 1)})
-    assert_matches_oracle(QSystem(theta=theta, w=w, w1=w1))
+    assert_matches_oracle(random_qsystem(theta, np.random.default_rng(seed)))
 
 
 # -- commutativity on the coefficients against the theta^2 braiding -----------
@@ -318,12 +315,4 @@ def test_commutativity_matches_oracle_on_random_coefficients(products, name, lab
     D = products[name]
     n = D.factors[0].rank
     theta = ThetaSpec(D, Counter(D.pack(a % n, b % n) for a, b in labels))
-    rng = np.random.default_rng(seed)
-
-    def noise(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    zeta = {key: complex(noise()) for key in theta.slots}
-    w1 = Morphism(D, theta.object, theta.square, theta.coefficient_blocks(zeta))
-    w = Morphism(D, unit_obj(), theta.object, {0: noise(D.obj_dim(0, theta.object), 1)})
-    assert_commutativity_matches_oracle(QSystem(theta=theta, w=w, w1=w1))
+    assert_commutativity_matches_oracle(random_qsystem(theta, np.random.default_rng(seed)))
