@@ -9,6 +9,8 @@ SU(2)_k recoupling uses the symmetrized q-deformed Racah formula.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .fusion import FusionData
@@ -96,38 +98,99 @@ def _qfactorials(k: int, top: int) -> list:
     return out
 
 
-def _qdeltas(fac, N) -> dict:
-    """Triangle coefficients Delta(a, b, c) of the admissible triples (the nonzero N)."""
-    return {(a, b, c): np.sqrt(fac[(-a + b + c) // 2] * fac[(a - b + c) // 2]
-                               * fac[(a + b - c) // 2] / fac[(a + b + c) // 2 + 1])
-            for a, b, c in np.argwhere(N).tolist()}
+def _qdeltas(fac: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """Triangle coefficients Delta(a, b, c) of the admissible triples (the nonzero N), 0 elsewhere."""
+    a, b, c = np.nonzero(N)
+    out = np.zeros(N.shape)
+    out[a, b, c] = np.sqrt(fac[(-a + b + c) // 2] * fac[(a - b + c) // 2]
+                           * fac[(a + b - c) // 2] / fac[(a + b + c) // 2 + 1])
+    return out
 
 
 def _admissible(k, a, b, c) -> bool:
     return (a + b + c) % 2 == 0 and abs(a - b) <= c <= min(a + b, 2 * k - a - b)
 
 
-def _sixj(fac, delta, a, b, ab, c, d, bc) -> float:
-    """q-deformed 6j symbol in doubled-spin labels, from the tables `fac` of :func:`_qfactorials`
-    and `delta` of :func:`_qdeltas` (so the four triples must be admissible at the level)."""
-    for (x, y, z) in [(a, b, ab), (ab, c, d), (b, c, bc), (a, bc, d)]:
-        if (x + y + z) % 2 != 0 or z > x + y or z < abs(x - y):
-            return 0.0
-    start = max(a + b + ab, ab + c + d, b + c + bc, a + bc + d) // 2
-    stop = min(a + b + c + d, a + ab + c + bc, b + ab + d + bc) // 2
-    res = 0.0
-    for z in range(start, stop + 1):
-        den = (fac[z - (a + b + ab) // 2] * fac[z - (ab + c + d) // 2]
-               * fac[z - (b + c + bc) // 2] * fac[z - (a + bc + d) // 2]
-               * fac[(a + b + c + d) // 2 - z]
-               * fac[(a + ab + c + bc) // 2 - z]
-               * fac[(b + ab + d + bc) // 2 - z])
-        res += (-1) ** z * fac[z + 1] / den
-    return res * (delta[a, b, ab] * delta[ab, c, d] * delta[b, c, bc] * delta[a, bc, d])
+def _racah(fac, delta, qd, a, b, s, c, d, t) -> np.ndarray:
+    """F(a, b, c, d)[s, t] = +-sqrt(d_s d_t) {a b s; c d t}_q for arrays of admissible labels.
+
+    The q-Racah series is summed in z, one pass per offset from its first
+    term, and every product is formed in the order of the per-entry formula,
+    so each entry is the same double the scalar sum gives.
+    """
+    lo = ((a + b + s) // 2, (s + c + d) // 2, (b + c + t) // 2, (a + t + d) // 2)
+    hi = ((a + b + c + d) // 2, (a + s + c + t) // 2, (b + s + d + t) // 2)
+    start = np.maximum.reduce(lo)
+    span = np.minimum.reduce(hi) - start  # the series has span + 1 terms
+    res = np.zeros(start.shape)
+    for o in range(int(span.max()) + 1):
+        i = np.flatnonzero(span >= o)
+        z = start[i] + o
+        den = (fac[z - lo[0][i]] * fac[z - lo[1][i]] * fac[z - lo[2][i]] * fac[z - lo[3][i]]
+               * fac[hi[0][i] - z] * fac[hi[1][i] - z] * fac[hi[2][i] - z])
+        res[i] += np.where(z % 2, -1.0, 1.0) * fac[z + 1] / den
+    sixj = res * (delta[a, b, s] * delta[s, c, d] * delta[b, c, t] * delta[a, t, d])
+    sign = 1 - 2 * ((a + b + c + d) // 2 % 2)
+    return sign * np.sqrt(qd[s] * qd[t]) * sixj
+
+
+# F entries per vectorised Racah pass: bounds the working memory of the F fill
+_RACAH_BATCH = 1 << 10
+
+
+def _entries(has: np.ndarray, size: int):
+    """Labels (a, b, s, c, d, t) of the F entries with a, b, c != 0, in table order,
+    in batches of at least ``size`` entries (the last may be smaller)."""
+    n = len(has)
+    sct = has.transpose(1, 2, 0)
+    parts, count = [], 0
+    for a in range(1, n):
+        for b in range(1, n):
+            # entry (c, d, s, t) of F(a, b, c, d): N[a, b, s] N[s, c, d] N[b, c, t] N[a, t, d]
+            left = has[a, b] & sct                 # (c, d, s)
+            right = has[b][:, None, :] & has[a].T  # (c, d, t)
+            c, d, s, t = np.nonzero(left[1:, :, :, None] & right[1:, :, None, :])
+            parts.append(np.stack([np.full(len(c), a), np.full(len(c), b), s, c + 1, d, t]))
+            count += len(c)
+            if count >= size:
+                yield np.concatenate(parts, axis=1)
+                parts, count = [], 0
+    if parts:
+        yield np.concatenate(parts, axis=1)
+
+
+def _f_table(k: int, N: np.ndarray, qd: np.ndarray):
+    """Every F entry of su(2)_k with a, b, c != 0, flat, and the offset of each block.
+
+    F(a, b, c, d) is entries off[q]:off[q + 1], q = ((a n + b) n + c) n + d,
+    row-major in the trees s of f_left and t of f_right (su(2)_k has no
+    multiplicities).
+    """
+    n = k + 1
+    # labels are at most k, so a 6j symbol needs [m]_q! up to m = 2k + 1
+    fac = np.array(_qfactorials(k, 2 * k + 1))
+    delta = _qdeltas(fac, N)
+    size = np.tensordot(N, N, axes=(2, 0))  # dim Hom(d, abc), then its square
+    size[0] = size[:, 0] = size[:, :, 0] = 0
+    size **= 2
+    # the offsets are kept as long as the table, in the smallest type that holds them
+    off = np.concatenate([[0], np.cumsum(size.ravel())])
+    off = off.astype(np.min_scalar_type(off[-1]))
+    del size
+    out = np.empty(off[-1], dtype=complex)
+    pos = 0
+    for labels in _entries(N > 0, _RACAH_BATCH):
+        vals = _racah(fac, delta, qd, *labels)
+        out[pos:pos + len(vals)] = vals
+        pos += len(vals)
+    return out, off
 
 
 def su2_level(k: int) -> CategoryModel:
-    """SU(2)_k anyons, labels are doubled spins 0..k."""
+    """SU(2)_k anyons, labels are doubled spins 0..k.
+
+    The F table is filled in one pass on the first call to F.
+    """
     n = k + 1
     N = np.zeros((n, n, n), dtype=int)
     for a in range(n):
@@ -137,21 +200,17 @@ def su2_level(k: int) -> CategoryModel:
                     N[a, b, c] = 1
     qd = np.array([_qnum(k, a + 1) for a in range(n)])
     fus = FusionData([str(a) for a in range(n)], list(range(n)), N, qd)
-    # labels are at most k, so a 6j symbol needs [m]_q! up to m = 2k + 1
-    fac = _qfactorials(k, 2 * k + 1)
-    delta = _qdeltas(fac, N)
+    table = None
 
     def f(a, b, c, d):
-        left = [(sig, e, ff) for sig in range(n) if N[a, b, sig] and N[sig, c, d]
-                for e in (0,) for ff in (0,)]
-        right = [(tau, g, h) for tau in range(n) if N[b, c, tau] and N[a, tau, d]
-                 for g in (0,) for h in (0,)]
-        M = np.zeros((len(left), len(right)), dtype=complex)
-        sign = (-1) ** (((a + b + c + d) // 2) % 2)
-        for i, (sig, _, _) in enumerate(left):
-            for j, (tau, _, _) in enumerate(right):
-                M[i, j] = sign * np.sqrt(qd[sig] * qd[tau]) * _sixj(fac, delta, a, b, sig, c, d, tau)
-        return M
+        nonlocal table
+        if table is None:
+            table = _f_table(k, N, qd)
+        vals, off = table
+        q = ((a * n + b) * n + c) * n + d
+        lo, hi = off[q], off[q + 1]
+        m = math.isqrt(hi - lo)
+        return vals[lo:hi].reshape(m, m)
 
     def r(a, b, c):
         phase = (-1) ** (((c - a - b) // 2) % 2) * np.exp(

@@ -239,8 +239,9 @@ class CategoryModel:
     def _f_block(self, a, b, c, d) -> np.ndarray:
         """F(a, b, c, d) from the provider, checked against the tree counts."""
         key = (a, b, c, d)
-        nl = len(self.f_left(a, b, c, d))
-        nr = len(self.f_right(a, b, c, d))
+        N = self.N
+        nl = int(N[a, b] @ N[:, c, d])
+        nr = int(N[b, c] @ N[a, :, d])
         if nl != nr:
             raise StructureError(f"fusion data not associative at {key}: {nl} != {nr}")
         if nl == 0:
@@ -693,17 +694,25 @@ def conjugate_pair(model: CategoryModel, lam: int) -> ConjugatePair:
         pair = ConjugatePair(r=rbar, rbar=rbar)
         model._conj[lam] = pair
         return pair
-    Fm = model.F(lam, lamd, lam, lam)
-    li = model.f_left(lam, lamd, lam, lam).index((0, 0, 0))
-    ri = model.f_right(lam, lamd, lam, lam).index((0, 0, 0))
-    f00 = Fm[li, ri]
-    if abs(f00) < 1e-14:
-        raise StructureError(f"degenerate duality datum F[{lam}]")
-    coeff = 1.0 / (model.qdim[lam] * np.conj(f00))
-    r = coeff * unit_intro(model, word_obj((lamd, lam)))
+    r = _duality_coefficient(model, lam)[1] * unit_intro(model, word_obj((lamd, lam)))
     pair = ConjugatePair(r=r, rbar=rbar)
     model._conj[lam] = pair
     return pair
+
+
+def _duality_coefficient(model: CategoryModel, lam: int) -> tuple:
+    """(f, coeff) for a sector lam != 0: f = F(lam, conj(lam), lam; lam) between the
+    trees through the unit, and the coefficient 1 / (d_lam f) of ``r``.
+
+    The tree (0, 0, 0) through the unit comes first in both tree lists.
+    """
+    lamd = int(model.dual[lam])
+    if not (model.N[lam, lamd, 0] and model.N[lamd, lam, 0]):
+        raise StructureError(f"{lam} x {lamd} has no unit: dual[{lam}] is not its conjugate")
+    f = model.F(lam, lamd, lam, lam)[0, 0]
+    if abs(f) < 1e-14:
+        raise StructureError(f"degenerate duality datum F[{lam}]")
+    return f, 1.0 / (model.qdim[lam] * f)
 
 
 # ---------------------------------------------------------------------------
@@ -809,18 +818,34 @@ def _tree_quads(N: np.ndarray) -> np.ndarray:
     return np.argwhere((np.tensordot(N, N, axes=(2, 0)) > 0) | (right > 0))
 
 
+def _trees(inner: np.ndarray, outer: np.ndarray):
+    """Two-vertex trees (i, s, e, f) with e < inner[i, s] and f < outer[i, s].
+
+    Rows i of ``inner`` and ``outer`` are independent problems; the trees of
+    each run over (s, e, f) lexicographically, as :meth:`CategoryModel.f_left`
+    (inner = N[a, b], outer = N[:, x, c]) and :meth:`CategoryModel.f_right`
+    (inner = N[b, x], outer = N[a, :, c]) list them.
+    """
+    i, s = np.nonzero(inner * outer)
+    n = inner[i, s] * outer[i, s]
+    i, s = np.repeat(i, n), np.repeat(s, n)
+    e, f = np.divmod(np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n), outer[i, s])
+    return i, s, e, f
+
+
 def _f_blocks(model: CategoryModel):
     """(quads, blocks, start, left, right) for every F block with trees.
 
     blocks[q] is F(*quads[q]); rows start[q]:start[q + 1] of `left` and
     `right` are its trees (s, e, f) and (t, g, h), in row and column order.
     """
-    quads = _tree_quads(model.N)
-    labels = quads.tolist()
-    blocks = [model.F(*q) for q in labels]
+    N = model.N
+    quads = _tree_quads(N)
+    blocks = [model.F(*q) for q in quads.tolist()]
     start = np.cumsum([0] + [len(F) for F in blocks])
-    left = np.array([t for q in labels for t in model.f_left(*q)], dtype=np.int64).reshape(-1, 3)
-    right = np.array([t for q in labels for t in model.f_right(*q)], dtype=np.int64).reshape(-1, 3)
+    a, b, c, d = quads.T
+    left = np.stack(_trees(N[a, b], N[:, c, d].T)[1:], axis=1)
+    right = np.stack(_trees(N[b, c], N[a, :, d])[1:], axis=1)
     return quads, blocks, start, left, right
 
 
@@ -1058,19 +1083,23 @@ def r_unitarity_residual(model: CategoryModel) -> float:
 
 
 def conjugate_residual(model: CategoryModel) -> float:
-    """Max violation of the two conjugate equations over all sectors."""
+    """Max violation of the two conjugate equations over all sectors.
+
+    For a simple lam both sides of each are scalars on it.  With (f, coeff)
+    of :func:`_duality_coefficient`, (1 x r*)(rbar x 1) = conj(coeff f), which
+    coeff makes 1 / d_lam up to rounding, and (1 x rbar*)(r x 1) = coeff conj(g),
+    g = F(conj(lam), lam, conj(lam); conj(lam)) between the trees through the
+    unit, which is 1 / d_lam when g = conj(f).  The unit sector satisfies both
+    exactly.
+    """
     worst = 0.0
-    for lam in range(model.rank):
+    for lam in range(1, model.rank):
         lamd = int(model.dual[lam])
-        pair = conjugate_pair(model, lam)
-        wl, wld = word_obj((lam,)), word_obj((lamd,))
-        lhs1 = compose(lmul(wl, adjoint(pair.r)), rmul(pair.rbar, wl))
-        want1 = (1.0 / model.qdim[lam]) * identity_morphism(model, wl)
-        worst = max(worst, distance(lhs1, want1))
-        lhs2 = compose(lmul(wld, adjoint(pair.rbar)), rmul(pair.r, wld))
-        want2 = (1.0 / model.qdim[lam]) * identity_morphism(model, wld)
-        worst = max(worst, distance(lhs2, want2))
-    return worst
+        f, coeff = _duality_coefficient(model, lam)
+        g = model.F(lamd, lam, lamd, lamd)[0, 0]
+        want = 1.0 / model.qdim[lam]
+        worst = max(worst, abs(np.conj(coeff * f) - want), abs(coeff * np.conj(g) - want))
+    return float(worst)
 
 
 @dataclass

@@ -55,6 +55,7 @@ from .morphisms import (
     CategoryModel,
     Morphism,
     SumObject,
+    _trees,
     deligne_product,
     mirror,
     sum_product,
@@ -197,21 +198,6 @@ class QReport:
 
 def _norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2)) if M.size else 0.0
-
-
-def _trees(inner: np.ndarray, outer: np.ndarray):
-    """Two-vertex trees (i, s, e, f) with e < inner[i, s] and f < outer[i, s].
-
-    Rows i of ``inner`` and ``outer`` are independent problems; the trees of
-    each run over (s, e, f) lexicographically, as :meth:`CategoryModel.f_left`
-    (inner = N[a, b], outer = N[:, x, c]) and :meth:`CategoryModel.f_right`
-    (inner = N[b, x], outer = N[a, :, c]) list them.
-    """
-    i, s = np.nonzero(inner * outer)
-    n = inner[i, s] * outer[i, s]
-    i, s = np.repeat(i, n), np.repeat(s, n)
-    e, f = np.divmod(np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n), outer[i, s])
-    return i, s, e, f
 
 
 _RELATIONS = ("unit_left", "unit_right", "coassociativity", "frobenius", "isometry", "w_isometry")

@@ -13,6 +13,7 @@ import itertools
 
 import numpy as np
 
+from qsystems import catalog
 from qsystems.induction import (
     AlgebraObject,
     Bimod,
@@ -47,6 +48,74 @@ from qsystems.morphisms import (
     word_obj,
 )
 from qsystems.qsystem import QSystem, ThetaSpec
+
+# -- su(2)_k recoupling and duality, entry by entry -----------------------------
+
+
+def _qdeltas(fac, N) -> dict:
+    """Triangle coefficients Delta(a, b, c) of the admissible triples (the nonzero N)."""
+    return {(a, b, c): np.sqrt(fac[(-a + b + c) // 2] * fac[(a - b + c) // 2]
+                               * fac[(a + b - c) // 2] / fac[(a + b + c) // 2 + 1])
+            for a, b, c in np.argwhere(N).tolist()}
+
+
+def _sixj(fac, delta, a, b, ab, c, d, bc) -> float:
+    """q-deformed 6j symbol in doubled-spin labels, from the tables `fac` of
+    ``catalog._qfactorials`` and `delta` of :func:`_qdeltas` (so the four triples
+    must be admissible at the level)."""
+    for (x, y, z) in [(a, b, ab), (ab, c, d), (b, c, bc), (a, bc, d)]:
+        if (x + y + z) % 2 != 0 or z > x + y or z < abs(x - y):
+            return 0.0
+    start = max(a + b + ab, ab + c + d, b + c + bc, a + bc + d) // 2
+    stop = min(a + b + c + d, a + ab + c + bc, b + ab + d + bc) // 2
+    res = 0.0
+    for z in range(start, stop + 1):
+        den = (fac[z - (a + b + ab) // 2] * fac[z - (ab + c + d) // 2]
+               * fac[z - (b + c + bc) // 2] * fac[z - (a + bc + d) // 2]
+               * fac[(a + b + c + d) // 2 - z]
+               * fac[(a + ab + c + bc) // 2 - z]
+               * fac[(b + ab + d + bc) // 2 - z])
+        res += (-1) ** z * fac[z + 1] / den
+    return res * (delta[a, b, ab] * delta[ab, c, d] * delta[b, c, bc] * delta[a, bc, d])
+
+
+def su2_f_oracle(k: int):
+    """F provider of ``catalog.su2_level(k)`` that sums the Racah series of each
+    entry on its own: the oracle of the level's one-pass F table."""
+    model = catalog.su2_level(k)
+    N, qd, n = model.N, model.qdim, model.rank
+    fac = catalog._qfactorials(k, 2 * k + 1)
+    delta = _qdeltas(fac, N)
+
+    def f(a, b, c, d):
+        left = [sig for sig in range(n) if N[a, b, sig] and N[sig, c, d]]
+        right = [tau for tau in range(n) if N[b, c, tau] and N[a, tau, d]]
+        M = np.zeros((len(left), len(right)), dtype=complex)
+        sign = (-1) ** (((a + b + c + d) // 2) % 2)
+        for i, sig in enumerate(left):
+            for j, tau in enumerate(right):
+                M[i, j] = sign * np.sqrt(qd[sig] * qd[tau]) * _sixj(fac, delta, a, b, sig, c, d, tau)
+        return M
+
+    return f
+
+
+def conjugate_oracle(model: CategoryModel) -> float:
+    """Both conjugate equations of ``conjugate_pair`` on the morphisms: the oracle
+    of ``conjugate_residual``."""
+    worst = 0.0
+    for lam in range(model.rank):
+        lamd = int(model.dual[lam])
+        pair = conjugate_pair(model, lam)
+        wl, wld = word_obj((lam,)), word_obj((lamd,))
+        lhs1 = compose(lmul(wl, adjoint(pair.r)), rmul(pair.rbar, wl))
+        want1 = (1.0 / model.qdim[lam]) * identity_morphism(model, wl)
+        worst = max(worst, distance(lhs1, want1))
+        lhs2 = compose(lmul(wld, adjoint(pair.rbar)), rmul(pair.r, wld))
+        want2 = (1.0 / model.qdim[lam]) * identity_morphism(model, wld)
+        worst = max(worst, distance(lhs2, want2))
+    return worst
+
 
 # -- coefficients and morphisms ------------------------------------------------
 

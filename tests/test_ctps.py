@@ -12,7 +12,8 @@ from qsystems.ctps import (
     trivial_pair,
     zeta_tensor,
 )
-from qsystems.induction import _mult_map, _split_map, lift
+from qsystems import catalog
+from qsystems.induction import _mult_map, _split_map, lift, solve_haploid_algebra
 from qsystems.morphisms import braid, compose, deligne_product, distance, mirror, mono_product, word_obj
 from qsystems.qsystem import check_commutativity, lr_qsystem, validate_qsystem
 
@@ -315,6 +316,41 @@ def test_e6_ctps_pinned(e6_result):
     assert np.array_equal(res.Z, Z)
     assert res.ok
     assert not res.normality.n2 and not res.normality.n3
+    assert res.theta.d_theta == pytest.approx(_d_theta_from_z(res), abs=1e-9)
+
+
+def _simple_current_ctps(k):
+    """The su2k(k) algebra {0:1, k:1} from the default Newton start, through build_ctps."""
+    a = solve_haploid_algebra(catalog.su2_level(k), {0: 1, k: 1})
+    return build_ctps(alpha_pair(a, +1, -1), tol=1e-8)
+
+
+@pytest.fixture(scope="session")
+def d6_result():
+    return _simple_current_ctps(8)
+
+
+@pytest.fixture(scope="session")
+def d8_result():
+    return _simple_current_ctps(12)
+
+
+def _d_series(k):
+    """Z of D_{k/2+2}: |x_j + x_(k-j)|^2 over even j < k/2, and 2 |x_(k/2)|^2."""
+    Z = np.zeros((k + 1, k + 1), dtype=int)
+    for j in range(0, k // 2, 2):
+        Z[np.ix_((j, k - j), (j, k - j))] = 1
+    Z[k // 2, k // 2] = 2
+    return Z
+
+
+@pytest.mark.parametrize("name,k", [("d6_result", 8), ("d8_result", 12)])
+def test_d_series_ctps_pinned(request, name, k):
+    # D6 at su2k8 and D8 at su2k12: the simple current 0 + k is local, so the
+    # fixed point k/2 splits and Z is the block-diagonal D invariant
+    res = request.getfixturevalue(name)
+    assert np.array_equal(res.Z, _d_series(k))
+    assert res.ok
     assert res.theta.d_theta == pytest.approx(_d_theta_from_z(res), abs=1e-9)
 
 

@@ -34,12 +34,15 @@ from qsystems.morphisms import (
     validate_category,
     word_obj,
     UnsupportedOperationError,
+    _f_blocks,
+    _tree_quads,
 )
 from qsystems import catalog
 from qsystems.fusion import FusionData, StructureError
 from qsystems.io import load_algebra
 
-from oracles import dim_word, left_inverse, random_morphism, right_inverse, word_conjugate_pair, word_dual
+from oracles import (conjugate_oracle, dim_word, left_inverse, random_morphism, right_inverse,
+                     su2_f_oracle, word_conjugate_pair, word_dual)
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -70,6 +73,19 @@ def test_conjugate_equations_all_bundles(models):
 def test_su2_levels_coherent(k):
     rep = validate_category(catalog.su2_level(k))
     assert rep.ok, rep.residuals()
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_su2_f_table_matches_entry_loop(k):
+    # the one-pass table against the Racah series summed entry by entry, on
+    # every block the provider fills (F is the identity where a, b or c is 0)
+    m, want = catalog.su2_level(k), su2_f_oracle(k)
+    for quad in _tree_quads(m.N).tolist():
+        if 0 in quad[:3]:
+            continue
+        got, ref = m.F(*quad), want(*quad)
+        assert got.shape == ref.shape and got.dtype == ref.dtype, (k, quad)
+        assert got.tobytes() == ref.tobytes(), (k, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +207,68 @@ def test_conjugate_equations_values(models, name, lam, dinv):
     wl = word_obj((lam,))
     lhs = compose(lmul(wl, adjoint(pair.r)), rmul(pair.rbar, wl))
     assert distance(lhs, dinv * identity_morphism(m, wl)) < 1e-9
+
+
+def _conjugate_cases(models):
+    yield from models.items()
+    for name, m in models.items():
+        yield f"mirror({name})", mirror(m)
+        yield f"rep_a4(x){name}", deligne_product(models["rep_a4"], m)
+        yield f"{name}(x)rep_a4", deligne_product(m, models["rep_a4"])
+
+
+def test_conjugate_residual_matches_oracle(models):
+    for name, m in _conjugate_cases(models):
+        assert conjugate_residual(m) == conjugate_oracle(m), name
+
+
+def _phased(model, quad, phase):
+    """``model`` with F(quad) multiplied by ``phase``."""
+    def f(*labels):
+        return phase * model.F(*labels) if labels == quad else model.F(*labels)
+
+    return CategoryModel(model.fusion, f, name=model.name + "_phased")
+
+
+@pytest.mark.parametrize("name,lam", [("z4", 1), ("rep_a4", 1), ("fibonacci", 1), ("su2k4", 3)])
+def test_conjugate_residual_sees_a_phase_on_the_second_equation(models, name, lam):
+    # a phase on F(lamd, lam, lamd; lamd) breaks the second conjugate equation
+    # by |phase - 1| / d (twice the phase if lam is self-dual, since that block
+    # also holds the datum that fixes r); the morphism form takes a 1 x 1
+    # operator norm by SVD, so it may differ from the absolute value in the
+    # last digit
+    m = models[name]
+    lamd = int(m.dual[lam])
+    bad = _phased(m, (lamd, lam, lamd, lamd), np.exp(0.3j))
+    got = conjugate_residual(bad)
+    assert got > 1e-3 and got >= abs(np.exp(0.3j) - 1) / m.qdim[lam] - 1e-15
+    assert got == pytest.approx(conjugate_oracle(bad), rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("name,vertex", [("z4", (1, 3, 0)), ("z4", (3, 1, 0)), ("rep_a4", (1, 2, 0))])
+def test_conjugate_equations_hold_in_a_complex_gauge(models, name, vertex):
+    # a phase on the vertex of Hom(0, lam conj(lam)) of a sector that is not
+    # self-dual makes F(lam, conj(lam), lam; lam) complex at the trees through
+    # the unit; the conjugate equations still hold, in both forms
+    m = _gauged(models[name], {vertex: np.array([[np.exp(0.7j)]])})
+    lam = vertex[0]
+    assert abs(m.F(lam, int(m.dual[lam]), lam, lam)[0, 0].imag) > 0.1
+    rep = validate_category(m)
+    assert rep.ok and max(rep.residuals().values()) < 1e-13, rep.residuals()
+    assert conjugate_residual(m) == conjugate_oracle(m)
+
+
+def test_degenerate_duality_datum_is_refused(models):
+    m = models["fibonacci"]
+    swap = CategoryModel(m.fusion, lambda *labels: np.array([[0.0, 1.0], [1.0, 0.0]]))
+    for check in (conjugate_residual, lambda x: conjugate_pair(x, 1)):
+        with pytest.raises(StructureError, match="degenerate duality datum"):
+            check(swap)
+    # a dual map that is not the conjugation: 1 x 1 = 2 in Z4 has no unit
+    z4 = models["z4"]
+    fusion = FusionData(z4.fusion.names, [0, 1, 2, 3], z4.N, z4.qdim)
+    with pytest.raises(StructureError, match="no unit"):
+        conjugate_residual(CategoryModel(fusion, z4._f_provider))
 
 
 def test_word_conjugates(models):
@@ -709,6 +787,15 @@ def test_quadruple_with_right_trees_only_is_not_associative():
         validate_category(m)
 
 
+def test_f_of_the_wrong_shape_is_refused(models):
+    m = models["fibonacci"]
+    bad = CategoryModel(m.fusion, lambda *labels: np.eye(1))
+    with pytest.raises(StructureError, match=r"has shape \(1, 1\), expected \(2, 2\)"):
+        bad.F(1, 1, 1, 1)
+    with pytest.raises(StructureError, match="has shape"):
+        validate_category(bad)
+
+
 def test_braiding_on_noncommutative_fusion_is_refused():
     # the group S3 as a pointed category: associative, but g h != h g
     perms = list(itertools.permutations(range(3)))
@@ -768,6 +855,19 @@ def test_tree_lists_match_full_label_loop(models):
         for quad in itertools.product(range(m.rank), repeat=4):
             assert m.f_left(*quad) == _f_left_loop(m, *quad), (name, quad)
             assert m.f_right(*quad) == _f_right_loop(m, *quad), (name, quad)
+
+
+def test_tree_arrays_match_tree_lists(models):
+    cases = list(models.values()) + [deligne_product(models["rep_a4"], models["ising"])]
+    for m in cases:
+        quads, blocks, start, left, right = _f_blocks(m)
+        labels = quads.tolist()
+        want_left = [t for q in labels for t in m.f_left(*q)]
+        want_right = [t for q in labels for t in m.f_right(*q)]
+        assert left.dtype == right.dtype == np.int64, m.name
+        assert left.tolist() == [list(t) for t in want_left], m.name
+        assert right.tolist() == [list(t) for t in want_right], m.name
+        assert start.tolist() == np.cumsum([0] + [len(m.f_left(*q)) for q in labels]).tolist()
 
 
 def test_f_product_matches_entry_loop(models, rng):
