@@ -128,6 +128,12 @@ def same_object(a: SumObject, b: SumObject) -> bool:
     return a.words == b.words
 
 
+def _check_associative(key: tuple, left: int, right: int) -> None:
+    """Hom(d, abc), key = (a, b, c, d), needs as many left trees as right trees."""
+    if left != right:
+        raise StructureError(f"fusion data not associative at {key}: {left} != {right}")
+
+
 class CategoryModel:
     """Skeletal unitary fusion category with F (and optionally R) data.
 
@@ -236,21 +242,24 @@ class CategoryModel:
             out = self._f_cache[key] = self._f_block(a, b, c, d)
         return out
 
-    def _f_block(self, a, b, c, d) -> np.ndarray:
-        """F(a, b, c, d) from the provider, checked against the tree counts."""
+    def _f_block(self, a, b, c, d, trees=None) -> np.ndarray:
+        """F(a, b, c, d) from the provider, checked against the tree counts.
+
+        ``trees`` is the number of left trees when the caller has already
+        checked that it equals the number of right trees.
+        """
         key = (a, b, c, d)
-        N = self.N
-        nl = int(N[a, b] @ N[:, c, d])
-        nr = int(N[b, c] @ N[a, :, d])
-        if nl != nr:
-            raise StructureError(f"fusion data not associative at {key}: {nl} != {nr}")
-        if nl == 0:
+        if trees is None:
+            N = self.N
+            trees = int(N[a, b] @ N[:, c, d])
+            _check_associative(key, trees, int(N[b, c] @ N[a, :, d]))
+        if trees == 0:
             return np.zeros((0, 0), dtype=complex)
         if a == 0 or b == 0 or c == 0:
-            return np.eye(nl, dtype=complex)
+            return np.eye(trees, dtype=complex)
         out = np.asarray(self._f_provider(a, b, c, d), dtype=complex)
-        if out.shape != (nl, nr):
-            raise StructureError(f"F{key} has shape {out.shape}, expected {(nl, nr)}")
+        if out.shape != (trees, trees):
+            raise StructureError(f"F{key} has shape {out.shape}, expected {(trees, trees)}")
         return out
 
     def R(self, a, b, c) -> np.ndarray:
@@ -797,9 +806,9 @@ def distance(f: Morphism, g: Morphism) -> float:
 # coherence validators
 
 
-# Batch limits of the stacked checks (right trees per pentagon batch, matrix
-# entries per hexagon stack): they bound the working memory at any rank.
-_PENTAGON_BATCH = 512
+# Batch limits of the stacked checks (pentagon cells, hexagon matrix entries
+# per stack): they bound the working memory at any rank.
+_PENTAGON_CELLS = 12_000
 _HEXAGON_ENTRIES = 1 << 14
 
 
@@ -841,51 +850,23 @@ def _f_blocks(model: CategoryModel):
     """
     N = model.N
     quads = _tree_quads(N)
-    blocks = [model.F(*q) for q in quads.tolist()]
-    start = np.cumsum([0] + [len(F) for F in blocks])
     a, b, c, d = quads.T
-    left = np.stack(_trees(N[a, b], N[:, c, d].T)[1:], axis=1)
-    right = np.stack(_trees(N[b, c], N[a, :, d])[1:], axis=1)
-    return quads, blocks, start, left, right
-
-
-def _f_table(fb, off: np.ndarray, pair, npairs: int):
-    """Every nonzero F entry as (left vertex 1, left vertex 2, value), by right pair.
-
-    Entry F(a, b, c, d)[(s, e, f), (t, g, h)] has the left vertices
-    (a, b, s, e), (s, c, d, f) and the right vertices (b, c, t, g),
-    (a, t, d, h); vertex (x, y, z, mu) has the number ``off[x, y, z] + mu``
-    and a right pair (r1, r2) the number ``pair(r1, r2) < npairs``.  Entry k
-    of the raveled block q of ``fb``, the output of :func:`_f_blocks`, of
-    size m, has left tree start[q] + k // m and right tree start[q] + k % m.
-    Returns (lo, l1, l2, val): the entries of right pair p are lo[p]:lo[p + 1],
-    in left-tree order.
-    """
-    quads, blocks, start, left, right = fb
-    size = np.diff(start)
-    a, b, c, d = (np.repeat(lab, size) for lab in quads.T)  # labels of each tree
-    l1 = off[a, b, left[:, 0]] + left[:, 1]
-    l2 = off[left[:, 0], c, d] + left[:, 2]
-    key = pair(off[b, c, right[:, 0]] + right[:, 1], off[a, right[:, 0], d] + right[:, 2])
-    block = np.repeat(np.arange(len(blocks)), size * size)
-    k = np.arange(len(block)) - np.repeat(_run_starts(size * size), size * size)
-    row, col = start[block] + k // size[block], start[block] + k % size[block]
-    val = np.concatenate([F.ravel() for F in blocks])
-    keep = np.flatnonzero(val != 0)
-    order = keep[np.argsort(key[col[keep]], kind="stable")]
-    lo = np.searchsorted(key[col[order]], np.arange(npairs + 1))
-    return lo, l1[row[order]], l2[row[order]], val[order]
-
-
-def _recouple(table, keys: np.ndarray, vals: np.ndarray):
-    """Apply F to the vertex pairs with the given right pair numbers.
-
-    Returns, per resulting term, the index of its source term, the two
-    left vertices that replace the pair and the product of the values.
-    """
-    lo, l1, l2, fval = table
-    i, j = _pairs(lo[keys], lo[keys + 1] - lo[keys])
-    return i, l1[j], l2[j], vals[i] * fval[j]
+    i, *left = _trees(N[a, b], N[:, c, d].T)
+    nl = np.bincount(i, minlength=len(quads))
+    i, *right = _trees(N[b, c], N[a, :, d])
+    nr = np.bincount(i, minlength=len(quads))
+    if (nl != nr).any():
+        i = int(np.argmax(nl != nr))
+        _check_associative(tuple(quads[i].tolist()), int(nl[i]), int(nr[i]))
+    cache = model._f_cache
+    blocks = []
+    for key, trees in zip(map(tuple, quads.tolist()), nl.tolist()):
+        out = cache.get(key)
+        if out is None:
+            out = cache[key] = model._f_block(*key, trees)
+        blocks.append(out)
+    start = np.append(0, np.cumsum(nl))
+    return quads, blocks, start, np.stack(left, axis=1), np.stack(right, axis=1)
 
 
 def pentagon_residual(model: CategoryModel) -> float:
@@ -900,68 +881,157 @@ def pentagon_residual(model: CategoryModel) -> float:
         A = sum_{m,mu,nu,rho} F(b,c,d,k)[(m,mu,nu),(h,de,ep)] F(a,m,d,e)[(g,rho,ga),(k,nu,ze)]
                               F(a,b,c,g)[(f,al,be),(m,mu,rho)]
 
-    and the residual is max |A - B| over all pairs of trees.  Each F move is
-    a join of the current terms with the table of nonzero F entries on the
-    right vertex pair it replaces.  The right trees are enumerated one label
-    a at a time and checked in batches of ``_PENTAGON_BATCH``.
+    and the residual is max |A - B| over all pairs of trees.  Both routes are
+    laid out per label quadruple (a, b, c, g): the rows are the left trees
+    (f, al, be) of F(a, b, c, g), the columns the vertex (g d -> e; ga) with a
+    right tree (h, de, k, ep, ze).  Route A is then one matrix product
+    F(a, b, c, g) X, where X has a row per right tree (m, mu, rho) of
+    F(a, b, c, g) and the entries sum_nu F(b,c,d,k)[...] F(a,m,d,e)[...]; the
+    product adds its terms in the order of the formula.  Route B is the sum
+    over the vertex (f h -> e; epp) of two entries gathered into the same
+    cells, and the routes are compared cell by cell.
+
+    Quadruples with the unit among a, b, c are skipped: there both routes
+    read one entry, F(b,c,d,e), F(a,c,d,e) or F(a,b,d,e) for a, b or c = 0,
+    times identity blocks, which :meth:`CategoryModel._f_block` makes exact
+    identities, so such cells agree exactly.  The other quadruples are
+    checked one block size at a time, in order of their column count, in
+    batches of about ``_PENTAGON_CELLS`` cells and columns, which bounds the
+    working memory.
     """
     return _pentagon(model, _f_blocks(model))
 
 
 def _pentagon(model: CategoryModel, fb) -> float:
     """:func:`pentagon_residual` on the F blocks ``fb`` of :func:`_f_blocks`."""
+    quads, blocks, start, left, right = fb
     n, N = model.rank, model.N
+    size = np.diff(start)
     counts = N.ravel()
     nv = int(counts.sum())
-    off = (np.cumsum(counts) - counts).reshape(N.shape)
-    reps = counts[counts > 0]
-    vx, vy, vz = (np.repeat(lab, reps) for lab in np.nonzero(N))
-    # vertices are numbered in (x, y, z, mu) order: [first[x], first[x + 1])
-    # have first label x, and by_z[zfirst[z]:zfirst[z] + zcount[z]] third label z
-    first = np.searchsorted(vx, np.arange(n + 1))
-    by_z = np.argsort(vz, kind="stable")
-    zcount = np.bincount(vz, minlength=n)
-    zfirst = _run_starts(zcount)
-    # a right pair (r1, r2) has vy[r2] == vz[r1]: number it by r1 and the
-    # rank of r2 among the vertices with that second label
+    off = _run_starts(counts).reshape(N.shape)
+    vx, vy, vz = (np.repeat(lab, counts[counts > 0]) for lab in np.nonzero(N))
+    # vertex (x, y, z; mu) is number off[x, y, z] + mu, so the vertices with
+    # first label x are xfirst[x]:xfirst[x] + xcount[x], and those with labels
+    # (x, _, z) by_xz[xzfirst[xz]:xzfirst[xz] + xzcount[xz]], xz = x * n + z
+    xcount = np.bincount(vx, minlength=n)
+    xfirst = _run_starts(xcount)
+    xz = vx * n + vz
+    by_xz = np.argsort(xz, kind="stable")
+    xzcount = np.bincount(xz, minlength=n * n)
+    xzfirst = _run_starts(xzcount)
+    # a left pair (w1, w2) of trees has vz[w1] == vx[w2] and the number
+    # w1 * ls + xrank[w2], a right pair (r1, r2) has vz[r1] == vy[r2] and the
+    # number r1 * rs + yrank[r2]: xrank and yrank count a vertex among those
+    # with its first, resp. second, label.  The rank ls - 1 (rs - 1) and the
+    # vertex nv stand for a vertex that does not exist
+    xrank = np.arange(nv) - xfirst[vx]
     ycount = np.bincount(vy, minlength=n)
-    y_rank = np.empty(nv, dtype=np.int64)
-    y_rank[np.argsort(vy, kind="stable")] = np.arange(nv) - np.repeat(_run_starts(ycount), ycount)
-    ymax = int(ycount.max())
-    pair = lambda r1, r2: r1 * ymax + y_rank[r2]
-    table = _f_table(fb, off, pair, nv * ymax)
-    # in one right tree, the left vertex (a b -> f; al) is fixed by (f c -> g) up to al
-    mu, width = np.arange(nv) - np.repeat(off[np.nonzero(N)], reps), int(N.max())
+    yrank = np.empty(nv, dtype=np.int64)
+    yrank[np.argsort(vy, kind="stable")] = np.arange(nv) - np.repeat(_run_starts(ycount), ycount)
+    ls, rs = int(xcount.max()) + 1, int(ycount.max()) + 1
+    # F(q)[row, col] is val[boff[q] + row * size[q] + col].  A lookup at or
+    # past `absent` is clipped onto the zero at the end: the pairs with a
+    # vertex that does not exist point there
+    val = np.concatenate([B.ravel() for B in blocks] + [np.zeros(1, dtype=complex)])
+    absent = len(val)
+    boff = _run_starts(size * size)
+    q = np.repeat(np.arange(len(quads)), size)
+    pos = np.arange(len(q)) - start[q]
+    a, b, c, d = quads[q].T
+    l1 = off[a, b, left[:, 0]] + left[:, 1]
+    l2 = off[left[:, 0], c, d] + left[:, 2]
+    r1 = off[b, c, right[:, 0]] + right[:, 1]
+    r2 = off[a, right[:, 0], d] + right[:, 2]
+    lbase = np.full((nv + 1) * ls, absent)
+    lbase[l1 * ls + xrank[l2]] = boff[q] + pos * size[q]
+    rpos = np.full((nv + 1) * rs, absent)
+    rpos[r1 * rs + yrank[r2]] = pos
+    del q, a, b, c, d
+    # per label triple (x * n + y) * n + z and multiplicity index mu: the
+    # vertex times rs and its xrank and yrank, or the stand-ins where mu >= N
+    width = int(N.max())
+    vertex_rs, xr3, yr3 = [], [], []
+    for mu in range(width):
+        v = np.minimum(off.ravel() + mu, nv - 1)
+        has = counts > mu
+        vertex_rs.append(np.where(has, v, nv) * rs)
+        xr3.append(np.where(has, xrank[v], ls - 1))
+        yr3.append(np.where(has, yrank[v], rs - 1))
+    # block number and size per label quadruple ((a * n + b) * n + c) * n + d
+    flat4 = ((quads[:, 0] * n + quads[:, 1]) * n + quads[:, 2]) * n + quads[:, 3]
+    index = np.zeros(n ** 4, dtype=np.int64)
+    index[flat4] = np.arange(len(quads))
+    dims = np.zeros(n ** 4, dtype=np.int64)
+    dims[flat4] = size
+    # columns of (a, b, c, g): sum over (d, e) of N[g, d, e] dim Hom(e, abcd)
+    ncols = (dims.reshape(-1, n) @ np.tensordot(N, N, axes=([1, 2], [1, 2]))).ravel()[flat4]
+
+    def batch(qs: np.ndarray, rows: int) -> float:
+        """max |A - B| over the cells of the quadruples qs, whose blocks all have `rows` rows."""
+        qa, qb, qc, qg = quads[qs].T
+        # sub-blocks (iq, w3, v3): w3 = (g d -> e; ga) and v3 = (a k -> e; ze)
+        # for F(b, c, d, k) with trees, whose right trees (h, de, ep) are columns
+        iq, w3 = _pairs(xfirst[qg], xcount[qg])
+        ae = qa[iq] * n + vz[w3]
+        i, j = _pairs(xzfirst[ae], xzcount[ae])
+        iq, w3, v3 = iq[i], w3[i], by_xz[j]
+        dk = vy[w3] * n + vy[v3]
+        bcdk = ((qb * n + qc) * n * n)[iq] + dk
+        keep = np.flatnonzero(dims[bcdk])
+        iq, w3, v3, dk, bcdk = iq[keep], w3[keep], v3[keep], dk[keep], bcdk[keep]
+        sub, t = _pairs(start[index[bcdk]], dims[bcdk])
+        # the columns of quadruple iq are its sub-blocks' columns in order;
+        # up to nc they are padded with copies of its last column
+        cnt = np.bincount(iq[sub], minlength=len(qs))
+        nc = int(cnt.max())
+        pick = _run_starts(cnt)[:, None] + np.minimum(np.arange(nc), cnt[:, None] - 1)
+        sub, t = sub[pick][:, None], t[pick][:, None]
+        # rows: right trees (m, mu, rho) and left trees (f, al, be) of F(a, b, c, g)
+        tr = start[qs][:, None] + np.arange(rows)
+        # route A: F(a, b, c, g) X, X[(m, mu, rho), column] per sub-block and row first
+        lab = (vz[r1[tr]] * n * n)[iq] + dk[:, None]
+        zrow = lbase[(r2[tr] * ls)[iq] + xrank[w3][:, None]]
+        cells = sub * rows + np.arange(rows)[:, None]
+        for nu in range(width):
+            row = lbase[(r1[tr] * ls)[iq] + xr3[nu][lab]]
+            coef = val.take(zrow + rpos[vertex_rs[nu][lab] + yrank[v3][:, None]], mode="clip")
+            term = val.take(row.ravel()[cells] + pos[t], mode="clip")
+            term *= coef.ravel()[cells]
+            op = term if nu == 0 else op + term
+        del cells, term
+        # the product summed over r in order, as the formula adds its terms
+        fq = val[boff[qs][:, None] + np.arange(rows * rows)].reshape(len(qs), rows, rows, 1)
+        A = fq[:, :, 0] * op[:, :1]
+        for r in range(1, rows):
+            A += fq[:, :, r] * op[:, r:r + 1]
+        del op
+        # route B: sum over (f h -> e; epp) of F(a,b,h,e) F(f,c,d,e)
+        fhe = (vz[l1[tr]] * n * n)[:, :, None] + vz[r1[t]] * n + vz[w3][sub]
+        xcol = rpos[r2[t] * rs + yrank[v3][sub]]
+        for ep in range(width):
+            term = val.take(lbase[(l1[tr] * ls)[:, :, None] + xr3[ep][fhe]] + xcol, mode="clip")
+            term *= val.take(lbase[(l2[tr] * ls)[:, :, None] + xrank[w3][sub]]
+                             + rpos[r1[t] * rs + yr3[ep][fhe]], mode="clip")
+            B = term if ep == 0 else B + term
+        del fhe, term
+        A -= B
+        return float(np.max(np.abs(A), initial=0.0))
+
     worst = 0.0
-    for a in range(n):
-        # right trees: (c d -> h) = v1, (b h -> k) = v2, (a k -> e) = v3
-        v3 = np.arange(first[a], first[a + 1])
-        i, j = _pairs(zfirst[vy[v3]], zcount[vy[v3]])
-        v2, v3 = by_z[j], v3[i]
-        i, j = _pairs(zfirst[vy[v2]], zcount[vy[v2]])
-        v1, v2, v3 = by_z[j], v2[i], v3[i]
-        for s in range(0, len(v1), _PENTAGON_BATCH):
-            t1, t2, t3 = (v[s:s + _PENTAGON_BATCH] for v in (v1, v2, v3))
-            one = np.ones(len(t1), dtype=complex)
-            # route B: (t2, t3) -> (l1, w), then (t1, w) -> (l2, l3)
-            col, l1, w, val = _recouple(table, pair(t2, t3), one)
-            i, l2, l3, val_b = _recouple(table, pair(t1[col], w), val)
-            key_b = ((col[i] * nv + l2) * nv + l3) * width + mu[l1[i]]
-            # route A: (t1, t2) -> (x, y), then (y, t3) -> (z, l3), then (x, z) -> (l1, l2)
-            col, x, y, val = _recouple(table, pair(t1, t2), one)
-            i, z, l3, val = _recouple(table, pair(y, t3[col]), val)
-            col, x = col[i], x[i]
-            i, l1, l2, val_a = _recouple(table, pair(x, z), val)
-            key_a = ((col[i] * nv + l2) * nv + l3[i]) * width + mu[l1]
-            # sum each route's terms per (right tree, left tree), in the order
-            # they came: the sort is stable and route A comes first
-            key = np.concatenate([key_a, key_b])
-            order = np.argsort(key, kind="stable")
-            key, val, from_a = key[order], np.concatenate([val_a, val_b])[order], order < len(key_a)
-            cells = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])[:len(key)]
-            diff = (np.add.reduceat(np.where(from_a, val, 0), cells)
-                    - np.add.reduceat(np.where(from_a, 0, val), cells))
-            worst = max(worst, float(np.max(np.abs(diff), initial=0.0)))
+    inner = np.flatnonzero(quads[:, :3].all(axis=1))
+    for rows in np.flatnonzero(np.bincount(size[inner])).tolist():
+        group = inner[size[inner] == rows]
+        group = group[np.argsort(ncols[group], kind="stable")]
+        # batches with at most _PENTAGON_CELLS cells and columns, or one quadruple
+        cost = ncols[group] * (rows + 1)
+        lo = 0
+        while lo < len(group):
+            head = cost[lo:lo + _PENTAGON_CELLS]
+            fits = np.searchsorted(head * np.arange(1, len(head) + 1), _PENTAGON_CELLS, side="right")
+            hi = lo + max(1, int(fits))
+            worst = max(worst, batch(group[lo:hi], rows))
+            lo = hi
     return worst
 
 
@@ -1194,7 +1264,7 @@ class ProductModel(CategoryModel):
     def unpack(self, k: int) -> tuple:
         return divmod(k, self._n2)
 
-    def _f_block(self, a, b, c, d) -> np.ndarray:
+    def _f_block(self, a, b, c, d, trees=None) -> np.ndarray:
         """F1 (x) F2, with rows and columns in the product's tree order.
 
         A product tree (s, i, j) packs the factor trees (s1, i1, j1) and

@@ -46,6 +46,9 @@ from qsystems.morphisms import (
     rmul,
     unit_obj,
     word_obj,
+    _f_blocks,
+    _pairs,
+    _run_starts,
 )
 from qsystems.qsystem import QSystem, ThetaSpec
 
@@ -98,6 +101,119 @@ def su2_f_oracle(k: int):
         return M
 
     return f
+
+
+# -- the pentagon as joins on a sorted table of F entries ----------------------
+
+# right trees per batch of stacked_pentagon_oracle
+_PENTAGON_BATCH = 512
+
+
+def _f_table(fb, off: np.ndarray, pair, npairs: int):
+    """Every nonzero F entry as (left vertex 1, left vertex 2, value), by right pair.
+
+    Entry F(a, b, c, d)[(s, e, f), (t, g, h)] has the left vertices
+    (a, b, s, e), (s, c, d, f) and the right vertices (b, c, t, g),
+    (a, t, d, h); vertex (x, y, z, mu) has the number ``off[x, y, z] + mu``
+    and a right pair (r1, r2) the number ``pair(r1, r2) < npairs``.  Entry k
+    of the raveled block q of ``fb``, the output of ``_f_blocks``, of
+    size m, has left tree start[q] + k // m and right tree start[q] + k % m.
+    Returns (lo, l1, l2, val): the entries of right pair p are lo[p]:lo[p + 1],
+    in left-tree order.
+    """
+    quads, blocks, start, left, right = fb
+    size = np.diff(start)
+    a, b, c, d = (np.repeat(lab, size) for lab in quads.T)  # labels of each tree
+    l1 = off[a, b, left[:, 0]] + left[:, 1]
+    l2 = off[left[:, 0], c, d] + left[:, 2]
+    key = pair(off[b, c, right[:, 0]] + right[:, 1], off[a, right[:, 0], d] + right[:, 2])
+    block = np.repeat(np.arange(len(blocks)), size * size)
+    k = np.arange(len(block)) - np.repeat(_run_starts(size * size), size * size)
+    row, col = start[block] + k // size[block], start[block] + k % size[block]
+    val = np.concatenate([F.ravel() for F in blocks])
+    keep = np.flatnonzero(val != 0)
+    order = keep[np.argsort(key[col[keep]], kind="stable")]
+    lo = np.searchsorted(key[col[order]], np.arange(npairs + 1))
+    return lo, l1[row[order]], l2[row[order]], val[order]
+
+
+def _recouple(table, keys: np.ndarray, vals: np.ndarray):
+    """Apply F to the vertex pairs with the given right pair numbers.
+
+    Returns, per resulting term, the index of its source term, the two
+    left vertices that replace the pair and the product of the values.
+    """
+    lo, l1, l2, fval = table
+    i, j = _pairs(lo[keys], lo[keys + 1] - lo[keys])
+    return i, l1[j], l2[j], vals[i] * fval[j]
+
+
+def stacked_pentagon_oracle(model: CategoryModel) -> float:
+    """The pentagon residual with every F move a join on a table of F entries:
+    the oracle of ``pentagon_residual``.
+
+    Both routes take each right tree a(b(cd)), vertices (c d -> h; de),
+    (b h -> k; ep), (a k -> e; ze), to the left trees ((ab)c)d through the
+    F moves of the formulas in ``pentagon_residual``: each move joins the
+    current terms with the nonzero F entries of the right vertex pair it
+    replaces.  The terms of both routes are then sorted by (right tree, left
+    tree) and summed per cell.  Right trees are enumerated one label a at a
+    time, over all labels, and checked in batches of ``_PENTAGON_BATCH``.
+    """
+    fb = _f_blocks(model)
+    n, N = model.rank, model.N
+    counts = N.ravel()
+    nv = int(counts.sum())
+    off = (np.cumsum(counts) - counts).reshape(N.shape)
+    reps = counts[counts > 0]
+    vx, vy, vz = (np.repeat(lab, reps) for lab in np.nonzero(N))
+    # vertices are numbered in (x, y, z, mu) order: [first[x], first[x + 1])
+    # have first label x, and by_z[zfirst[z]:zfirst[z] + zcount[z]] third label z
+    first = np.searchsorted(vx, np.arange(n + 1))
+    by_z = np.argsort(vz, kind="stable")
+    zcount = np.bincount(vz, minlength=n)
+    zfirst = _run_starts(zcount)
+    # a right pair (r1, r2) has vy[r2] == vz[r1]: number it by r1 and the
+    # rank of r2 among the vertices with that second label
+    ycount = np.bincount(vy, minlength=n)
+    y_rank = np.empty(nv, dtype=np.int64)
+    y_rank[np.argsort(vy, kind="stable")] = np.arange(nv) - np.repeat(_run_starts(ycount), ycount)
+    ymax = int(ycount.max())
+    pair = lambda r1, r2: r1 * ymax + y_rank[r2]
+    table = _f_table(fb, off, pair, nv * ymax)
+    # in one right tree, the left vertex (a b -> f; al) is fixed by (f c -> g) up to al
+    mu, width = np.arange(nv) - np.repeat(off[np.nonzero(N)], reps), int(N.max())
+    worst = 0.0
+    for a in range(n):
+        # right trees: (c d -> h) = v1, (b h -> k) = v2, (a k -> e) = v3
+        v3 = np.arange(first[a], first[a + 1])
+        i, j = _pairs(zfirst[vy[v3]], zcount[vy[v3]])
+        v2, v3 = by_z[j], v3[i]
+        i, j = _pairs(zfirst[vy[v2]], zcount[vy[v2]])
+        v1, v2, v3 = by_z[j], v2[i], v3[i]
+        for s in range(0, len(v1), _PENTAGON_BATCH):
+            t1, t2, t3 = (v[s:s + _PENTAGON_BATCH] for v in (v1, v2, v3))
+            one = np.ones(len(t1), dtype=complex)
+            # route B: (t2, t3) -> (l1, w), then (t1, w) -> (l2, l3)
+            col, l1, w, val = _recouple(table, pair(t2, t3), one)
+            i, l2, l3, val_b = _recouple(table, pair(t1[col], w), val)
+            key_b = ((col[i] * nv + l2) * nv + l3) * width + mu[l1[i]]
+            # route A: (t1, t2) -> (x, y), then (y, t3) -> (z, l3), then (x, z) -> (l1, l2)
+            col, x, y, val = _recouple(table, pair(t1, t2), one)
+            i, z, l3, val = _recouple(table, pair(y, t3[col]), val)
+            col, x = col[i], x[i]
+            i, l1, l2, val_a = _recouple(table, pair(x, z), val)
+            key_a = ((col[i] * nv + l2) * nv + l3[i]) * width + mu[l1]
+            # sum each route's terms per (right tree, left tree), in the order
+            # they came: the sort is stable and route A comes first
+            key = np.concatenate([key_a, key_b])
+            order = np.argsort(key, kind="stable")
+            key, val, from_a = key[order], np.concatenate([val_a, val_b])[order], order < len(key_a)
+            cells = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])[:len(key)]
+            diff = (np.add.reduceat(np.where(from_a, val, 0), cells)
+                    - np.add.reduceat(np.where(from_a, 0, val), cells))
+            worst = max(worst, float(np.max(np.abs(diff), initial=0.0)))
+    return worst
 
 
 def conjugate_oracle(model: CategoryModel) -> float:

@@ -42,7 +42,7 @@ from qsystems.fusion import FusionData, StructureError
 from qsystems.io import load_algebra
 
 from oracles import (conjugate_oracle, dim_word, left_inverse, random_morphism, right_inverse,
-                     su2_f_oracle, word_conjugate_pair, word_dual)
+                     stacked_pentagon_oracle, su2_f_oracle, word_conjugate_pair, word_dual)
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -761,6 +761,47 @@ def test_coherence_matches_oracle_on_scrambled_multiplicity_blocks(models, rng):
     _assert_coherence_matches_oracle(m, m.name)
     assert pentagon_residual(m) > 1e-3
     assert hexagon_residual(m) > 1e-3
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_pentagon_matches_stacked_oracle_on_su2_levels(k):
+    # the block products add the terms of a cell in the order the joins did
+    m = catalog.su2_level(k)
+    assert repr(pentagon_residual(m)) == repr(stacked_pentagon_oracle(m))
+
+
+def test_pentagon_matches_stacked_oracle_on_other_models(models, rng):
+    cases = dict(models)
+    cases["mirror(fibonacci)"] = mirror(models["fibonacci"])
+    cases["ising(x)mirror(z4)"] = deligne_product(models["ising"], mirror(models["z4"]))
+    cases["rep_a4(x)semion"] = deligne_product(models["rep_a4"], models["semion"])
+    for name in ["ising", "su2k4", "rep_a4"]:
+        cases[name + "_scrambled"] = _scrambled(models[name], rng, r=False)
+    cases["rep_a4_scrambled_at_3"] = _scrambled(models["rep_a4"], rng, r=False,
+                                                where=lambda labels: set(labels) == {3})
+    for name, m in cases.items():
+        got, want = pentagon_residual(m), stacked_pentagon_oracle(m)
+        assert abs(got - want) <= 1e-16, (name, got, want)
+
+
+@pytest.mark.parametrize("quad,entry", [((1, 1, 2, 0), (0, 0)), ((2, 2, 2, 2), (1, 2))])
+def test_pentagon_sees_one_perturbed_entry(quad, entry):
+    # one F entry of su2_level(6) moves by 1e-6, in a block with d = 0 or with
+    # every label nonzero: the skipped quadruples (a unit among a, b, c) hide
+    # no equation that sees it
+    base = catalog.su2_level(6)
+
+    def f(*labels):
+        out = base.F(*labels)
+        if labels == quad:
+            out = out.copy()
+            out[entry] += 1e-6
+        return out
+
+    m = CategoryModel(base.fusion, f, name="su2k6_perturbed")
+    got = pentagon_residual(m)
+    assert got > 1e-7
+    assert got == stacked_pentagon_oracle(m)
 
 
 def test_vertex_gauge_keeps_multiplicity_blocks_coherent(models, rng):
