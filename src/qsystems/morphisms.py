@@ -807,9 +807,10 @@ def distance(f: Morphism, g: Morphism) -> float:
 
 
 # Batch limits of the stacked checks (pentagon cells, hexagon matrix entries
-# per stack): they bound the working memory at any rank.
+# per stack, six braid stacks of which are built at once): they bound the
+# working memory at any rank.
 _PENTAGON_CELLS = 12_000
-_HEXAGON_ENTRIES = 1 << 14
+_HEXAGON_ENTRIES = 1 << 12
 
 
 def _pairs(start: np.ndarray, cnt: np.ndarray):
@@ -842,11 +843,31 @@ def _trees(inner: np.ndarray, outer: np.ndarray):
     return i, s, e, f
 
 
+class _Blocks:
+    """Square blocks of the given sizes stored flat: each row-major, one after
+    another in ``table``, then one zero.
+
+    Block q is ``table[off[q]:off[q] + size[q] ** 2]``.  ``finite`` tells
+    whether every entry is finite; the checks give NaN where it is not.
+    """
+
+    __slots__ = ("table", "off", "size", "finite")
+
+    def __init__(self, blocks: list, size: np.ndarray):
+        self.table = np.concatenate([B.ravel() for B in blocks] + [np.zeros(1, dtype=complex)])
+        self.off = _run_starts(size * size)
+        self.size = size
+        self.finite = bool(np.isfinite(self.table).all())
+
+
 def _f_blocks(model: CategoryModel):
     """(quads, blocks, start, left, right) for every F block with trees.
 
-    blocks[q] is F(*quads[q]); rows start[q]:start[q + 1] of `left` and
-    `right` are its trees (s, e, f) and (t, g, h), in row and column order.
+    ``blocks`` holds F(*quads[q]) as block q of one flat :class:`_Blocks`,
+    the only copy of the F data that the checks read: a block the model has
+    not cached is made for the table and not stored in the model.  Rows
+    start[q]:start[q + 1] of `left` and `right` are its trees (s, e, f) and
+    (t, g, h), in row and column order.
     """
     N = model.N
     quads = _tree_quads(N)
@@ -858,15 +879,17 @@ def _f_blocks(model: CategoryModel):
     if (nl != nr).any():
         i = int(np.argmax(nl != nr))
         _check_associative(tuple(quads[i].tolist()), int(nl[i]), int(nr[i]))
+    # F is the identity where a, b or c is the unit (the unital gauge), so only
+    # the other blocks are read from the model
+    eye = [np.eye(m, dtype=complex) for m in range(int(nl.max()) + 1)]
     cache = model._f_cache
     blocks = []
-    for key, trees in zip(map(tuple, quads.tolist()), nl.tolist()):
-        out = cache.get(key)
-        if out is None:
-            out = cache[key] = model._f_block(*key, trees)
-        blocks.append(out)
+    inner = quads[:, :3].all(axis=1).tolist()
+    for key, trees, nonunit in zip(map(tuple, quads.tolist()), nl.tolist(), inner):
+        out = cache.get(key) if nonunit else eye[trees]
+        blocks.append(model._f_block(*key, trees) if out is None else out)
     start = np.append(0, np.cumsum(nl))
-    return quads, blocks, start, np.stack(left, axis=1), np.stack(right, axis=1)
+    return quads, _Blocks(blocks, nl), start, np.stack(left, axis=1), np.stack(right, axis=1)
 
 
 def pentagon_residual(model: CategoryModel) -> float:
@@ -893,75 +916,83 @@ def pentagon_residual(model: CategoryModel) -> float:
 
     Quadruples with the unit among a, b, c are skipped: there both routes
     read one entry, F(b,c,d,e), F(a,c,d,e) or F(a,b,d,e) for a, b or c = 0,
-    times identity blocks, which :meth:`CategoryModel._f_block` makes exact
-    identities, so such cells agree exactly.  The other quadruples are
-    checked one block size at a time, in order of their column count, in
-    batches of about ``_PENTAGON_CELLS`` cells and columns, which bounds the
-    working memory.
+    times identity blocks, which the unital gauge makes exact identities, so
+    such cells agree exactly.  The other quadruples are checked one block
+    size at a time, in order of their column count, in batches of about
+    ``_PENTAGON_CELLS`` cells and columns, which bounds the working memory.
+    Every F entry is read from the flat table of :func:`_f_blocks` as the
+    offset of its row plus the position of its column, each looked up by the
+    vertex pair of its tree; the sub-block candidates of each pair (a, g)
+    are listed once per call.  A table entry that is not finite makes the
+    residual NaN.
     """
     return _pentagon(model, _f_blocks(model))
 
 
 def _pentagon(model: CategoryModel, fb) -> float:
     """:func:`pentagon_residual` on the F blocks ``fb`` of :func:`_f_blocks`."""
-    quads, blocks, start, left, right = fb
+    quads, fl, start, left, right = fb
+    if not fl.finite:
+        return float("nan")
+    inner = np.flatnonzero(quads[:, :3].all(axis=1))
+    if not len(inner):
+        return 0.0
+    table, boff, size = fl.table, fl.off, fl.size
     n, N = model.rank, model.N
-    size = np.diff(start)
     counts = N.ravel()
-    nv = int(counts.sum())
+    nv, width = int(counts.sum()), int(N.max())
     off = _run_starts(counts).reshape(N.shape)
     vx, vy, vz = (np.repeat(lab, counts[counts > 0]) for lab in np.nonzero(N))
-    # vertex (x, y, z; mu) is number off[x, y, z] + mu, so the vertices with
-    # first label x are xfirst[x]:xfirst[x] + xcount[x], and those with labels
-    # (x, _, z) by_xz[xzfirst[xz]:xzfirst[xz] + xzcount[xz]], xz = x * n + z
-    xcount = np.bincount(vx, minlength=n)
-    xfirst = _run_starts(xcount)
-    xz = vx * n + vz
-    by_xz = np.argsort(xz, kind="stable")
-    xzcount = np.bincount(xz, minlength=n * n)
-    xzfirst = _run_starts(xzcount)
-    # a left pair (w1, w2) of trees has vz[w1] == vx[w2] and the number
-    # w1 * ls + xrank[w2], a right pair (r1, r2) has vz[r1] == vy[r2] and the
-    # number r1 * rs + yrank[r2]: xrank and yrank count a vertex among those
-    # with its first, resp. second, label.  The rank ls - 1 (rs - 1) and the
-    # vertex nv stand for a vertex that does not exist
-    xrank = np.arange(nv) - xfirst[vx]
-    ycount = np.bincount(vy, minlength=n)
-    yrank = np.empty(nv, dtype=np.int64)
-    yrank[np.argsort(vy, kind="stable")] = np.arange(nv) - np.repeat(_run_starts(ycount), ycount)
-    ls, rs = int(xcount.max()) + 1, int(ycount.max()) + 1
-    # F(q)[row, col] is val[boff[q] + row * size[q] + col].  A lookup at or
-    # past `absent` is clipped onto the zero at the end: the pairs with a
-    # vertex that does not exist point there
-    val = np.concatenate([B.ravel() for B in blocks] + [np.zeros(1, dtype=complex)])
-    absent = len(val)
-    boff = _run_starts(size * size)
+    mu = np.arange(nv) - off[vx, vy, vz]
+    # a left pair of vertices (v, (vz[v] y -> z; mu)) has the key v * K + ykey, a right
+    # pair (v, (x vz[v] -> z; mu)) the key v * K + xkey, with ykey = (y * n + z) * width + mu
+    # and xkey = (x * n + z) * width + mu: where a row fixes one part of a key and a
+    # column the other, the key is their sum
+    K = n * n * width
+    ykey = (vy * n + vz) * width + mu
+    xkey = (vx * n + vz) * width + mu
+    # F(q)[row, col] is table[lbase[left pair of row] + rpos[right pair of col]].  A key
+    # that no tree has gives `absent`, and a lookup at or past it is clipped onto the zero
+    # at the end of the table: the pairs with a vertex that does not exist point there
+    absent = len(table)
     q = np.repeat(np.arange(len(quads)), size)
     pos = np.arange(len(q)) - start[q]
+    row = boff[q] + pos * size[q]
     a, b, c, d = quads[q].T
     l1 = off[a, b, left[:, 0]] + left[:, 1]
     l2 = off[left[:, 0], c, d] + left[:, 2]
     r1 = off[b, c, right[:, 0]] + right[:, 1]
     r2 = off[a, right[:, 0], d] + right[:, 2]
-    lbase = np.full((nv + 1) * ls, absent)
-    lbase[l1 * ls + xrank[l2]] = boff[q] + pos * size[q]
-    rpos = np.full((nv + 1) * rs, absent)
-    rpos[r1 * rs + yrank[r2]] = pos
     del q, a, b, c, d
-    # per label triple (x * n + y) * n + z and multiplicity index mu: the
-    # vertex times rs and its xrank and yrank, or the stand-ins where mu >= N
-    width = int(N.max())
-    vertex_rs, xr3, yr3 = [], [], []
-    for mu in range(width):
-        v = np.minimum(off.ravel() + mu, nv - 1)
-        has = counts > mu
-        vertex_rs.append(np.where(has, v, nv) * rs)
-        xr3.append(np.where(has, xrank[v], ls - 1))
-        yr3.append(np.where(has, yrank[v], rs - 1))
-    # block number and size per label quadruple ((a * n + b) * n + c) * n + d
+    lbase = np.full((nv + 1) * K, absent)
+    lbase[l1 * K + ykey[l2]] = row
+    del row
+    rpos = np.full((nv + 1) * K, absent)
+    rpos[r1 * K + xkey[r2]] = pos
+    # from here on the first vertex of a pair is held as its part of the key
+    l1, l2, r1, r2 = l1 * K, l2 * K, r1 * K, r2 * K
+    h_key = right[:, 0] * (n * width)
+    # vertex (x, y, z; nu) per label triple (x * n + y) * n + z, or nv where nu >= N
+    vertex = [np.where(counts > nu, off.ravel() + nu, nv) * K for nu in range(width)]
+    # sub-block candidates per label pair a * n + g: the vertices w3 = (g d -> e; ga) and
+    # v3 = (a k -> e; ze), by w3, then v3; they are the pairs cfirst[ag]:cfirst[ag] + ccount[ag]
+    xcount = np.bincount(vx, minlength=n)
+    xz = vx * n + vz
+    by_xz = np.argsort(xz, kind="stable")
+    xzcount = np.bincount(xz, minlength=n * n)
+    ag, w3 = _pairs(np.tile(_run_starts(xcount), n), np.tile(xcount, n))
+    ae = ag // n * n + vz[w3]
+    i, j = _pairs(_run_starts(xzcount)[ae], xzcount[ae])
+    ag, w3, v3 = ag[i], w3[i], by_xz[j]
+    ccount = np.bincount(ag, minlength=n * n)
+    cfirst = _run_starts(ccount)
+    cand_dk = vy[w3] * n + vy[v3]
+    cand_y, cand_x, cand_e = ykey[w3], xkey[v3], vz[w3] * width
+    del ag, w3, v3, ae, i, j
+    # first tree and size of the block per label quadruple ((a * n + b) * n + c) * n + d
     flat4 = ((quads[:, 0] * n + quads[:, 1]) * n + quads[:, 2]) * n + quads[:, 3]
-    index = np.zeros(n ** 4, dtype=np.int64)
-    index[flat4] = np.arange(len(quads))
+    first = np.zeros(n ** 4, dtype=np.int64)
+    first[flat4] = start[:-1]
     dims = np.zeros(n ** 4, dtype=np.int64)
     dims[flat4] = size
     # columns of (a, b, c, g): sum over (d, e) of N[g, d, e] dim Hom(e, abcd)
@@ -970,56 +1001,61 @@ def _pentagon(model: CategoryModel, fb) -> float:
     def batch(qs: np.ndarray, rows: int) -> float:
         """max |A - B| over the cells of the quadruples qs, whose blocks all have `rows` rows."""
         qa, qb, qc, qg = quads[qs].T
-        # sub-blocks (iq, w3, v3): w3 = (g d -> e; ga) and v3 = (a k -> e; ze)
-        # for F(b, c, d, k) with trees, whose right trees (h, de, ep) are columns
-        iq, w3 = _pairs(xfirst[qg], xcount[qg])
-        ae = qa[iq] * n + vz[w3]
-        i, j = _pairs(xzfirst[ae], xzcount[ae])
-        iq, w3, v3 = iq[i], w3[i], by_xz[j]
-        dk = vy[w3] * n + vy[v3]
-        bcdk = ((qb * n + qc) * n * n)[iq] + dk
-        keep = np.flatnonzero(dims[bcdk])
-        iq, w3, v3, dk, bcdk = iq[keep], w3[keep], v3[keep], dk[keep], bcdk[keep]
-        sub, t = _pairs(start[index[bcdk]], dims[bcdk])
+        # sub-blocks (iq, w3, v3), whose columns are the right trees t = (h, de, ep)
+        # of F(b, c, d, k), if any
+        iq, j = _pairs(cfirst[qa * n + qg], ccount[qa * n + qg])
+        bcdk = ((qb * n + qc) * n * n)[iq] + cand_dk[j]
+        sub, t = _pairs(first[bcdk], dims[bcdk])
         # the columns of quadruple iq are its sub-blocks' columns in order;
         # up to nc they are padded with copies of its last column
         cnt = np.bincount(iq[sub], minlength=len(qs))
         nc = int(cnt.max())
         pick = _run_starts(cnt)[:, None] + np.minimum(np.arange(nc), cnt[:, None] - 1)
-        sub, t = sub[pick][:, None], t[pick][:, None]
+        sub, t = sub[pick], t[pick]
         # rows: right trees (m, mu, rho) and left trees (f, al, be) of F(a, b, c, g)
         tr = start[qs][:, None] + np.arange(rows)
         # route A: F(a, b, c, g) X, X[(m, mu, rho), column] per sub-block and row first
-        lab = (vz[r1[tr]] * n * n)[iq] + dk[:, None]
-        zrow = lbase[(r2[tr] * ls)[iq] + xrank[w3][:, None]]
-        cells = sub * rows + np.arange(rows)[:, None]
+        y3, dk = cand_y[j], cand_dk[j]
+        lab = (right[tr, 0] * n * n)[iq] + dk[:, None]
+        zrow = lbase[r2[tr][iq] + y3[:, None]]
+        x3 = cand_x[j]
+        cells = (sub * rows)[:, None] + np.arange(rows)[:, None]
+        col = pos[t][:, None]
         for nu in range(width):
-            row = lbase[(r1[tr] * ls)[iq] + xr3[nu][lab]]
-            coef = val.take(zrow + rpos[vertex_rs[nu][lab] + yrank[v3][:, None]], mode="clip")
-            term = val.take(row.ravel()[cells] + pos[t], mode="clip")
+            row = lbase[r1[tr][iq] + (dk * width + nu)[:, None]]
+            coef = table.take(zrow + rpos[vertex[nu][lab] + x3[:, None]], mode="clip")
+            at = row.ravel()[cells]
+            at += col
+            term = table.take(at, mode="clip")
             term *= coef.ravel()[cells]
             op = term if nu == 0 else op + term
-        del cells, term
+        del cells, at, term, lab, zrow
         # the product summed over r in order, as the formula adds its terms
-        fq = val[boff[qs][:, None] + np.arange(rows * rows)].reshape(len(qs), rows, rows, 1)
+        fq = table[boff[qs][:, None] + np.arange(rows * rows)].reshape(len(qs), rows, rows, 1)
         A = fq[:, :, 0] * op[:, :1]
+        term = np.empty_like(A)
         for r in range(1, rows):
-            A += fq[:, :, r] * op[:, r:r + 1]
+            A += np.multiply(fq[:, :, r], op[:, r:r + 1], out=term)
         del op
         # route B: sum over (f h -> e; epp) of F(a,b,h,e) F(f,c,d,e)
-        fhe = (vz[l1[tr]] * n * n)[:, :, None] + vz[r1[t]] * n + vz[w3][sub]
-        xcol = rpos[r2[t] * rs + yrank[v3][sub]]
+        e = cand_e[j][sub]
+        key1 = l1[tr][:, :, None] + (h_key[t] + e)[:, None]
+        key2 = (left[tr, 0] * (n * width))[:, :, None] + (r1[t] + e)[:, None]
+        base2 = lbase[l2[tr][:, :, None] + y3[sub][:, None]]
+        col = rpos[r2[t] + x3[sub]][:, None]
         for ep in range(width):
-            term = val.take(lbase[(l1[tr] * ls)[:, :, None] + xr3[ep][fhe]] + xcol, mode="clip")
-            term *= val.take(lbase[(l2[tr] * ls)[:, :, None] + xrank[w3][sub]]
-                             + rpos[r1[t] * rs + yr3[ep][fhe]], mode="clip")
+            at = lbase[key1 + ep if ep else key1]
+            at += col
+            term = table.take(at, mode="clip")
+            at = rpos[key2 + ep if ep else key2]
+            at += base2
+            term *= table.take(at, mode="clip")
             B = term if ep == 0 else B + term
-        del fhe, term
+        del key1, key2, base2, at, term
         A -= B
         return float(np.max(np.abs(A), initial=0.0))
 
     worst = 0.0
-    inner = np.flatnonzero(quads[:, :3].all(axis=1))
     for rows in np.flatnonzero(np.bincount(size[inner])).tolist():
         group = inner[size[inner] == rows]
         group = group[np.argsort(ncols[group], kind="stable")]
@@ -1035,35 +1071,35 @@ def _pentagon(model: CategoryModel, fb) -> float:
     return worst
 
 
-def _unitarity(blocks: list) -> float:
-    """max |B B^* - 1| over the square blocks, stacked by size; a block with NaN counts 0."""
+def _unitarity(fl: _Blocks) -> float:
+    """max |B B^* - 1| over the blocks B of ``fl``, one stack per block size; NaN if not finite."""
+    if not fl.finite:
+        return float("nan")
     worst = 0.0
-    for m in sorted({len(B) for B in blocks}):
-        S = np.array([B for B in blocks if len(B) == m])
+    for m in np.flatnonzero(np.bincount(fl.size)).tolist():
+        at = fl.off[fl.size == m]
+        S = fl.table[at[:, None] + np.arange(m * m)].reshape(len(at), m, m)
         dev = np.abs(S @ S.conj().transpose(0, 2, 1) - np.eye(m)).max(axis=(1, 2))
-        worst = max([worst] + dev.tolist())
+        worst = max(worst, float(dev.max()))
     return worst
 
 
 def f_unitarity_residual(model: CategoryModel) -> float:
-    return _unitarity([model.F(*q) for q in _tree_quads(model.N).tolist()])
+    return _unitarity(_f_blocks(model)[1])
 
 
-def _agree(rows: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
-    """Mask [g, i, j]: the trees rows[g, i] and cols[g, j] agree outside position k."""
-    other = [p for p in range(3) if p != k]
-    return np.all(rows[:, :, None, other] == cols[:, None, :, other], axis=-1)
+def _braid_stacks(Rv, first, rows, cols, k) -> np.ndarray:
+    """Stacks [t, g, i, j] = R[rows[t, g, i, k[t]], cols[t, g, j, k[t]]] where the trees
+    rows[t, g, i] and cols[t, g, j] agree outside position k[t], else 0.
 
-
-def _braid_stack(Rv, off, rows, cols, k, x, y, z) -> np.ndarray:
-    """Stack with R(x, y, z)[rows[g, i, k], cols[g, j, k]] at [g, i, j] if the trees agree, else 0.
-
-    x, y, z are labels per row tree; ``Rv[off[x, y, z] + e, e2]`` is R(x, y, z)[e2, e].
+    R is the block whose transpose starts at row first[t, g, i] of ``Rv``:
+    ``Rv[off[x, y, z] + e, e2]`` is R(x, y, z)[e2, e].
     """
-    g, i, j = np.nonzero(_agree(rows, cols, k))
-    x, y, z = (np.broadcast_to(lab, rows.shape[:2])[g, i] for lab in (x, y, z))
-    out = np.zeros((rows.shape[0], rows.shape[1], cols.shape[1]), dtype=complex)
-    out[g, i, j] = Rv[off[x, y, z] + cols[g, j, k], rows[g, i, k]]
+    eq = rows[:, :, :, None] == cols[:, :, None]
+    t, g, i, j = np.nonzero(eq[..., 0] & np.where((k == 1)[:, None, None, None], eq[..., 2], eq[..., 1]))
+    kt = k[t]
+    out = np.zeros(eq.shape[:-1], dtype=complex)
+    out[t, g, i, j] = Rv[first[t, g, i] + cols[t, g, j, kt], rows[t, g, i, kt]]
     return out
 
 
@@ -1074,7 +1110,7 @@ def _group_norm(D: np.ndarray, cols: np.ndarray) -> float:
     permutation: its largest eigenvalue is the largest group norm squared.
     """
     gram = D.conj().transpose(0, 2, 1) @ D
-    gram[~_agree(cols, cols, 2)] = 0
+    gram[(cols[:, :, None, 0] != cols[:, None, :, 0]) | (cols[:, :, None, 1] != cols[:, None, :, 1])] = 0
     return float(np.sqrt(max(float(np.linalg.eigvalsh(gram).max(initial=0.0)), 0.0)))
 
 
@@ -1102,54 +1138,68 @@ def hexagon_residual(model: CategoryModel) -> float:
     The residual of a vertex (h, g) is the spectral norm of the difference
     on its column group, and the result is the largest over all of them.
     Quadruples are stacked by block size, ``_HEXAGON_ENTRIES`` entries per
-    stack, and each product is batched in the order written.
+    stack, and each product is batched in the order written.  F and R are
+    read from the flat tables of :func:`_f_blocks` and :func:`_r_blocks`; an
+    entry of either that is not finite makes the residual NaN.
     """
     if not model.braided:
         raise UnsupportedOperationError("category carries no braiding")
-    return _hexagon(model, _f_blocks(model))
+    return _hexagon(model, _f_blocks(model), _r_blocks(model))
 
 
-def _hexagon(model: CategoryModel, fb) -> float:
-    """:func:`hexagon_residual` of a braided model on the F blocks ``fb`` of :func:`_f_blocks`."""
-    quads, blocks, start, left, right = fb
+def _r_blocks(model: CategoryModel) -> _Blocks:
+    """R(x, y, z) for every label triple (x, y, z) with N[x, y, z] > 0, in lexicographic order."""
     N = model.N
+    blocks = [model.R(*t) for t in np.argwhere(N).tolist()]
     if not np.array_equal(N, N.transpose(1, 0, 2)):
         raise StructureError("a braided category needs commutative fusion rules")
+    return _Blocks(blocks, N[N > 0])
+
+
+def _hexagon(model: CategoryModel, fb, rb: _Blocks) -> float:
+    """:func:`hexagon_residual` on the F blocks ``fb`` of :func:`_f_blocks` and the R blocks ``rb``
+    of :func:`_r_blocks`."""
+    quads, fl, start, left, right = fb
+    if not (fl.finite and rb.finite):
+        return float("nan")
+    N = model.N
     counts = N.ravel()
     off = (np.cumsum(counts) - counts).reshape(N.shape)
-    Rv = np.zeros((int(counts.sum()), int(N.max())), dtype=complex)
-    for x, y, z in np.argwhere(N).tolist():
-        Rv[off[x, y, z]:off[x, y, z] + N[x, y, z]] = model.R(x, y, z).T
+    # Rv[off[x, y, z] + e, e2] = R(x, y, z)[e2, e], and 0 for e2 >= N[x, y, z]
+    width = int(N.max())
+    q = np.repeat(np.arange(len(rb.size)), rb.size)
+    m = rb.size[q][:, None]
+    e = np.arange(len(q)) - off.ravel()[counts > 0][q]
+    at = rb.off[q][:, None] + np.arange(width) * m + e[:, None]
+    Rv = rb.table.take(np.where(np.arange(width) < m, at, len(rb.table)), mode="clip")
     index = np.zeros(N.shape + N.shape[:1], dtype=np.int64)
     index[tuple(quads.T)] = np.arange(len(quads))
-    size = np.diff(start)
     worst = 0.0
-    for m in sorted(set(size.tolist())):
-        group = np.flatnonzero(size == m)
+    for m in np.flatnonzero(np.bincount(fl.size)).tolist():
+        group = np.flatnonzero(fl.size == m)
         step = max(1, _HEXAGON_ENTRIES // (m * m))
         for qa in (group[s:s + step] for s in range(0, len(group), step)):
             a, y1, y2, c = quads[qa].T
-            qm, qr = index[y1, a, y2, c], index[y1, y2, a, c]
-            FA, FM, FR = (np.array([blocks[q] for q in qs.tolist()]) for qs in (qa, qm, qr))
-            A, Lm, Lr = (left[start[q][:, None] + np.arange(m)] for q in (qa, qm, qr))
-            Ra, Rm, Rr = (right[start[q][:, None] + np.arange(m)] for q in (qa, qm, qr))
+            qs = np.stack([qa, index[y1, a, y2, c], index[y1, y2, a, c]])
+            FA, FM, FR = fl.table[fl.off[qs][..., None] + np.arange(m * m)].reshape(3, len(qa), m, m)
+            tr = start[qs][..., None] + np.arange(m)
+            (A, Lm, Lr), (Ra, Rm, Rr) = left[tr], right[tr]
             a, y1, y2, c = a[:, None], y1[:, None], y2[:, None], c[:, None]
-            B1 = _braid_stack(Rv, off, Lm, A, 1, a, y1, Lm[..., 0])
-            B2 = _braid_stack(Rv, off, Rr, Rm, 1, a, y2, Rr[..., 0])
-            rhs = _braid_stack(Rv, off, Lr, Ra, 2, a, Lr[..., 0], c)
+            # B1, B2, RHS and their mirrors, on the trees of F_m, F_r, F_r, F_a, F_m, F_a
+            first = [off[a, y1, Lm[..., 0]], off[a, y2, Rr[..., 0]], off[a, Lr[..., 0], c],
+                     off[y1, a, A[..., 0]], off[y2, a, Rm[..., 0]], off[Ra[..., 0], a, c]]
+            B1, B2, rhs, B1m, B2m, rhsm = _braid_stacks(
+                Rv, np.stack(first), np.stack([Lm, Rr, Lr, A, Rm, Ra]),
+                np.stack([A, Rm, Ra, Lm, Rr, Lr]), np.array([1, 1, 2, 1, 1, 2]))
             lhs = FR @ B2 @ FM.conj().transpose(0, 2, 1) @ B1 @ FA
             worst = max(worst, _group_norm(lhs - rhs, Ra))
-            B1 = _braid_stack(Rv, off, A, Lm, 1, y1, a, A[..., 0])
-            B2 = _braid_stack(Rv, off, Rm, Rr, 1, y2, a, Rm[..., 0])
-            rhs = FA @ _braid_stack(Rv, off, Ra, Lr, 2, Ra[..., 0], a, c)
-            lhs = B1 @ FM @ B2 @ FR.conj().transpose(0, 2, 1)
-            worst = max(worst, _group_norm(lhs - rhs, Lr))
+            lhs = B1m @ FM @ B2m @ FR.conj().transpose(0, 2, 1)
+            worst = max(worst, _group_norm(lhs - FA @ rhsm, Lr))
     return worst
 
 
 def r_unitarity_residual(model: CategoryModel) -> float:
-    both = (model.N > 0) & (model.N.transpose(1, 0, 2) > 0)
-    return _unitarity([model.R(*t) for t in np.argwhere(both).tolist()])
+    return _unitarity(_r_blocks(model))
 
 
 def conjugate_residual(model: CategoryModel) -> float:
@@ -1160,16 +1210,16 @@ def conjugate_residual(model: CategoryModel) -> float:
     coeff makes 1 / d_lam up to rounding, and (1 x rbar*)(r x 1) = coeff conj(g),
     g = F(conj(lam), lam, conj(lam); conj(lam)) between the trees through the
     unit, which is 1 / d_lam when g = conj(f).  The unit sector satisfies both
-    exactly.
+    exactly.  A non-finite entry gives NaN or inf.
     """
-    worst = 0.0
+    dev = []
     for lam in range(1, model.rank):
         lamd = int(model.dual[lam])
         f, coeff = _duality_coefficient(model, lam)
         g = model.F(lamd, lam, lamd, lamd)[0, 0]
         want = 1.0 / model.qdim[lam]
-        worst = max(worst, abs(np.conj(coeff * f) - want), abs(coeff * np.conj(g) - want))
-    return float(worst)
+        dev += [abs(np.conj(coeff * f) - want), abs(coeff * np.conj(g) - want)]
+    return float(np.max(dev, initial=0.0))
 
 
 @dataclass
@@ -1204,15 +1254,18 @@ class CategoryReport:
 def validate_category(model: CategoryModel, tol: float = 1e-9) -> CategoryReport:
     """Fusion axioms plus pentagon / unitarity / duality (and hexagon if braided).
 
-    The F blocks and their trees are gathered once and shared by the hexagon,
-    the pentagon and F unitarity.
+    The F blocks and their trees are gathered once into one flat table and
+    shared by the hexagon, the pentagon and F unitarity; the R blocks are
+    gathered once for the hexagon and R unitarity.  Data that is not finite
+    gives non-finite residuals, so the report is not ``ok``.
     """
     frep = validate_fusion(model.fusion)
     fb = _f_blocks(model)
     hexa = r_uni = None
     if model.braided:
-        hexa = _hexagon(model, fb)
-        r_uni = r_unitarity_residual(model)
+        rb = _r_blocks(model)
+        hexa = _hexagon(model, fb, rb)
+        r_uni = _unitarity(rb)
     return CategoryReport(
         fusion_ok=frep.ok,
         fusion_violations=frep.violations,

@@ -46,6 +46,7 @@ from qsystems.morphisms import (
     rmul,
     unit_obj,
     word_obj,
+    _HEXAGON_ENTRIES,
     _f_blocks,
     _pairs,
     _run_starts,
@@ -103,6 +104,16 @@ def su2_f_oracle(k: int):
     return f
 
 
+# -- F blocks as a list of matrices ---------------------------------------------
+
+
+def _f_block_list(model: CategoryModel):
+    """(quads, blocks, start, left, right) as ``_f_blocks`` lays them out, but with
+    ``blocks`` the list of the matrices ``model.F(*quads[q])``."""
+    quads, _, start, left, right = _f_blocks(model)
+    return quads, [model.F(*q) for q in quads.tolist()], start, left, right
+
+
 # -- the pentagon as joins on a sorted table of F entries ----------------------
 
 # right trees per batch of stacked_pentagon_oracle
@@ -116,7 +127,7 @@ def _f_table(fb, off: np.ndarray, pair, npairs: int):
     (a, b, s, e), (s, c, d, f) and the right vertices (b, c, t, g),
     (a, t, d, h); vertex (x, y, z, mu) has the number ``off[x, y, z] + mu``
     and a right pair (r1, r2) the number ``pair(r1, r2) < npairs``.  Entry k
-    of the raveled block q of ``fb``, the output of ``_f_blocks``, of
+    of the raveled block q of ``fb``, the output of ``_f_block_list``, of
     size m, has left tree start[q] + k // m and right tree start[q] + k % m.
     Returns (lo, l1, l2, val): the entries of right pair p are lo[p]:lo[p + 1],
     in left-tree order.
@@ -160,7 +171,7 @@ def stacked_pentagon_oracle(model: CategoryModel) -> float:
     tree) and summed per cell.  Right trees are enumerated one label a at a
     time, over all labels, and checked in batches of ``_PENTAGON_BATCH``.
     """
-    fb = _f_blocks(model)
+    fb = _f_block_list(model)
     n, N = model.rank, model.N
     counts = N.ravel()
     nv = int(counts.sum())
@@ -213,6 +224,80 @@ def stacked_pentagon_oracle(model: CategoryModel) -> float:
             diff = (np.add.reduceat(np.where(from_a, val, 0), cells)
                     - np.add.reduceat(np.where(from_a, 0, val), cells))
             worst = max(worst, float(np.max(np.abs(diff), initial=0.0)))
+    return worst
+
+
+# -- the hexagon and unitarity on stacks of matrices ---------------------------
+
+
+def stacked_unitarity_oracle(blocks: list) -> float:
+    """max |B B^* - 1| over the square blocks, stacked by size from the list of
+    matrices: the oracle of the flat-table ``_unitarity``."""
+    worst = 0.0
+    for m in sorted({len(B) for B in blocks}):
+        S = np.array([B for B in blocks if len(B) == m])
+        dev = np.abs(S @ S.conj().transpose(0, 2, 1) - np.eye(m)).max(axis=(1, 2))
+        worst = max([worst] + dev.tolist())
+    return worst
+
+
+def _agree(rows: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
+    """Mask [g, i, j]: the trees rows[g, i] and cols[g, j] agree outside position k."""
+    other = [p for p in range(3) if p != k]
+    return np.all(rows[:, :, None, other] == cols[:, None, :, other], axis=-1)
+
+
+def _braid_stack(Rv, off, rows, cols, k, x, y, z) -> np.ndarray:
+    """Stack with R(x, y, z)[rows[g, i, k], cols[g, j, k]] at [g, i, j] if the trees agree, else 0."""
+    g, i, j = np.nonzero(_agree(rows, cols, k))
+    x, y, z = (np.broadcast_to(lab, rows.shape[:2])[g, i] for lab in (x, y, z))
+    out = np.zeros((rows.shape[0], rows.shape[1], cols.shape[1]), dtype=complex)
+    out[g, i, j] = Rv[off[x, y, z] + cols[g, j, k], rows[g, i, k]]
+    return out
+
+
+def _group_norm(D: np.ndarray, cols: np.ndarray) -> float:
+    """Largest spectral norm over the column groups of the stack D, by the trees cols[g, j][:2]."""
+    gram = D.conj().transpose(0, 2, 1) @ D
+    gram[~_agree(cols, cols, 2)] = 0
+    return float(np.sqrt(max(float(np.linalg.eigvalsh(gram).max(initial=0.0)), 0.0)))
+
+
+def stacked_hexagon_oracle(model: CategoryModel) -> float:
+    """The hexagon residual with F stacked from the list of matrices and R filled
+    block by block: the oracle of ``hexagon_residual``, whose products it makes
+    in the same order."""
+    quads, blocks, start, left, right = _f_block_list(model)
+    N = model.N
+    counts = N.ravel()
+    off = (np.cumsum(counts) - counts).reshape(N.shape)
+    Rv = np.zeros((int(counts.sum()), int(N.max())), dtype=complex)
+    for x, y, z in np.argwhere(N).tolist():
+        Rv[off[x, y, z]:off[x, y, z] + N[x, y, z]] = model.R(x, y, z).T
+    index = np.zeros(N.shape + N.shape[:1], dtype=np.int64)
+    index[tuple(quads.T)] = np.arange(len(quads))
+    size = np.diff(start)
+    worst = 0.0
+    for m in sorted(set(size.tolist())):
+        group = np.flatnonzero(size == m)
+        step = max(1, _HEXAGON_ENTRIES // (m * m))
+        for qa in (group[s:s + step] for s in range(0, len(group), step)):
+            a, y1, y2, c = quads[qa].T
+            qm, qr = index[y1, a, y2, c], index[y1, y2, a, c]
+            FA, FM, FR = (np.array([blocks[q] for q in qs.tolist()]) for qs in (qa, qm, qr))
+            A, Lm, Lr = (left[start[q][:, None] + np.arange(m)] for q in (qa, qm, qr))
+            Ra, Rm, Rr = (right[start[q][:, None] + np.arange(m)] for q in (qa, qm, qr))
+            a, y1, y2, c = a[:, None], y1[:, None], y2[:, None], c[:, None]
+            B1 = _braid_stack(Rv, off, Lm, A, 1, a, y1, Lm[..., 0])
+            B2 = _braid_stack(Rv, off, Rr, Rm, 1, a, y2, Rr[..., 0])
+            rhs = _braid_stack(Rv, off, Lr, Ra, 2, a, Lr[..., 0], c)
+            lhs = FR @ B2 @ FM.conj().transpose(0, 2, 1) @ B1 @ FA
+            worst = max(worst, _group_norm(lhs - rhs, Ra))
+            B1 = _braid_stack(Rv, off, A, Lm, 1, y1, a, A[..., 0])
+            B2 = _braid_stack(Rv, off, Rm, Rr, 1, y2, a, Rm[..., 0])
+            rhs = FA @ _braid_stack(Rv, off, Ra, Lr, 2, Ra[..., 0], a, c)
+            lhs = B1 @ FM @ B2 @ FR.conj().transpose(0, 2, 1)
+            worst = max(worst, _group_norm(lhs - rhs, Lr))
     return worst
 
 

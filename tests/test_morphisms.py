@@ -42,7 +42,8 @@ from qsystems.fusion import FusionData, StructureError
 from qsystems.io import load_algebra
 
 from oracles import (conjugate_oracle, dim_word, left_inverse, random_morphism, right_inverse,
-                     stacked_pentagon_oracle, su2_f_oracle, word_conjugate_pair, word_dual)
+                     stacked_hexagon_oracle, stacked_pentagon_oracle, stacked_unitarity_oracle,
+                     su2_f_oracle, word_conjugate_pair, word_dual)
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -784,6 +785,76 @@ def test_pentagon_matches_stacked_oracle_on_other_models(models, rng):
         assert abs(got - want) <= 1e-16, (name, got, want)
 
 
+def _assert_match_stacked_oracles(m, name):
+    # the flat tables give the hexagon and unitarity of the stacked matrices, to the bit
+    want = {"f_unitarity": stacked_unitarity_oracle([m.F(*q) for q in _tree_quads(m.N).tolist()])}
+    if m.braided:
+        want["hexagon"] = stacked_hexagon_oracle(m)
+        want["r_unitarity"] = stacked_unitarity_oracle([m.R(*t) for t in np.argwhere(m.N).tolist()])
+    got = {"f_unitarity": f_unitarity_residual(m)}
+    if m.braided:
+        got["hexagon"] = hexagon_residual(m)
+        got["r_unitarity"] = r_unitarity_residual(m)
+    assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}, name
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_hexagon_and_unitarity_match_stacked_oracles_on_su2_levels(k):
+    _assert_match_stacked_oracles(catalog.su2_level(k), f"su2k{k}")
+
+
+def test_hexagon_and_unitarity_match_stacked_oracles_on_other_models(models, rng):
+    cases = dict(models)
+    cases["mirror(fibonacci)"] = mirror(models["fibonacci"])
+    cases["ising(x)mirror(z4)"] = deligne_product(models["ising"], mirror(models["z4"]))
+    cases["rep_a4(x)semion"] = deligne_product(models["rep_a4"], models["semion"])
+    for name in ["ising", "su2k4", "rep_a4"]:
+        cases[name + "_scrambled"] = _scrambled(models[name], rng)
+    for name, m in cases.items():
+        _assert_match_stacked_oracles(m, name)
+        # validate_category shares one F table and one R table between the checks
+        rep = validate_category(m)
+        want = {"f_unitarity": f_unitarity_residual(m)}
+        if m.braided:
+            want.update(hexagon=hexagon_residual(m), r_unitarity=r_unitarity_residual(m))
+        assert {k: repr(rep.residuals()[k]) for k in want} == {k: repr(v) for k, v in want.items()}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_f_entry_fails_the_verdict(bad):
+    # an unbraided su(2)_4 with one F entry not finite: the verdict is a
+    # failure with non-finite residuals, not ok and not a traceback
+    base = catalog.su2_level(4)
+
+    def f(*labels):
+        out = base.F(*labels)
+        if labels == (2, 2, 2, 2):
+            out = out.copy()
+            out[0, 0] = bad
+        return out
+
+    rep = validate_category(CategoryModel(base.fusion, f, name="su2k4_non_finite_f"))
+    assert not rep.ok
+    assert not np.isfinite(rep.pentagon) and not np.isfinite(rep.f_unitarity), rep.residuals()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_r_entry_fails_the_verdict(bad):
+    base = catalog.su2_level(4)
+
+    def r(*labels):
+        out = base.R(*labels)
+        if labels == (1, 1, 2):
+            out = out.copy()
+            out[0, 0] = bad
+        return out
+
+    rep = validate_category(CategoryModel(base.fusion, base.F, r, name="su2k4_non_finite_r"))
+    assert not rep.ok
+    assert not np.isfinite(rep.hexagon) and not np.isfinite(rep.r_unitarity), rep.residuals()
+    assert rep.pentagon < 1e-9 and rep.f_unitarity < 1e-9
+
+
 @pytest.mark.parametrize("quad,entry", [((1, 1, 2, 0), (0, 0)), ((2, 2, 2, 2), (1, 2))])
 def test_pentagon_sees_one_perturbed_entry(quad, entry):
     # one F entry of su2_level(6) moves by 1e-6, in a block with d = 0 or with
@@ -909,6 +980,25 @@ def test_tree_arrays_match_tree_lists(models):
         assert left.tolist() == [list(t) for t in want_left], m.name
         assert right.tolist() == [list(t) for t in want_right], m.name
         assert start.tolist() == np.cumsum([0] + [len(m.f_left(*q)) for q in labels]).tolist()
+
+
+def test_f_table_slices_are_the_f_blocks(models):
+    # every block of the flat table, bitwise, against F; the product with
+    # rep_a4 first fills F through its index maps, not in Kronecker order
+    cases = dict(models)
+    cases.update({f"su2k{k}": catalog.su2_level(k) for k in range(1, 9)})
+    cases["mirror(su2k4)"] = mirror(models["su2k4"])
+    cases["rep_a4(x)ising"] = deligne_product(models["rep_a4"], models["ising"])
+    cases["rep_a4(x)mirror(rep_a4)"] = deligne_product(models["rep_a4"], mirror(models["rep_a4"]))
+    for name, m in cases.items():
+        quads, fl, start, left, right = _f_blocks(m)
+        size = np.diff(start)
+        assert fl.size.tolist() == size.tolist(), name
+        assert len(fl.table) == int(np.sum(size * size)) + 1 and fl.table[-1] == 0, name
+        for q, lo, k in zip(quads.tolist(), fl.off.tolist(), size.tolist()):
+            got, want = fl.table[lo:lo + k * k].reshape(k, k), m.F(*q)
+            assert got.dtype == want.dtype and got.shape == want.shape, (name, q)
+            assert got.tobytes() == want.tobytes(), (name, q)
 
 
 def test_f_product_matches_entry_loop(models, rng):
