@@ -189,7 +189,8 @@ def _f_table(k: int, N: np.ndarray, qd: np.ndarray):
 def su2_level(k: int) -> CategoryModel:
     """SU(2)_k anyons, labels are doubled spins 0..k.
 
-    The F table is filled in one pass on the first call to F.
+    The F table is filled in one pass on the model's first F read, which
+    copies it into the model's own table and then drops it.
     """
     n = k + 1
     N = np.zeros((n, n, n), dtype=int)

@@ -152,7 +152,7 @@ def load_category(path) -> CategoryModel:
 
         # the model never reads an entry at an identity label (the unital
         # gauge fixes those) or off the tree bases, so such entries are errors
-        f_entries = {}
+        f_entries, Nl = {}, N.tolist()
         for a, b, c, d, lt, rt, v in doc["F"]:
             labels(a, b, c, d, lt[0], rt[0])
             if 0 in (a, b, c):
@@ -160,7 +160,10 @@ def load_category(path) -> CategoryModel:
             (s, e, f), (t, g, h) = lt, rt
             if not vertices((e, N[a, b, s]), (f, N[s, c, d]), (g, N[b, c, t]), (h, N[a, t, d])):
                 raise BundleError(f"F entry {(a, b, c, d, lt, rt)} is not fusion compatible")
-            f_entries.setdefault((a, b, c, d), []).append((tuple(lt), tuple(rt), _j2c(v)))
+            # the position of the tree in CategoryModel.f_left / f_right order
+            row = sum(Nl[a][b][x] * Nl[x][c][d] for x in range(s)) + e * Nl[s][c][d] + f
+            col = sum(Nl[b][c][x] * Nl[a][x][d] for x in range(t)) + g * Nl[a][t][d] + h
+            f_entries.setdefault((a, b, c, d), []).append((row, col, _j2c(v)))
         r_entries = {}
         for a, b, c, f, e, v in doc.get("R", []):
             labels(a, b, c)
@@ -175,28 +178,20 @@ def load_category(path) -> CategoryModel:
             raise
         raise BundleError(f"malformed category bundle {path}: {exc}") from exc
 
-    cell = {}
-
     def f_provider(a, b, c, d):
-        model = cell["model"]
-        left = {t: i for i, t in enumerate(model.f_left(a, b, c, d))}
-        right = {t: i for i, t in enumerate(model.f_right(a, b, c, d))}
-        M = np.zeros((len(left), len(right)), dtype=complex)
-        for lt, rt, v in f_entries.get((a, b, c, d), []):
-            M[left[lt], right[rt]] = v
+        M = np.zeros((int(N[a, b] @ N[:, c, d]), int(N[b, c] @ N[a, :, d])), dtype=complex)
+        for row, col, v in f_entries.get((a, b, c, d), []):
+            M[row, col] = v
         return M
 
     def r_provider(a, b, c):
-        model = cell["model"]
-        M = np.zeros((int(model.N[b, a, c]), int(model.N[a, b, c])), dtype=complex)
+        M = np.zeros((int(N[b, a, c]), int(N[a, b, c])), dtype=complex)
         for f, e, v in r_entries.get((a, b, c), []):
             M[f, e] = v
         return M
 
-    model = CategoryModel(fus, f_provider, r_provider if braided else None,
-                          name=doc.get("name", Path(path).stem))
-    cell["model"] = model
-    return model
+    return CategoryModel(fus, f_provider, r_provider if braided else None,
+                         name=doc.get("name", Path(path).stem))
 
 
 # ---------------------------------------------------------------------------

@@ -47,15 +47,12 @@ __all__ = [
     "UnsupportedOperationError",
     "identity_morphism",
     "basis_vector",
-    "unit_intro",
     "hom_basis",
     "compose",
     "adjoint",
     "rmul",
     "lmul",
     "mono_product",
-    "ConjugatePair",
-    "conjugate_pair",
     "braid",
     "categorical_trace",
     "twist",
@@ -128,22 +125,22 @@ def same_object(a: SumObject, b: SumObject) -> bool:
     return a.words == b.words
 
 
-def _check_associative(key: tuple, left: int, right: int) -> None:
-    """Hom(d, abc), key = (a, b, c, d), needs as many left trees as right trees."""
-    if left != right:
-        raise StructureError(f"fusion data not associative at {key}: {left} != {right}")
-
-
 class CategoryModel:
     """Skeletal unitary fusion category with F (and optionally R) data.
 
     ``f_provider(a, b, c, d)`` must return the unitary recoupling matrix in
     the index convention of :func:`CategoryModel.f_left` /
     :func:`CategoryModel.f_right`; it is never called when one of a, b, c is
-    the identity label (unital gauge is assumed there).  A subclass that
-    builds F another way overrides :meth:`_f_block` instead.  ``r_provider`` is
+    the identity label (unital gauge is assumed there).  ``r_provider`` is
     optional; without it the category is unbraided and braiding operations
     raise :class:`UnsupportedOperationError`.
+
+    The first read of F builds the model's F table: each block with trees is
+    requested from the provider once, checked, and stored in one flat
+    read-only table; the provider is then dropped.  R is held the same way.
+    :meth:`F` and :meth:`R` return views into those tables, and the coherence
+    checks read the tables themselves.  :class:`ProductModel` stays lazy
+    instead, because its whole table grows quadratically with its factors'.
 
     The model memoizes tree bases and recoupling data per instance; all
     operations on it are pure, so instances can be shared across workers.
@@ -154,14 +151,13 @@ class CategoryModel:
         self.name = name or fusion.names[0]
         self._f_provider = f_provider
         self._r_provider = r_provider
-        self._f_cache = {}
-        self._r_cache = {}
+        self.braided = r_provider is not None
+        self._f = self._r = None
         self._left_idx = {}
         self._right_idx = {}
         self._right_pos = {}
         self._tails = {}
         self._insert = {}
-        self._conj = {}
         self._offsets = {}
         self._counts = {}
         self._ends = {}
@@ -183,10 +179,6 @@ class CategoryModel:
     @property
     def qdim(self) -> np.ndarray:
         return self.fusion.qdim
-
-    @property
-    def braided(self) -> bool:
-        return self._r_provider is not None
 
     def word_dim(self, word) -> float:
         d = 1.0
@@ -236,50 +228,30 @@ class CategoryModel:
         return out
 
     def F(self, a, b, c, d) -> np.ndarray:
-        key = (a, b, c, d)
-        out = self._f_cache.get(key)
-        if out is None:
-            out = self._f_cache[key] = self._f_block(a, b, c, d)
-        return out
+        return self._f_table().view((a, b, c, d))
 
-    def _f_block(self, a, b, c, d, trees=None) -> np.ndarray:
-        """F(a, b, c, d) from the provider, checked against the tree counts.
+    def _f_table(self) -> "_Blocks":
+        """The model's F table, built on the first call."""
+        if self._f is None:
+            self._f = _build_f_table(self, self._f_provider)
+            self._f_provider = None
+        return self._f
 
-        ``trees`` is the number of left trees when the caller has already
-        checked that it equals the number of right trees.
-        """
-        key = (a, b, c, d)
-        if trees is None:
-            N = self.N
-            trees = int(N[a, b] @ N[:, c, d])
-            _check_associative(key, trees, int(N[b, c] @ N[a, :, d]))
-        if trees == 0:
-            return np.zeros((0, 0), dtype=complex)
-        if a == 0 or b == 0 or c == 0:
-            return np.eye(trees, dtype=complex)
-        out = np.asarray(self._f_provider(a, b, c, d), dtype=complex)
-        if out.shape != (trees, trees):
-            raise StructureError(f"F{key} has shape {out.shape}, expected {(trees, trees)}")
-        return out
+    def _f_finite(self) -> bool:
+        """Whether every F entry is finite."""
+        return self._f_table().finite
 
     def R(self, a, b, c) -> np.ndarray:
+        return self._r_table().view((a, b, c))
+
+    def _r_table(self) -> "_Blocks":
+        """The model's R table, built on the first call."""
         if not self.braided:
             raise UnsupportedOperationError("category carries no braiding")
-        key = (a, b, c)
-        out = self._r_cache.get(key)
-        if out is not None:
-            return out
-        rows, cols = int(self.N[b, a, c]), int(self.N[a, b, c])
-        if rows == 0 or cols == 0:
-            out = np.zeros((rows, cols), dtype=complex)
-        elif a == 0 or b == 0:
-            out = np.eye(rows, dtype=complex)
-        else:
-            out = np.asarray(self._r_provider(a, b, c), dtype=complex)
-            if out.shape != (rows, cols):
-                raise StructureError(f"R{key} has shape {out.shape}, expected {(rows, cols)}")
-        self._r_cache[key] = out
-        return out
+        if self._r is None:
+            self._r = _build_r_table(self, self._r_provider)
+            self._r_provider = None
+        return self._r
 
     # -- tree bases --------------------------------------------------------
 
@@ -505,17 +477,6 @@ def basis_vector(model: CategoryModel, nu: int, obj, index: int) -> Morphism:
     return Morphism(model, word_obj((nu,)), obj, blocks)
 
 
-def unit_intro(model: CategoryModel, obj, index: int = 0) -> Morphism:
-    """The index-th tree-basis isometry in Hom(unit, obj), from the empty word."""
-    obj = as_obj(obj)
-    blocks = {}
-    d = model.obj_dim(0, obj)
-    col = np.zeros((d, 1), dtype=complex)
-    col[index, 0] = 1.0
-    blocks[0] = col
-    return Morphism(model, unit_obj(), obj, blocks)
-
-
 def hom_basis(model: CategoryModel, nu: int, obj) -> list:
     """Orthonormal isometries spanning Hom(nu, obj); count is the tree dimension."""
     obj = as_obj(obj)
@@ -679,39 +640,10 @@ def mono_product(f: Morphism, g: Morphism) -> Morphism:
 # duality
 
 
-@dataclass
-class ConjugatePair:
-    """Standard solution (r, rbar) of the conjugate equations for an object."""
-
-    r: Morphism      # Hom(unit, conj(X) X)
-    rbar: Morphism   # Hom(unit, X conj(X))
-
-
-def conjugate_pair(model: CategoryModel, lam: int) -> ConjugatePair:
-    """Duality isometries of a simple sector, derived from F.
-
-    ``rbar`` is the canonical tree vector of Hom(id, lam conj(lam)); the
-    coefficient of ``r`` is fixed by the conjugate equations and carries the
-    Frobenius-Schur indicator for self-dual sectors.
-    """
-    cached = model._conj.get(lam)
-    if cached is not None:
-        return cached
-    lamd = int(model.dual[lam])
-    rbar = unit_intro(model, word_obj((lam, lamd)))
-    if lam == 0:
-        pair = ConjugatePair(r=rbar, rbar=rbar)
-        model._conj[lam] = pair
-        return pair
-    r = _duality_coefficient(model, lam)[1] * unit_intro(model, word_obj((lamd, lam)))
-    pair = ConjugatePair(r=r, rbar=rbar)
-    model._conj[lam] = pair
-    return pair
-
-
 def _duality_coefficient(model: CategoryModel, lam: int) -> tuple:
     """(f, coeff) for a sector lam != 0: f = F(lam, conj(lam), lam; lam) between the
-    trees through the unit, and the coefficient 1 / (d_lam f) of ``r``.
+    trees through the unit, and coeff = 1 / (d_lam f), which times the tree vector
+    of Hom(id, conj(lam) lam) solves the conjugate equations.
 
     The tree (0, 0, 0) through the unit comes first in both tree lists.
     """
@@ -819,13 +751,16 @@ def _pairs(start: np.ndarray, cnt: np.ndarray):
     return i, np.arange(len(i)) + np.repeat(start - _run_starts(cnt), cnt)
 
 
-def _tree_quads(N: np.ndarray) -> np.ndarray:
-    """Labels (a, b, c, d), in lexicographic order, where Hom(d, abc) has left or right trees.
+def _tree_counts(N: np.ndarray):
+    """(quads, left, right): the labels (a, b, c, d), in lexicographic order, where
+    Hom(d, abc) has left or right trees, and the number of each.
 
-    Where it has only one kind, N is not associative and :meth:`CategoryModel.F` raises.
+    Where the numbers differ, N is not associative and the F table is refused.
     """
+    left = np.tensordot(N, N, axes=(2, 0))
     right = np.tensordot(N, N, axes=(2, 1)).transpose(2, 0, 1, 3)
-    return np.argwhere((np.tensordot(N, N, axes=(2, 0)) > 0) | (right > 0))
+    at = np.nonzero((left > 0) | (right > 0))
+    return np.stack(at, axis=1), left[at], right[at]
 
 
 def _trees(inner: np.ndarray, outer: np.ndarray):
@@ -844,52 +779,101 @@ def _trees(inner: np.ndarray, outer: np.ndarray):
 
 
 class _Blocks:
-    """Square blocks of the given sizes stored flat: each row-major, one after
-    another in ``table``, then one zero.
+    """Square blocks stored flat, one per label tuple of ``keys`` (in
+    lexicographic order): each row-major, one after another in ``table``,
+    then one zero.
 
     Block q is ``table[off[q]:off[q] + size[q] ** 2]``.  ``finite`` tells
-    whether every entry is finite; the checks give NaN where it is not.
+    whether every entry is finite; the checks give NaN where it is not.  The
+    table is read-only, and :meth:`view` hands out its blocks.
     """
 
-    __slots__ = ("table", "off", "size", "finite")
+    __slots__ = ("keys", "table", "off", "size", "finite", "_dims", "_code", "_views")
 
-    def __init__(self, blocks: list, size: np.ndarray):
-        self.table = np.concatenate([B.ravel() for B in blocks] + [np.zeros(1, dtype=complex)])
+    def __init__(self, keys: np.ndarray, blocks, size: np.ndarray, rank: int):
+        """``blocks`` yields the blocks in the order of ``keys``, each of its ``size``."""
+        self.keys = keys
         self.off = _run_starts(size * size)
+        self.table = np.zeros(int(np.sum(size * size)) + 1, dtype=complex)
+        for at, B in zip(self.off.tolist(), blocks):
+            self.table[at:at + B.size] = B.ravel()
+        self.table.flags.writeable = False
         self.size = size
         self.finite = bool(np.isfinite(self.table).all())
+        self._dims = (rank,) * keys.shape[1]
+        self._code = np.ravel_multi_index(tuple(keys.T), self._dims)
+        self._views = {}
+
+    def view(self, key: tuple) -> np.ndarray:
+        """The block of the labels ``key`` as a view of the table (0 x 0 if it has none)."""
+        out = self._views.get(key)
+        if out is None:
+            code = np.ravel_multi_index(key, self._dims)
+            q = int(np.searchsorted(self._code, code))
+            if q < len(self._code) and self._code[q] == code:
+                m = int(self.size[q])
+                out = self.table[self.off[q]:self.off[q] + m * m].reshape(m, m)
+            else:
+                out = self.table[:0].reshape(0, 0)
+            self._views[key] = out
+        return out
+
+
+def _provided(name: str, provider, key: tuple, size: int) -> np.ndarray:
+    """``provider(*key)`` as a complex block, checked to be size x size."""
+    out = np.asarray(provider(*key), dtype=complex)
+    if out.shape != (size, size):
+        raise StructureError(f"{name}{key} has shape {out.shape}, expected {(size, size)}")
+    return out
+
+
+def _build_f_table(model: CategoryModel, provider) -> _Blocks:
+    """F(a, b, c, d) for every label quadruple with trees, with
+    ``provider(a, b, c, d)`` called once for each where none of a, b, c is the
+    unit (there F is the identity, the unital gauge).
+
+    That each Hom(d, abc) has as many left as right trees is checked first.
+    """
+    quads, nl, nr = _tree_counts(model.N)
+    if (nl != nr).any():
+        i = int(np.argmax(nl != nr))
+        raise StructureError(f"fusion data not associative at {tuple(quads[i].tolist())}: "
+                             f"{nl[i]} != {nr[i]}")
+    eye = [np.eye(m, dtype=complex) for m in range(int(nl.max()) + 1)]
+    inner = quads[:, :3].all(axis=1).tolist()
+    blocks = (_provided("F", provider, key, trees) if nonunit else eye[trees]
+              for key, trees, nonunit in zip(zip(*quads.T.tolist()), nl.tolist(), inner))
+    return _Blocks(quads, blocks, nl, model.rank)
 
 
 def _f_blocks(model: CategoryModel):
-    """(quads, blocks, start, left, right) for every F block with trees.
+    """(quads, blocks, start, left, right): the model's F table, with block q for
+    the labels quads[q], and its trees.
 
-    ``blocks`` holds F(*quads[q]) as block q of one flat :class:`_Blocks`,
-    the only copy of the F data that the checks read: a block the model has
-    not cached is made for the table and not stored in the model.  Rows
-    start[q]:start[q + 1] of `left` and `right` are its trees (s, e, f) and
-    (t, g, h), in row and column order.
+    Rows start[q]:start[q + 1] of `left` and `right` are the trees (s, e, f)
+    and (t, g, h) of block q, in row and column order.
     """
     N = model.N
-    quads = _tree_quads(N)
-    a, b, c, d = quads.T
-    i, *left = _trees(N[a, b], N[:, c, d].T)
-    nl = np.bincount(i, minlength=len(quads))
-    i, *right = _trees(N[b, c], N[a, :, d])
-    nr = np.bincount(i, minlength=len(quads))
-    if (nl != nr).any():
-        i = int(np.argmax(nl != nr))
-        _check_associative(tuple(quads[i].tolist()), int(nl[i]), int(nr[i]))
-    # F is the identity where a, b or c is the unit (the unital gauge), so only
-    # the other blocks are read from the model
-    eye = [np.eye(m, dtype=complex) for m in range(int(nl.max()) + 1)]
-    cache = model._f_cache
-    blocks = []
-    inner = quads[:, :3].all(axis=1).tolist()
-    for key, trees, nonunit in zip(map(tuple, quads.tolist()), nl.tolist(), inner):
-        out = cache.get(key) if nonunit else eye[trees]
-        blocks.append(model._f_block(*key, trees) if out is None else out)
-    start = np.append(0, np.cumsum(nl))
-    return quads, _Blocks(blocks, nl), start, np.stack(left, axis=1), np.stack(right, axis=1)
+    fl = model._f_table()
+    a, b, c, d = fl.keys.T
+    _, *left = _trees(N[a, b], N[:, c, d].T)
+    _, *right = _trees(N[b, c], N[a, :, d])
+    return (fl.keys, fl, np.append(0, np.cumsum(fl.size)), np.stack(left, axis=1),
+            np.stack(right, axis=1))
+
+
+def _build_r_table(model: CategoryModel, provider) -> _Blocks:
+    """R(x, y, z) for every label triple with N[x, y, z] > 0, with
+    ``provider(x, y, z)`` called once for each triple where neither x nor y
+    is the unit (there R is the identity)."""
+    N = model.N
+    if not np.array_equal(N, N.transpose(1, 0, 2)):
+        raise StructureError("a braided category needs commutative fusion rules")
+    keys = np.argwhere(N)
+    size = N[N > 0]
+    blocks = (_provided("R", provider, key, m) if key[0] and key[1] else np.eye(m, dtype=complex)
+              for key, m in zip(zip(*keys.T.tolist()), size.tolist()))
+    return _Blocks(keys, blocks, size, model.rank)
 
 
 def pentagon_residual(model: CategoryModel) -> float:
@@ -920,18 +904,12 @@ def pentagon_residual(model: CategoryModel) -> float:
     such cells agree exactly.  The other quadruples are checked one block
     size at a time, in order of their column count, in batches of about
     ``_PENTAGON_CELLS`` cells and columns, which bounds the working memory.
-    Every F entry is read from the flat table of :func:`_f_blocks` as the
-    offset of its row plus the position of its column, each looked up by the
-    vertex pair of its tree; the sub-block candidates of each pair (a, g)
-    are listed once per call.  A table entry that is not finite makes the
-    residual NaN.
+    Every F entry is read from the model's F table as the offset of its row
+    plus the position of its column, each looked up by the vertex pair of
+    its tree; the sub-block candidates of each pair (a, g) are listed once
+    per call.  A table entry that is not finite makes the residual NaN.
     """
-    return _pentagon(model, _f_blocks(model))
-
-
-def _pentagon(model: CategoryModel, fb) -> float:
-    """:func:`pentagon_residual` on the F blocks ``fb`` of :func:`_f_blocks`."""
-    quads, fl, start, left, right = fb
+    quads, fl, start, left, right = _f_blocks(model)
     if not fl.finite:
         return float("nan")
     inner = np.flatnonzero(quads[:, :3].all(axis=1))
@@ -1085,7 +1063,7 @@ def _unitarity(fl: _Blocks) -> float:
 
 
 def f_unitarity_residual(model: CategoryModel) -> float:
-    return _unitarity(_f_blocks(model)[1])
+    return _unitarity(model._f_table())
 
 
 def _braid_stacks(Rv, first, rows, cols, k) -> np.ndarray:
@@ -1139,27 +1117,11 @@ def hexagon_residual(model: CategoryModel) -> float:
     on its column group, and the result is the largest over all of them.
     Quadruples are stacked by block size, ``_HEXAGON_ENTRIES`` entries per
     stack, and each product is batched in the order written.  F and R are
-    read from the flat tables of :func:`_f_blocks` and :func:`_r_blocks`; an
-    entry of either that is not finite makes the residual NaN.
+    read from the model's tables; an entry of either that is not finite
+    makes the residual NaN.
     """
-    if not model.braided:
-        raise UnsupportedOperationError("category carries no braiding")
-    return _hexagon(model, _f_blocks(model), _r_blocks(model))
-
-
-def _r_blocks(model: CategoryModel) -> _Blocks:
-    """R(x, y, z) for every label triple (x, y, z) with N[x, y, z] > 0, in lexicographic order."""
-    N = model.N
-    blocks = [model.R(*t) for t in np.argwhere(N).tolist()]
-    if not np.array_equal(N, N.transpose(1, 0, 2)):
-        raise StructureError("a braided category needs commutative fusion rules")
-    return _Blocks(blocks, N[N > 0])
-
-
-def _hexagon(model: CategoryModel, fb, rb: _Blocks) -> float:
-    """:func:`hexagon_residual` on the F blocks ``fb`` of :func:`_f_blocks` and the R blocks ``rb``
-    of :func:`_r_blocks`."""
-    quads, fl, start, left, right = fb
+    quads, fl, start, left, right = _f_blocks(model)
+    rb = model._r_table()
     if not (fl.finite and rb.finite):
         return float("nan")
     N = model.N
@@ -1199,7 +1161,7 @@ def _hexagon(model: CategoryModel, fb, rb: _Blocks) -> float:
 
 
 def r_unitarity_residual(model: CategoryModel) -> float:
-    return _unitarity(_r_blocks(model))
+    return _unitarity(model._r_table())
 
 
 def conjugate_residual(model: CategoryModel) -> float:
@@ -1210,8 +1172,10 @@ def conjugate_residual(model: CategoryModel) -> float:
     coeff makes 1 / d_lam up to rounding, and (1 x rbar*)(r x 1) = coeff conj(g),
     g = F(conj(lam), lam, conj(lam); conj(lam)) between the trees through the
     unit, which is 1 / d_lam when g = conj(f).  The unit sector satisfies both
-    exactly.  A non-finite entry gives NaN or inf.
+    exactly.  An F table entry that is not finite makes the residual NaN.
     """
+    if not model._f_finite():
+        return float("nan")
     dev = []
     for lam in range(1, model.rank):
         lamd = int(model.dual[lam])
@@ -1254,23 +1218,19 @@ class CategoryReport:
 def validate_category(model: CategoryModel, tol: float = 1e-9) -> CategoryReport:
     """Fusion axioms plus pentagon / unitarity / duality (and hexagon if braided).
 
-    The F blocks and their trees are gathered once into one flat table and
-    shared by the hexagon, the pentagon and F unitarity; the R blocks are
-    gathered once for the hexagon and R unitarity.  Data that is not finite
+    Every check reads the model's F and R tables.  Data that is not finite
     gives non-finite residuals, so the report is not ``ok``.
     """
     frep = validate_fusion(model.fusion)
-    fb = _f_blocks(model)
     hexa = r_uni = None
     if model.braided:
-        rb = _r_blocks(model)
-        hexa = _hexagon(model, fb, rb)
-        r_uni = _unitarity(rb)
+        hexa = hexagon_residual(model)
+        r_uni = r_unitarity_residual(model)
     return CategoryReport(
         fusion_ok=frep.ok,
         fusion_violations=frep.violations,
-        pentagon=_pentagon(model, fb),
-        f_unitarity=_unitarity(fb[1]),
+        pentagon=pentagon_residual(model),
+        f_unitarity=f_unitarity_residual(model),
         conjugates=conjugate_residual(model),
         hexagon=hexa,
         r_unitarity=r_uni,
@@ -1295,7 +1255,13 @@ def mirror(model: CategoryModel) -> CategoryModel:
 
 
 class ProductModel(CategoryModel):
-    """Deligne product of two category models; labels are packed pairs."""
+    """Deligne product of two category models; labels are packed pairs.
+
+    F and R blocks are made from the factors' on demand and memoized one by
+    one.  The product holds no table: its whole table grows quadratically
+    with the factors' (E7's product reads 178,385 F blocks), so each check
+    builds one from the memoized blocks and does not keep it.
+    """
 
     def __init__(self, m1: CategoryModel, m2: CategoryModel, name=""):
         n1, n2 = m1.rank, m2.rank
@@ -1308,8 +1274,10 @@ class ProductModel(CategoryModel):
         self.factors = (m1, m2)
         self._n2 = n2
         self._kron_order = int(m1.N.max()) <= 1
-        r = self._r_product if (m1.braided and m2.braided) else None
-        super().__init__(fusion, None, r, name=name or f"{m1.name}(x){m2.name}")
+        super().__init__(fusion, None, name=name or f"{m1.name}(x){m2.name}")
+        self.braided = m1.braided and m2.braided
+        self._f_cache = {}
+        self._r_cache = {}
 
     def pack(self, i: int, j: int) -> int:
         return i * self._n2 + j
@@ -1317,7 +1285,36 @@ class ProductModel(CategoryModel):
     def unpack(self, k: int) -> tuple:
         return divmod(k, self._n2)
 
-    def _f_block(self, a, b, c, d, trees=None) -> np.ndarray:
+    def F(self, a, b, c, d) -> np.ndarray:
+        key = (a, b, c, d)
+        out = self._f_cache.get(key)
+        if out is None:
+            out = self._f_cache[key] = self._f_block(a, b, c, d)
+        return out
+
+    def _f_table(self) -> _Blocks:
+        return _build_f_table(self, self.F)
+
+    def _f_finite(self) -> bool:
+        # the product's F entries are products of the factors' entries, and each
+        # factor entry is one of them, times the other factor's unit block [1]
+        return all(m._f_finite() for m in self.factors)
+
+    def R(self, a, b, c) -> np.ndarray:
+        key = (a, b, c)
+        out = self._r_cache.get(key)
+        if out is None:
+            m1, m2 = self.factors
+            (a1, a2), (b1, b2), (c1, c2) = map(self.unpack, key)
+            out = self._r_cache[key] = np.kron(m1.R(a1, b1, c1), m2.R(a2, b2, c2))
+        return out
+
+    def _r_table(self) -> _Blocks:
+        if not self.braided:
+            raise UnsupportedOperationError("category carries no braiding")
+        return _build_r_table(self, self.R)
+
+    def _f_block(self, a, b, c, d) -> np.ndarray:
         """F1 (x) F2, with rows and columns in the product's tree order.
 
         A product tree (s, i, j) packs the factor trees (s1, i1, j1) and
@@ -1360,13 +1357,6 @@ class ProductModel(CategoryModel):
             rows1.append(pos1[s1, i1, j1])
             rows2.append(pos2[s2, i2, j2])
         return rows1, rows2
-
-    def _r_product(self, a, b, c):
-        m1, m2 = self.factors
-        a1, a2 = self.unpack(a)
-        b1, b2 = self.unpack(b)
-        c1, c2 = self.unpack(c)
-        return np.kron(m1.R(a1, b1, c1), m2.R(a2, b2, c2))
 
 
 def deligne_product(m1: CategoryModel, m2: CategoryModel, name="") -> ProductModel:

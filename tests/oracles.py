@@ -10,6 +10,7 @@ in the package imports this module.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from qsystems.induction import (
 )
 from qsystems.morphisms import (
     CategoryModel,
-    ConjugatePair,
     Morphism,
     ObjectMismatchError,
     SumObject,
@@ -37,7 +37,6 @@ from qsystems.morphisms import (
     braid,
     categorical_trace,
     compose,
-    conjugate_pair,
     deligne_product,
     distance,
     hom_basis,
@@ -47,6 +46,7 @@ from qsystems.morphisms import (
     unit_obj,
     word_obj,
     _HEXAGON_ENTRIES,
+    _duality_coefficient,
     _f_blocks,
     _pairs,
     _run_starts,
@@ -401,6 +401,37 @@ def injection(model: CategoryModel, obj: SumObject, k: int) -> Morphism:
 
 def word_dual(model: CategoryModel, word) -> tuple:
     return tuple(int(model.dual[x]) for x in reversed(word))
+
+
+def unit_intro(model: CategoryModel, obj, index: int = 0) -> Morphism:
+    """The index-th tree-basis isometry in Hom(unit, obj), from the empty word."""
+    obj = as_obj(obj)
+    col = np.zeros((model.obj_dim(0, obj), 1), dtype=complex)
+    col[index, 0] = 1.0
+    return Morphism(model, unit_obj(), obj, {0: col})
+
+
+@dataclass
+class ConjugatePair:
+    """Standard solution (r, rbar) of the conjugate equations for an object."""
+
+    r: Morphism      # Hom(unit, conj(X) X)
+    rbar: Morphism   # Hom(unit, X conj(X))
+
+
+def conjugate_pair(model: CategoryModel, lam: int) -> ConjugatePair:
+    """Duality isometries of a simple sector, derived from F.
+
+    ``rbar`` is the canonical tree vector of Hom(id, lam conj(lam)); the
+    coefficient of ``r`` is fixed by the conjugate equations and carries the
+    Frobenius-Schur indicator for self-dual sectors.
+    """
+    lamd = int(model.dual[lam])
+    rbar = unit_intro(model, word_obj((lam, lamd)))
+    if lam == 0:
+        return ConjugatePair(r=rbar, rbar=rbar)
+    r = _duality_coefficient(model, lam)[1] * unit_intro(model, word_obj((lamd, lam)))
+    return ConjugatePair(r=r, rbar=rbar)
 
 
 def word_conjugate_pair(model: CategoryModel, word) -> ConjugatePair:

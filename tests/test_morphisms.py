@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -13,7 +14,6 @@ from qsystems.morphisms import (
     braid,
     categorical_trace,
     compose,
-    conjugate_pair,
     conjugate_residual,
     deligne_product,
     distance,
@@ -35,15 +35,15 @@ from qsystems.morphisms import (
     word_obj,
     UnsupportedOperationError,
     _f_blocks,
-    _tree_quads,
+    _tree_counts,
 )
 from qsystems import catalog
 from qsystems.fusion import FusionData, StructureError
 from qsystems.io import load_algebra
 
-from oracles import (conjugate_oracle, dim_word, left_inverse, random_morphism, right_inverse,
-                     stacked_hexagon_oracle, stacked_pentagon_oracle, stacked_unitarity_oracle,
-                     su2_f_oracle, word_conjugate_pair, word_dual)
+from oracles import (conjugate_oracle, conjugate_pair, dim_word, left_inverse, random_morphism,
+                     right_inverse, stacked_hexagon_oracle, stacked_pentagon_oracle,
+                     stacked_unitarity_oracle, su2_f_oracle, word_conjugate_pair, word_dual)
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -81,7 +81,7 @@ def test_su2_f_table_matches_entry_loop(k):
     # the one-pass table against the Racah series summed entry by entry, on
     # every block the provider fills (F is the identity where a, b or c is 0)
     m, want = catalog.su2_level(k), su2_f_oracle(k)
-    for quad in _tree_quads(m.N).tolist():
+    for quad in m._f_table().keys.tolist():
         if 0 in quad[:3]:
             continue
         got, ref = m.F(*quad), want(*quad)
@@ -260,8 +260,10 @@ def test_conjugate_equations_hold_in_a_complex_gauge(models, name, vertex):
 
 
 def test_degenerate_duality_datum_is_refused(models):
+    # F(1, 1, 1; 1) a swap, so its entry between the trees through the unit is 0
     m = models["fibonacci"]
-    swap = CategoryModel(m.fusion, lambda *labels: np.array([[0.0, 1.0], [1.0, 0.0]]))
+    swap = CategoryModel(m.fusion, lambda *labels: np.array([[0.0, 1.0], [1.0, 0.0]])
+                         if labels == (1, 1, 1, 1) else m.F(*labels))
     for check in (conjugate_residual, lambda x: conjugate_pair(x, 1)):
         with pytest.raises(StructureError, match="degenerate duality datum"):
             check(swap)
@@ -269,7 +271,7 @@ def test_degenerate_duality_datum_is_refused(models):
     z4 = models["z4"]
     fusion = FusionData(z4.fusion.names, [0, 1, 2, 3], z4.N, z4.qdim)
     with pytest.raises(StructureError, match="no unit"):
-        conjugate_residual(CategoryModel(fusion, z4._f_provider))
+        conjugate_residual(CategoryModel(fusion, z4.F))
 
 
 def test_word_conjugates(models):
@@ -350,7 +352,7 @@ def test_braiding_unitary_and_natural(models, rng):
 
 def test_braiding_absent_raises(models):
     fus = models["fibonacci"].fusion
-    unbraided = CategoryModel(fus, models["fibonacci"]._f_provider, None)
+    unbraided = CategoryModel(fus, models["fibonacci"].F, None)
     with pytest.raises(UnsupportedOperationError):
         braid(unbraided, word_obj((1,)), word_obj((1,)))
 
@@ -787,7 +789,7 @@ def test_pentagon_matches_stacked_oracle_on_other_models(models, rng):
 
 def _assert_match_stacked_oracles(m, name):
     # the flat tables give the hexagon and unitarity of the stacked matrices, to the bit
-    want = {"f_unitarity": stacked_unitarity_oracle([m.F(*q) for q in _tree_quads(m.N).tolist()])}
+    want = {"f_unitarity": stacked_unitarity_oracle([m.F(*q) for q in m._f_table().keys.tolist()])}
     if m.braided:
         want["hexagon"] = stacked_hexagon_oracle(m)
         want["r_unitarity"] = stacked_unitarity_oracle([m.R(*t) for t in np.argwhere(m.N).tolist()])
@@ -820,10 +822,12 @@ def test_hexagon_and_unitarity_match_stacked_oracles_on_other_models(models, rng
         assert {k: repr(rep.residuals()[k]) for k in want} == {k: repr(v) for k, v in want.items()}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_f_entry_fails_the_verdict(bad):
     # an unbraided su(2)_4 with one F entry not finite: the verdict is a
-    # failure with non-finite residuals, not ok and not a traceback
+    # failure with non-finite residuals, not ok, not a traceback and no
+    # arithmetic on the bad entry
     base = catalog.su2_level(4)
 
     def f(*labels):
@@ -833,9 +837,13 @@ def test_non_finite_f_entry_fails_the_verdict(bad):
             out[0, 0] = bad
         return out
 
-    rep = validate_category(CategoryModel(base.fusion, f, name="su2k4_non_finite_f"))
+    m = CategoryModel(base.fusion, f, name="su2k4_non_finite_f")
+    rep = validate_category(m)
     assert not rep.ok
     assert not np.isfinite(rep.pentagon) and not np.isfinite(rep.f_unitarity), rep.residuals()
+    assert np.isnan(rep.conjugates), rep.residuals()
+    # a product reads the verdict from its factors, without building its table
+    assert np.isnan(conjugate_residual(deligne_product(catalog.semion(), m)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -906,6 +914,34 @@ def test_f_of_the_wrong_shape_is_refused(models):
         bad.F(1, 1, 1, 1)
     with pytest.raises(StructureError, match="has shape"):
         validate_category(bad)
+
+
+@pytest.mark.parametrize("build", [lambda: catalog.su2_level(4), catalog.rep_a4],
+                         ids=["su2k4", "rep_a4"])
+def test_each_f_and_r_block_is_requested_once(build):
+    # the checks one by one, then all at once, then the engine, all read the
+    # one table the model builds from its providers
+    base = build()
+    f_calls, r_calls = collections.Counter(), collections.Counter()
+
+    def f(*labels):
+        f_calls[labels] += 1
+        return base.F(*labels)
+
+    def r(*labels):
+        r_calls[labels] += 1
+        return base.R(*labels)
+
+    m = CategoryModel(base.fusion, f, r, name=base.name + "_counted")
+    for check in (pentagon_residual, hexagon_residual, f_unitarity_residual,
+                  r_unitarity_residual, conjugate_residual):
+        check(m)
+    assert validate_category(m).ok
+    lmul(word_obj((1,)), identity_morphism(m, word_obj((1, 1))))
+    quads = [tuple(q) for q in _tree_counts(m.N)[0].tolist() if 0 not in q[:3]]
+    triples = [tuple(t) for t in np.argwhere(m.N).tolist() if 0 not in t[:2]]
+    assert f_calls == collections.Counter(quads)
+    assert r_calls == collections.Counter(triples)
 
 
 def test_braiding_on_noncommutative_fusion_is_refused():
