@@ -17,11 +17,13 @@ is
 with phi_l the orthonormal bases of the induced hom spaces and Phi the
 induced (normalized-trace) left inverse.  The relative tensor products
 phi_l x phi_m are built once per ordered pair of summands and kept on the
-:class:`ExtensionPair`: chiral locality reads them as they are, and zeta
-reads their adjoints, since (phi_l x phi_m)* = phi_l* x phi_m* (the split
-map is mult* / d(Theta)).  Everything downstream is checked,
-not trusted: the Q-system relations, isometry, chiral locality, the braiding
-fixed-point identity, and the normality predicates on Z.
+:class:`ExtensionPair`, and both chiral locality and zeta read them as they
+are: since (phi_l x phi_m)* = phi_l* x phi_m* (the split map is
+mult* / d(Theta)), the trace above is the induced pairing of phi_l x phi_m
+with lift2(T_e2) phi_n lift1(T_e1)*, which needs no adjoint of the product.
+Everything downstream is checked, not trusted: the Q-system relations,
+isometry, chiral locality, the braiding fixed-point identity, and the
+normality predicates on Z.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .morphisms import CategoryModel, adjoint, braid, deligne_product, distance, hom_basis, mirror, word_obj
+from .morphisms import (CategoryModel, adjoint, braid, compose, deligne_product, distance, hom_basis,
+                        mirror, word_obj)
 from .qsystem import QReport, QSystem, ThetaSpec, assemble_qsystem, check_commutativity, validate_qsystem
 from .induction import (
     AlgebraObject,
@@ -40,7 +43,6 @@ from .induction import (
     hom_alpha,
     lift,
     mtimes,
-    phi_scalar,
     trivial_algebra,
 )
 
@@ -105,9 +107,11 @@ class ExtensionPair:
     def product(self, i: int, j: int) -> BimodMap:
         """mtimes(phi_i, phi_j) for the summands at positions i and j, built once.
 
-        An entry keeps its two operands and is rebuilt when either is no
-        longer the pair's basis map, so replacing ``phi`` entries (a gauge
-        move) never serves a stale product.
+        :func:`check_e3` composes it with the lifted braidings, and
+        :func:`zeta_tensor` pairs it with the lifted trees.  An entry keeps
+        its two operands and is rebuilt when either is no longer the pair's
+        basis map, so replacing ``phi`` entries (a gauge move) never serves a
+        stale product.
         """
         f, g = self.phi_of(self.summands[i]), self.phi_of(self.summands[j])
         entry = self._products.get((i, j))
@@ -131,43 +135,65 @@ def zeta_tensor(pair: ExtensionPair, d_theta: float) -> dict:
     which runs in the summand order of :func:`build_theta`, and the product
     tree vertex e = e1 * N2 + e2 of the factor vertices e1 and e2, with N2
     the second factor's multiplicity; missing keys are zero.  Each
-    coefficient is the trace formula of the module docstring, evaluated on
-    ``lift(T_e1*, sign1)``, ``phi_l* x phi_m*``, ``lift(T_e2, sign2)`` and
-    ``phi_n``.  The middle factor is the adjoint of the shared product
-    ``pair.product(l, m)``, which :func:`check_e3` reads too; the lifts are
-    built once and shared between the slots that use them.
+    coefficient is the trace formula of the module docstring.  By
+    cyclicity, Phi_nu[T1* Q* T2 phi_n] = <Q, Y> / (d(Theta) d(nu1)) with
+    Q = ``pair.product(l, m)`` (which :func:`check_e3` reads too),
+    Y = lift(T_e2, sign2) phi_n lift(T_e1*, sign1) and <Q, Y> the pairing
+    sum_c d_c tr(Q_c* Y_c).  The Y of every summand n and vertex pair
+    (e1, e2) are rows of one matrix per pair of summand labels, so each
+    summand pair (l, m) takes one matrix-vector product.
     """
     model = pair.model
     a = pair.algebra
+    qdim = model.qdim
     out = {}
     lift_cache = {}
 
-    def lifted(nu, lam, mu, sign, adjoints):
-        """lift of each tree vertex of Hom(nu, lam mu), or of its adjoint."""
-        key = (nu, lam, mu, sign, adjoints)
+    def lifted(nu, lam, mu):
+        """(lifts, adjoints): for each tree vertex T of Hom(nu, lam mu) the
+        morphism 1_Theta x T of lift(T), and its adjoint, that of lift(T*).
+        Neither depends on the sign of the lift."""
+        key = (nu, lam, mu)
         if key not in lift_cache:
-            trees = hom_basis(model, nu, word_obj((lam, mu)))
-            lift_cache[key] = [lift(a, adjoint(t) if adjoints else t, sign) for t in trees]
+            up = [lift(a, t, +1).mor for t in hom_basis(model, nu, word_obj((lam, mu)))]
+            lift_cache[key] = (up, [adjoint(t) for t in up])
         return lift_cache[key]
 
-    summands = list(enumerate(pair.summands))
-    for (i, l), (j, m) in itertools.product(summands, repeat=2):
-        phi_lm = None
-        for k, n in summands:
+    def weighted(f):
+        """The blocks of f, each scaled by d_c, in one row."""
+        return np.concatenate([qdim[c] * B.ravel() for c, B in f.blocks.items()])
+
+    def pairing_rows(l, m):
+        """(keys, Y) for the labels of the summands l and m: row r of Y is the
+        weighted Y of the summand and vertex (n, e) = keys[r], times its prefactor."""
+        keys, rows = [], []
+        for k, n in enumerate(pair.summands):
             if model.N[l.lam1, m.lam1, n.lam1] == 0 or model.N[l.lam2, m.lam2, n.lam2] == 0:
                 continue
-            if phi_lm is None:
-                phi_lm = pair.product(i, j).H
-            phi_n = pair.phi_of(n)
-            pref = np.sqrt(model.qdim[l.lam2] * model.qdim[m.lam2]
-                           / (d_theta * model.qdim[n.lam2]))
-            second = lifted(n.lam2, l.lam2, m.lam2, pair.sign2, False)
-            for e1, t1 in enumerate(lifted(n.lam1, l.lam1, m.lam1, pair.sign1, True)):
+            phi_n = pair.phi_of(n).mor
+            pref = (np.sqrt(qdim[l.lam2] * qdim[m.lam2] / (d_theta * qdim[n.lam2]))
+                    / (a.d * qdim[n.lam1]))
+            second = lifted(n.lam2, l.lam2, m.lam2)[0]
+            for e1, t1 in enumerate(lifted(n.lam1, l.lam1, m.lam1)[1]):
+                right = compose(phi_n, t1)
                 for e2, t2 in enumerate(second):
-                    x = bim_compose(t1, bim_compose(phi_lm, bim_compose(t2, phi_n)))
-                    val = complex(pref * phi_scalar(x))
-                    if val != 0.0:
-                        out[(k, i, j, e1 * len(second) + e2)] = val
+                    keys.append((k, e1 * len(second) + e2))
+                    rows.append(pref * weighted(compose(t2, right)))
+        return keys, np.array(rows)
+
+    groups = {}
+    for i, s in enumerate(pair.summands):
+        groups.setdefault((s.lam1, s.lam2), []).append(i)
+    for li, mi in itertools.product(groups.values(), repeat=2):
+        keys, Y = pairing_rows(pair.summands[li[0]], pair.summands[mi[0]])
+        if not keys:
+            continue
+        for i, j in itertools.product(li, mi):
+            Q = pair.product(i, j).mor
+            vals = Y @ np.concatenate([B.ravel() for B in Q.blocks.values()]).conj()
+            for (k, e), val in zip(keys, vals.tolist()):
+                if val != 0.0:
+                    out[(k, i, j, e)] = val
     return out
 
 

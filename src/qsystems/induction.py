@@ -59,7 +59,6 @@ __all__ = [
     "lift",
     "mtimes",
     "trace_ip",
-    "phi_scalar",
     "bimodule_hom",
     "InducedMorphismSpace",
     "hom_alpha",
@@ -323,12 +322,6 @@ def trace_ip(f: BimodMap, g: BimodMap) -> complex:
     a = f.algebra
     val = categorical_trace(compose(adjoint(f.mor), g.mor))
     return complex(val / (a.d * a.model.word_dim(f.src.word)))
-
-
-def phi_scalar(f: BimodMap) -> complex:
-    """Induced standard left inverse on endomorphisms: normalized trace."""
-    a = f.algebra
-    return complex(categorical_trace(f.mor) / (a.d * a.model.word_dim(f.src.word)))
 
 
 # ---------------------------------------------------------------------------

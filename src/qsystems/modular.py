@@ -19,8 +19,8 @@ import numpy as np
 
 from .morphisms import CategoryModel, UnsupportedOperationError, twist
 
-__all__ = ["ModularPair", "compute_st", "modular_residuals", "verlinde_fusion",
-           "check_modular_invariant", "enumerate_commutant"]
+__all__ = ["ModularPair", "compute_st", "modular_residuals", "check_modular_invariant",
+           "enumerate_commutant"]
 
 
 @dataclass
@@ -78,16 +78,6 @@ def modular_residuals(pair: ModularPair, dual) -> dict:
         "st_cubed": float(np.max(np.abs(st3 - phase * s2))),
         "s_row_positive": float(-min(np.min(S[0].real), 0.0) + np.max(np.abs(S[0].imag))),
     }
-
-
-def verlinde_fusion(pair: ModularPair, tol: float = 1e-6) -> np.ndarray:
-    """Integer fusion tensor recomputed from S; raises if entries are not integral."""
-    S = pair.S
-    n = pair.rank
-    N = np.einsum("ls,ms,ns,s->lmn", S, S, S.conj(), 1.0 / S[0])
-    if np.max(np.abs(N.imag)) > tol or np.max(np.abs(N.real - np.round(N.real))) > tol:
-        raise ValueError("Verlinde numbers are not integral; S is not modular fusion data")
-    return np.round(N.real).astype(int)
 
 
 def check_modular_invariant(Z: np.ndarray, pair: ModularPair) -> dict:

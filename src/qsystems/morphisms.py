@@ -230,6 +230,11 @@ class CategoryModel:
     def F(self, a, b, c, d) -> np.ndarray:
         return self._f_table().view((a, b, c, d))
 
+    def f_stack(self, quads: np.ndarray) -> np.ndarray:
+        """F at each label row (a, b, c, d) of ``quads``, as one stack; the
+        blocks must share one size."""
+        return np.stack([self.F(*q) for q in quads.tolist()])
+
     def _f_table(self) -> "_Blocks":
         """The model's F table, built on the first call."""
         if self._f is None:
@@ -818,6 +823,14 @@ class _Blocks:
             self._views[key] = out
         return out
 
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """Block number of each label row of ``keys``; every row must have a block."""
+        return np.searchsorted(self._code, np.ravel_multi_index(tuple(keys.T), self._dims))
+
+    def stack(self, q: np.ndarray, m: int) -> np.ndarray:
+        """Blocks ``q``, each m x m, as one (len(q), m, m) array."""
+        return self.table[self.off[q][:, None] + np.arange(m * m)].reshape(-1, m, m)
+
 
 def _provided(name: str, provider, key: tuple, size: int) -> np.ndarray:
     """``provider(*key)`` as a complex block, checked to be size x size."""
@@ -1257,10 +1270,10 @@ def mirror(model: CategoryModel) -> CategoryModel:
 class ProductModel(CategoryModel):
     """Deligne product of two category models; labels are packed pairs.
 
-    F and R blocks are made from the factors' on demand and memoized one by
-    one.  The product holds no table: its whole table grows quadratically
-    with the factors' (E7's product reads 178,385 F blocks), so each check
-    builds one from the memoized blocks and does not keep it.
+    F and R blocks are made from the factors' on demand.  The product holds
+    no F table and keeps no F block: its whole table grows quadratically with
+    the factors' (E7's Q-system reads 178,385 blocks), so :meth:`f_stack`
+    reads each batch from the factors' tables, and :meth:`F` makes one block.
     """
 
     def __init__(self, m1: CategoryModel, m2: CategoryModel, name=""):
@@ -1276,7 +1289,6 @@ class ProductModel(CategoryModel):
         self._kron_order = int(m1.N.max()) <= 1
         super().__init__(fusion, None, name=name or f"{m1.name}(x){m2.name}")
         self.braided = m1.braided and m2.braided
-        self._f_cache = {}
         self._r_cache = {}
 
     def pack(self, i: int, j: int) -> int:
@@ -1284,13 +1296,6 @@ class ProductModel(CategoryModel):
 
     def unpack(self, k: int) -> tuple:
         return divmod(k, self._n2)
-
-    def F(self, a, b, c, d) -> np.ndarray:
-        key = (a, b, c, d)
-        out = self._f_cache.get(key)
-        if out is None:
-            out = self._f_cache[key] = self._f_block(a, b, c, d)
-        return out
 
     def _f_table(self) -> _Blocks:
         return _build_f_table(self, self.F)
@@ -1314,7 +1319,7 @@ class ProductModel(CategoryModel):
             raise UnsupportedOperationError("category carries no braiding")
         return _build_r_table(self, self.R)
 
-    def _f_block(self, a, b, c, d) -> np.ndarray:
+    def F(self, a, b, c, d) -> np.ndarray:
         """F1 (x) F2, with rows and columns in the product's tree order.
 
         A product tree (s, i, j) packs the factor trees (s1, i1, j1) and
@@ -1339,6 +1344,28 @@ class ProductModel(CategoryModel):
                                          m2.f_right(a2, b2, c2, d2), N2[b2, c2], N2[a2, :, d2])
         rows1, rows2 = np.array(rows1, dtype=np.intp), np.array(rows2, dtype=np.intp)
         return F1[rows1[:, None], cols1] * F2[rows2[:, None], cols2]
+
+    def f_stack(self, quads: np.ndarray) -> np.ndarray:
+        """F at each label row of ``quads`` (blocks of one size), as one stack.
+
+        In Kronecker order the factor blocks are gathered from the factors'
+        tables, one stack per pair of factor block sizes, and multiplied out
+        entry by entry as :meth:`F` does; otherwise each block is :meth:`F`'s.
+        """
+        if not self._kron_order:
+            return super().f_stack(quads)
+        t1, t2 = (m._f_table() for m in self.factors)
+        q1, q2 = np.divmod(quads, self._n2)
+        b1, b2 = t1.find(q1), t2.find(q2)
+        s1 = t1.size[b1]
+        n = int(s1[0] * t2.size[b2[0]])
+        out = np.empty((len(quads), n, n), dtype=complex)
+        for k1 in set(s1.tolist()):
+            at = np.flatnonzero(s1 == k1)
+            k2 = n // k1
+            F1, F2 = t1.stack(b1[at], k1), t2.stack(b2[at], k2)
+            out[at] = (F1[:, :, None, :, None] * F2[:, None, :, None, :]).reshape(-1, n, n)
+        return out
 
     def _split_trees(self, trees, trees1, trees2, inner2, outer2):
         """Positions in the factor tree lists of each product tree (s, i, j).

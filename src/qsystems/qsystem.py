@@ -240,7 +240,7 @@ def _defects(theta: ThetaSpec, zeta: np.ndarray, w: np.ndarray, names=_RELATIONS
         out["unit_right"].append(np.einsum("p,abp->ba", w.conj(), zc[:, P, :, 0]) - one)
         out["isometry"].append(B.conj().T @ B - np.eye(len(P)))
         l, k, m = np.nonzero(trees[:, :, c].transpose(0, 2, 1))
-        labels = list(zip(lab[l].tolist(), lab[m].tolist(), lab[k].tolist()))
+        quads = np.stack([lab[l], lab[m], lab[k], np.full(len(l), c)], axis=1)
         # every left tree (sig, e1, e2) and right tree (tau, g, h) of every
         # triple, triple by triple; U and V are (w1 x 1) and (1 x w1) on the
         # theta^2 columns (p, k; e2) and (l, q; h), which give L and R
@@ -265,7 +265,7 @@ def _defects(theta: ThetaSpec, zeta: np.ndarray, w: np.ndarray, names=_RELATIONS
         moved = np.bincount(tj, weights=v.any(axis=1), minlength=len(l)) > 0
         for n in sorted(set(size[moved].tolist())):
             batch = np.flatnonzero(moved & (size == n))
-            F = np.stack([model.F(*labels[i], c) for i in batch.tolist()])
+            F = model.f_stack(quads[batch])
             rows = start[batch][:, None] + np.arange(n)
             L[rows] -= F @ R[rows]
             if frobenius:

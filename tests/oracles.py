@@ -24,7 +24,6 @@ from qsystems.induction import (
     left_action,
     lift,
     mtimes,
-    phi_scalar,
     right_action,
 )
 from qsystems.morphisms import (
@@ -51,6 +50,7 @@ from qsystems.morphisms import (
     _pairs,
     _run_starts,
 )
+from qsystems.modular import ModularPair
 from qsystems.qsystem import QSystem, ThetaSpec
 
 # -- su(2)_k recoupling and duality, entry by entry -----------------------------
@@ -510,12 +510,19 @@ def module_residual(f: BimodMap) -> float:
     return max(distance(lhs_l, rhs_l), distance(lhs_r, rhs_r))
 
 
+def phi_scalar(f: BimodMap) -> complex:
+    """Induced standard left inverse on endomorphisms: normalized trace.  The
+    coefficients of ``zeta_tensor`` are these scalars, taken as a pairing."""
+    a = f.algebra
+    return complex(categorical_trace(f.mor) / (a.d * a.model.word_dim(f.src.word)))
+
+
 def induced_left_inverse_scalar(x: BimodMap) -> complex:
     """Left inverse of an induced endomorphism via the lifted duality isometry.
 
     Evaluates iota(R)* (1_conj x X) iota(R) and extracts the scalar; by the
     uniqueness of standard inverses this must equal
-    :func:`~qsystems.induction.phi_scalar`.
+    :func:`phi_scalar`.
     """
     a = x.algebra
     model = a.model
@@ -535,6 +542,39 @@ def alpha_dimension(a: AlgebraObject, lam: int, sign: int) -> float:
     """Dimension of alpha^sign_lam: d(Theta lam) / d(Theta)."""
     obj = bim_object(a, Bimod((int(lam),), (sign,)))
     return float(categorical_trace(identity_morphism(a.model, obj)).real / a.d)
+
+
+# -- gauge moves ---------------------------------------------------------------
+
+
+def gauged(model: CategoryModel, u: dict) -> CategoryModel:
+    """Copy of `model` in another basis of some vertex spaces: T'_e = sum_e2 T_e2 u[(a, b, c)][e2, e].
+
+    Trees change by U[(s, e, f), (s, e2, f2)] = u(a, b, s)[e, e2] u(s, c, d)[f, f2]
+    (left) and u(b, c, t)[g, g2] u(a, t, d)[h, h2] (right), so F becomes
+    U_left^* F U_right and R(a, b; c) becomes u(b, a, c)^* R u(a, b, c).
+    """
+    def vertex(a, b, c):
+        return u.get((a, b, c), np.eye(model.N[a, b, c]))
+
+    def change(trees, inner, outer):
+        """U of the trees (s, e, f) whose vertices are inner(s) and outer(s)."""
+        U = np.zeros((len(trees), len(trees)), dtype=complex)
+        for i, (s, e, f) in enumerate(trees):
+            for j, (s2, e2, f2) in enumerate(trees):
+                if s == s2:
+                    U[i, j] = vertex(*inner(s))[e, e2] * vertex(*outer(s))[f, f2]
+        return U
+
+    def f(a, b, c, d):
+        UL = change(model.f_left(a, b, c, d), lambda s: (a, b, s), lambda s: (s, c, d))
+        UR = change(model.f_right(a, b, c, d), lambda t: (b, c, t), lambda t: (a, t, d))
+        return UL.conj().T @ model.F(a, b, c, d) @ UR
+
+    def r(a, b, c):
+        return vertex(b, a, c).conj().T @ model.R(a, b, c) @ vertex(a, b, c)
+
+    return CategoryModel(model.fusion, f, r, name=model.name + "_gauged")
 
 
 # -- extension pairs -----------------------------------------------------------
@@ -622,3 +662,16 @@ def commutativity_oracle(q: QSystem, eps: Morphism) -> float:
     """Residual of eps(theta, theta) w1 = w1, on the morphisms: the oracle of
     ``check_commutativity``."""
     return distance(compose(eps, q.w1), q.w1)
+
+
+# -- modular data --------------------------------------------------------------
+
+
+def verlinde_fusion(pair: ModularPair, tol: float = 1e-6) -> np.ndarray:
+    """Integer fusion tensor recomputed from S; raises if entries are not integral."""
+    S = pair.S
+    n = pair.rank
+    N = np.einsum("ls,ms,ns,s->lmn", S, S, S.conj(), 1.0 / S[0])
+    if np.max(np.abs(N.imag)) > tol or np.max(np.abs(N.real - np.round(N.real))) > tol:
+        raise ValueError("Verlinde numbers are not integral; S is not modular fusion data")
+    return np.round(N.real).astype(int)

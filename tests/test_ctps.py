@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsystems.ctps import (
     alpha_pair,
@@ -14,10 +16,11 @@ from qsystems.ctps import (
 )
 from qsystems import catalog
 from qsystems.induction import _mult_map, _split_map, lift, solve_haploid_algebra
+from qsystems.modular import check_modular_invariant, compute_st
 from qsystems.morphisms import braid, compose, deligne_product, distance, mirror, mono_product, word_obj
 from qsystems.qsystem import check_commutativity, lr_qsystem, validate_qsystem
 
-from oracles import rotate_bases, slot_coefficients, zeta_oracle
+from oracles import gauged, rotate_bases, slot_coefficients, zeta_oracle
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -222,8 +225,15 @@ def test_plus_plus_pair_still_a_qsystem(algebras):
     assert not res.ok
 
 
-def test_z4_fermion_ctps_normal_permutation(algebras):
-    res = build_ctps(alpha_pair(algebras["z4fermion"]), tol=1e-8)
+@pytest.fixture(scope="session")
+def bundle_results(algebras):
+    """build_ctps on the (+,-) pair of the bundled fibonacci, ising and z4 algebras."""
+    return {name: build_ctps(alpha_pair(algebras[name]), tol=1e-8)
+            for name in ["fibtau", "isingpsi", "z4fermion"]}
+
+
+def test_z4_fermion_ctps_normal_permutation(bundle_results):
+    res = bundle_results["z4fermion"]
     conj = np.zeros((4, 4), dtype=int)
     for a in range(4):
         conj[a, (-a) % 4] = 1
@@ -250,13 +260,11 @@ def test_normality_predicates(models):
     assert r.n2 and not r.n3
 
 
-def test_n2_equals_n3_on_constructed_doubles(d4_result, lr_pairs, algebras, models):
+def test_n2_equals_n3_on_constructed_doubles(d4_result, lr_pairs, bundle_results):
     results = [d4_result,
                build_ctps(lr_pairs["fibonacci"], tol=1e-9),
                build_ctps(lr_pairs["ising"], tol=1e-9),
-               build_ctps(alpha_pair(algebras["z4fermion"]), tol=1e-8),
-               build_ctps(alpha_pair(algebras["fibtau"]), tol=1e-8),
-               build_ctps(alpha_pair(algebras["isingpsi"]), tol=1e-8)]
+               *bundle_results.values()]
     for res in results:
         assert res.normality.n2 == res.normality.n3
 
@@ -282,12 +290,42 @@ def test_zeta_perturbation_flips_pass(lr_pairs):
         assert not validate_qsystem(q2, tol=1e-8).ok, key
 
 
-def test_nonlocal_algebra_doubles_have_identity_coupling(algebras):
+def test_nonlocal_algebra_doubles_have_identity_coupling(bundle_results):
     # oracle for Z = 1l: the only commutant matrix with Z00 = 1 at small bound
     for name in ["fibtau", "isingpsi"]:
-        res = build_ctps(alpha_pair(algebras[name]), tol=1e-8)
+        res = bundle_results[name]
         assert np.array_equal(res.Z, np.eye(res.Z.shape[0], dtype=int))
         assert res.report.ok
+
+
+def test_modular_certificates(bundle_results, d4_result, d5_result, e6_result):
+    # Z commutes with S and T (Boeckenhauer-Evans-Kawahigashi), and on a
+    # modular input d(theta) is the global dimension sum_lam d_lam^2 (the full
+    # centre is Lagrangian); dim_identity only compares two orders of sum Z d d
+    for res in [*bundle_results.values(), d4_result, d5_result, e6_result]:
+        model = res.pair.model
+        st_pair = compute_st(model)
+        assert st_pair.modular, model.name
+        assert max(check_modular_invariant(res.Z, st_pair).values()) <= 1e-12, model.name
+        assert abs(res.theta.d_theta - float(np.sum(model.qdim ** 2))) <= 1e-12, model.name
+
+
+@settings(max_examples=4, deadline=None)
+@given(case=st.sampled_from([("su2k4", 4), ("z4", 2)]), angle=st.floats(0.2, 2.9))
+def test_ctps_holds_in_a_complex_vertex_gauge(models, d4_pair, bundle_results, case, angle):
+    # a phase on the vertex of Hom(0, lam lam) that the algebra's product reads
+    # makes F complex on the algebra's summands; the algebra {0, lam} is
+    # solved again on the gauged model.  Z is gauge invariant, and zeta still
+    # matches the per-pair oracle, so a conjugate dropped in zeta's pairing
+    # shows here
+    name, lam = case
+    m = gauged(models[name], {(lam, lam, 0): np.array([[np.exp(1j * angle)]])})
+    assert abs(m.F(lam, lam, 1, 1)[0, 0].imag) > 0.1
+    res = build_ctps(alpha_pair(solve_haploid_algebra(m, {0: 1, lam: 1})), tol=1e-8)
+    want = d4_pair.Z if name == "su2k4" else bundle_results["z4fermion"].Z
+    assert np.array_equal(res.Z, want)
+    assert res.ok, res.residuals()
+    _assert_zeta_matches_oracle(res)
 
 
 def _d_theta_from_z(res):

@@ -15,7 +15,6 @@ from qsystems.induction import (
     left_action,
     lift,
     mtimes,
-    phi_scalar,
     right_action,
     solve_haploid_algebra,
     to_qsystem,
@@ -42,6 +41,7 @@ from oracles import (
     induced_left_inverse_scalar,
     injection,
     module_residual,
+    phi_scalar,
     unit_morphism,
 )
 

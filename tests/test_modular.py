@@ -11,9 +11,10 @@ from qsystems.modular import (
     compute_st,
     enumerate_commutant,
     modular_residuals,
-    verlinde_fusion,
 )
 from qsystems.morphisms import UnsupportedOperationError
+
+from oracles import verlinde_fusion
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 

@@ -221,6 +221,17 @@ def test_validator_matches_oracle_on_diagonal_systems(models):
         assert not assert_matches_oracle(bad).ok
 
 
+def test_product_model_holds_no_f_blocks(models):
+    # validation reads the product's F in batches from the factors' tables and
+    # keeps none of it: su2k4 in Kronecker order, rep_a4 through F's index maps
+    for name in ["su2k4", "rep_a4"]:
+        q, D = lr_qsystem(models[name])
+        assert validate_qsystem(q, tol=1e-9).ok, name
+        blocks = [k for memo in vars(D).values() if isinstance(memo, dict) for k, v in memo.items()
+                  if isinstance(k, tuple) and len(k) == 4 and isinstance(v, np.ndarray)]
+        assert D._f is None and not blocks, name
+
+
 def test_validator_matches_oracle_on_ctps(algebras):
     # D4 has Z[2, 2] = 2, so theta repeats the label (2, 2)
     for name, signs in [("z2", (+1, -1)), ("z2", (+1, +1)), ("z2", (-1, -1)),
