@@ -163,8 +163,8 @@ def _f_table(k: int, N: np.ndarray, qd: np.ndarray):
     """Every F entry of su(2)_k with a, b, c != 0, flat, and the offset of each block.
 
     F(a, b, c, d) is entries off[q]:off[q + 1], q = ((a n + b) n + c) n + d,
-    row-major in the trees s of f_left and t of f_right (su(2)_k has no
-    multiplicities).
+    row-major in its left trees s and right trees t, each in ascending order
+    (su(2)_k has no multiplicities).
     """
     n = k + 1
     # labels are at most k, so a 6j symbol needs [m]_q! up to m = 2k + 1

@@ -220,33 +220,20 @@ def assemble_w1(D, theta: ThetaSpec, zeta: dict, pair: ExtensionPair) -> QSystem
     return assemble_qsystem(theta, zeta)
 
 
-def ctps_braiding(D, theta: ThetaSpec, convention: str = "opposite") -> np.ndarray:
+def ctps_braiding(D, theta: ThetaSpec) -> np.ndarray:
     """The braiding eps(theta, theta) on theta^2, as coefficients.
 
     eps[n, l, m] = R_D(lam_l, lam_m; lam_n), the braiding of the summand pair
     (l, m) in sector lam_n, zero-padded to the e axis of
     :meth:`ThetaSpec.dense`; :func:`~qsystems.qsystem.check_commutativity`
-    reads it.  ``convention="opposite"`` uses the product braiding of the
-    category with its antilinear opposite (conjugated second-factor R data,
-    the faithful model); ``convention="unconjugated"`` deliberately braids
-    the second factor with the unmirrored R symbols, R1 (x) R2, a negative
-    control that must break the w1 fixed-point identity.
+    reads it.  On the product of a category with its antilinear opposite
+    this is the faithful model's braiding.
     """
-    if convention == "opposite":
-        R = D.R
-    elif convention == "unconjugated":
-        m1, m2 = D.factors
-
-        def R(a, b, c):
-            (a1, a2), (b1, b2), (c1, c2) = map(D.unpack, (a, b, c))
-            return np.kron(m1.R(a1, b1, c1), np.conj(m2.R(a2, b2, c2)))
-    else:
-        raise ValueError("convention must be 'opposite' or 'unconjugated'")
     lab = [lam for lam, _ in theta.summands]
     ns, ne = len(lab), theta.vertices
     eps = np.zeros((ns, ns, ns, ne, ne), dtype=complex)
     for l, m, n in zip(*np.nonzero(D.N[np.ix_(lab, lab, lab)])):
-        B = R(lab[l], lab[m], lab[n])
+        B = D.R(lab[l], lab[m], lab[n])
         eps[n, l, m, :B.shape[0], :B.shape[1]] = B
     return eps
 

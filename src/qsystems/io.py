@@ -20,7 +20,7 @@ import numpy as np
 
 from .fusion import FusionData
 from .induction import AlgebraObject, algebra_from_coefficients
-from .morphisms import CategoryModel
+from .morphisms import CategoryModel, _f_blocks, _tree_pos, _tree_rows
 from .qsystem import ThetaSpec
 
 __all__ = [
@@ -65,6 +65,17 @@ def _c2j(z) -> list:
     return [z.real, z.imag]
 
 
+def _once(entries: list, width: int, what: str) -> None:
+    """Refuse two entries that agree in their first ``width`` items: the
+    second would silently replace the first."""
+    seen = set()
+    for entry in entries:
+        key = str(entry[:width])
+        if key in seen:
+            raise BundleError(f"duplicate {what} entry {key}")
+        seen.add(key)
+
+
 def _j2c(v) -> complex:
     re, im = float(v[0]), float(v[1])
     if not (math.isfinite(re) and math.isfinite(im)):
@@ -93,19 +104,16 @@ def save_category(model: CategoryModel, path, provenance: str = "") -> None:
         "F": [],
         "R": [],
     }
-    for a in range(1, n):
-        for b in range(1, n):
-            for c in range(1, n):
-                for d in range(n):
-                    left = model.f_left(a, b, c, d)
-                    if not left:
-                        continue
-                    F = model.F(a, b, c, d)
-                    right = model.f_right(a, b, c, d)
-                    for i, lt in enumerate(left):
-                        for j, rt in enumerate(right):
-                            if abs(F[i, j]) > 1e-15:
-                                doc["F"].append([a, b, c, d, list(lt), list(rt), _c2j(F[i, j])])
+    quads, fl, start, left, right = _f_blocks(model)
+    for q, (a, b, c, d) in enumerate(quads.tolist()):
+        if 0 in (a, b, c):
+            continue
+        F = fl.view((a, b, c, d))
+        lo, hi = start[q], start[q + 1]
+        for i, lt in enumerate(left[lo:hi].tolist()):
+            for j, rt in enumerate(right[lo:hi].tolist()):
+                if abs(F[i, j]) > 1e-15:
+                    doc["F"].append([a, b, c, d, lt, rt, _c2j(F[i, j])])
     if model.braided:
         for a in range(1, n):
             for b in range(1, n):
@@ -135,6 +143,9 @@ def load_category(path) -> CategoryModel:
                 if not (isinstance(x, int) and 0 <= x < n):
                     raise BundleError(f"label {x!r} is not one of 0..{n - 1}")
 
+        _once(doc["N"], 3, "N")
+        _once(doc["F"], 6, "F")
+        _once(doc.get("R", []), 5, "R")
         N = np.zeros((n, n, n), dtype=int)
         for a, b, c, v in doc["N"]:
             labels(a, b, c)
@@ -152,7 +163,7 @@ def load_category(path) -> CategoryModel:
 
         # the model never reads an entry at an identity label (the unital
         # gauge fixes those) or off the tree bases, so such entries are errors
-        f_entries, Nl = {}, N.tolist()
+        entries = []
         for a, b, c, d, lt, rt, v in doc["F"]:
             labels(a, b, c, d, lt[0], rt[0])
             if 0 in (a, b, c):
@@ -160,10 +171,17 @@ def load_category(path) -> CategoryModel:
             (s, e, f), (t, g, h) = lt, rt
             if not vertices((e, N[a, b, s]), (f, N[s, c, d]), (g, N[b, c, t]), (h, N[a, t, d])):
                 raise BundleError(f"F entry {(a, b, c, d, lt, rt)} is not fusion compatible")
-            # the position of the tree in CategoryModel.f_left / f_right order
-            row = sum(Nl[a][b][x] * Nl[x][c][d] for x in range(s)) + e * Nl[s][c][d] + f
-            col = sum(Nl[b][c][x] * Nl[a][x][d] for x in range(t)) + g * Nl[a][t][d] + h
-            f_entries.setdefault((a, b, c, d), []).append((row, col, _j2c(v)))
+            entries.append(((a, b, c, d, s, e, f, t, g, h), _j2c(v)))
+        # an entry's row and column are the positions of its trees in the
+        # block's tree order
+        keys = np.array([key for key, _ in entries], dtype=int).reshape(-1, 10)
+        at = np.arange(len(keys))
+        left, right = _tree_rows(N, *keys[:, :4].T)
+        rows = _tree_pos(*left, at, *keys[:, 4:7].T).tolist()
+        cols = _tree_pos(*right, at, *keys[:, 7:].T).tolist()
+        f_entries = {}
+        for (key, v), row, col in zip(entries, rows, cols):
+            f_entries.setdefault(key[:4], []).append((row, col, v))
         r_entries = {}
         for a, b, c, f, e, v in doc.get("R", []):
             labels(a, b, c)
@@ -230,6 +248,7 @@ def load_algebra(path, model: CategoryModel) -> AlgebraObject:
         if 0 not in theta.multiplicities:
             raise BundleError(f"multiplicity of the identity sector is {mult_vec[0]}; "
                               "an algebra needs a unit summand")
+        _once(doc["coefficients"], 4, "coefficient")
         coeffs = {}
         for l, m, n, e, v in doc["coefficients"]:
             if (n, l, m, e) not in theta.slots:

@@ -128,10 +128,12 @@ def same_object(a: SumObject, b: SumObject) -> bool:
 class CategoryModel:
     """Skeletal unitary fusion category with F (and optionally R) data.
 
-    ``f_provider(a, b, c, d)`` must return the unitary recoupling matrix in
-    the index convention of :func:`CategoryModel.f_left` /
-    :func:`CategoryModel.f_right`; it is never called when one of a, b, c is
-    the identity label (unital gauge is assumed there).  ``r_provider`` is
+    ``f_provider(a, b, c, d)`` must return the unitary recoupling matrix of
+    Hom(d, abc): its rows are the left trees (s, e, f), e < N[a, b, s] and
+    f < N[s, c, d], its columns the right trees (t, g, h), g < N[b, c, t] and
+    h < N[a, t, d], each in lexicographic order (:func:`_trees`).  It is
+    never called when one of a, b, c is the identity label (unital gauge is
+    assumed there).  ``r_provider`` is
     optional; without it the category is unbraided and braiding operations
     raise :class:`UnsupportedOperationError`.
 
@@ -153,9 +155,6 @@ class CategoryModel:
         self._r_provider = r_provider
         self.braided = r_provider is not None
         self._f = self._r = None
-        self._left_idx = {}
-        self._right_idx = {}
-        self._right_pos = {}
         self._tails = {}
         self._insert = {}
         self._offsets = {}
@@ -187,45 +186,6 @@ class CategoryModel:
         return d
 
     # -- recoupling data ---------------------------------------------------
-
-    def f_left(self, a, b, c, d):
-        """Left-tree index list [(sig, e, f)] of Hom(d, abc)."""
-        key = (a, b, c, d)
-        out = self._left_idx.get(key)
-        if out is None:
-            N = self.N
-            out = [
-                (sig, e, f)
-                for sig in N[a, b].nonzero()[0].tolist()
-                for e in range(N[a, b, sig])
-                for f in range(N[sig, c, d])
-            ]
-            self._left_idx[key] = out
-        return out
-
-    def f_right(self, a, b, c, d):
-        """Right-tree index list [(tau, g, h)] of Hom(d, abc)."""
-        key = (a, b, c, d)
-        out = self._right_idx.get(key)
-        if out is None:
-            N = self.N
-            out = [
-                (tau, g, h)
-                for tau in N[b, c].nonzero()[0].tolist()
-                for g in range(N[b, c, tau])
-                for h in range(N[a, tau, d])
-            ]
-            self._right_idx[key] = out
-        return out
-
-    def f_right_pos(self, a, b, c, d) -> dict:
-        """Position of each right-tree index (tau, g, h) in :meth:`f_right`."""
-        key = (a, b, c, d)
-        out = self._right_pos.get(key)
-        if out is None:
-            out = {t: i for i, t in enumerate(self.f_right(a, b, c, d))}
-            self._right_pos[key] = out
-        return out
 
     def F(self, a, b, c, d) -> np.ndarray:
         return self._f_table().view((a, b, c, d))
@@ -363,28 +323,38 @@ class CategoryModel:
             lam_v = self.lam_insert(a, v)
             N = self.N
             pos_v = {p: i for b in range(self.rank) for i, p in enumerate(self.paths(b, v))}
-            # detached column (b, i, g) of lam_v[sig] sits at start_v[b, sig] + i N[a, b, sig] + g
+            # detached column (b, i, g) of lam_v[sig] sits at start_v[b][sig] + i N[a, b, sig] + g
             widths = self.tail_counts(v)[0][:, None] * N[a]
-            start_v = np.cumsum(widths, axis=0) - widths
+            start_v = (np.cumsum(widths, axis=0) - widths).tolist()
+            n_ab, n_xc = N[a].tolist(), N[:, x, :].T.tolist()
             for c in range(self.rank):
                 rows = self.tails(a, word, c)
                 row_pos = {p: i for i, p in enumerate(rows)}
                 cols = [(b, pw, g) for b in range(self.rank)
                         for pw in self.paths(b, word) for g in range(N[a, b, c])]
                 M = np.zeros((len(rows), len(cols)), dtype=complex)
-                for col, (b, pw, g) in enumerate(cols):
-                    pv, (b_end, e) = pw[:-1], pw[-1]
-                    bp = pv[-1][0] if pv else 0
-                    iv = pos_v[pv]
-                    Fm = self.F(a, bp, x, c)
-                    rci = self.f_right_pos(a, bp, x, c)[b, e, g]
-                    for (sig, f1, f2), fval in zip(self.f_left(a, bp, x, c), Fm[:, rci]):
+                # the columns (b, pw, g) with pw = pv + ((b, e),), pv ending at bp,
+                # are the right trees (b, e, g) of F(a, bp, x, c) in their order:
+                # the j-th of them is column j of that F
+                blocks, seen = {}, {}
+                for col, (_, pw, _) in enumerate(cols):
+                    pv = pw[:-1]
+                    bp, iv, j = pv[-1][0], pos_v[pv], seen.get(pv, 0)
+                    seen[pv] = j + 1
+                    if bp not in blocks:
+                        # its left trees (sig, f1, f2), f1 < N[a, bp, sig] and
+                        # f2 < N[sig, x, c], in the order of _trees
+                        left = [(sig, f1, f2) for sig, (n1, n2) in enumerate(zip(n_ab[bp], n_xc[c]))
+                                for f1 in range(n1) for f2 in range(n2)]
+                        blocks[bp] = left, self.F(a, bp, x, c)
+                    left, Fm = blocks[bp]
+                    for (sig, f1, f2), fval in zip(left, Fm[:, j]):
                         if fval == 0:
                             continue
                         lam_s = lam_v[sig]
                         if lam_s.shape[0] == 0:
                             continue
-                        vec = lam_s[:, start_v[bp, sig] + iv * N[a, bp, sig] + f1]
+                        vec = lam_s[:, start_v[bp][sig] + iv * n_ab[bp][sig] + f1]
                         for qi, val in enumerate(vec):
                             if val != 0:
                                 q = self.tails(a, v, sig)[qi]
@@ -772,15 +742,31 @@ def _trees(inner: np.ndarray, outer: np.ndarray):
     """Two-vertex trees (i, s, e, f) with e < inner[i, s] and f < outer[i, s].
 
     Rows i of ``inner`` and ``outer`` are independent problems; the trees of
-    each run over (s, e, f) lexicographically, as :meth:`CategoryModel.f_left`
-    (inner = N[a, b], outer = N[:, x, c]) and :meth:`CategoryModel.f_right`
-    (inner = N[b, x], outer = N[a, :, c]) list them.
+    each run over (s, e, f) lexicographically.  This is the tree order of
+    every F block: :func:`_tree_rows` gives its rows.
     """
-    i, s = np.nonzero(inner * outer)
-    n = inner[i, s] * outer[i, s]
-    i, s = np.repeat(i, n), np.repeat(s, n)
+    w = inner * outer
+    at = np.flatnonzero(w)
+    n = w.ravel()[at]
+    i, s = np.divmod(np.repeat(at, n), w.shape[1])
     e, f = np.divmod(np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n), outer[i, s])
     return i, s, e, f
+
+
+def _tree_pos(inner: np.ndarray, outer: np.ndarray, i, s, e, f):
+    """Position of each tree (i, s, e, f) among the trees of row i, in the
+    order of :func:`_trees`: the trees of every s' < s, then e outer[i, s] + f."""
+    w = inner * outer
+    return (w.cumsum(axis=1) - w)[i, s] + e * outer[i, s] + f
+
+
+def _tree_rows(N: np.ndarray, a, b, c, d):
+    """((inner, outer), (inner, outer)): the rows of :func:`_trees` for the
+    left trees (s, e, f) of Hom(d, abc), e < N[a, b, s] and f < N[s, c, d],
+    and for its right trees (t, g, h), g < N[b, c, t] and h < N[a, t, d];
+    one row per entry of the label arrays a, b, c, d.
+    """
+    return (N[a, b], N[:, c, d].T), (N[b, c], N[a, :, d])
 
 
 class _Blocks:
@@ -866,13 +852,9 @@ def _f_blocks(model: CategoryModel):
     Rows start[q]:start[q + 1] of `left` and `right` are the trees (s, e, f)
     and (t, g, h) of block q, in row and column order.
     """
-    N = model.N
     fl = model._f_table()
-    a, b, c, d = fl.keys.T
-    _, *left = _trees(N[a, b], N[:, c, d].T)
-    _, *right = _trees(N[b, c], N[a, :, d])
-    return (fl.keys, fl, np.append(0, np.cumsum(fl.size)), np.stack(left, axis=1),
-            np.stack(right, axis=1))
+    left, right = (np.stack(_trees(*rows)[1:], axis=1) for rows in _tree_rows(model.N, *fl.keys.T))
+    return fl.keys, fl, np.append(0, np.cumsum(fl.size)), left, right
 
 
 def _build_r_table(model: CategoryModel, provider) -> _Blocks:
@@ -1113,8 +1095,8 @@ def hexagon_residual(model: CategoryModel) -> float:
     T = T^{y1 y2 -> h}_g; together with unitarity these are the hexagon
     identities.  Both are evaluated on the F and R blocks of each
     (a, y1, y2, c) with trees, F_a = F(a,y1,y2,c), F_m = F(y1,a,y2,c) and
-    F_r = F(y1,y2,a,c), in the trees (s, e, f), (t, g, h) of ``f_left``,
-    ``f_right``.  On the columns (h, g, k) of the right trees of Hom(c, a y1 y2)::
+    F_r = F(y1,y2,a,c), in their left trees (s, e, f) and right trees
+    (t, g, h).  On the columns (h, g, k) of the right trees of Hom(c, a y1 y2)::
 
         B1[(s,e',f), (s,e,f)] = R(a,y1,s)[e',e]    eps(a, y1) x 1_y2 on left trees
         B2[(t,g',h), (t,g,h)] = R(a,y2,t)[g',g]    1_y1 x eps(a, y2) on right trees
@@ -1274,6 +1256,8 @@ class ProductModel(CategoryModel):
     no F table and keeps no F block: its whole table grows quadratically with
     the factors' (E7's Q-system reads 178,385 blocks), so :meth:`f_stack`
     reads each batch from the factors' tables, and :meth:`F` makes one block.
+    Both take F1 (x) F2 and reorder its rows and columns into the product's
+    tree order (:meth:`_tree_map`).
     """
 
     def __init__(self, m1: CategoryModel, m2: CategoryModel, name=""):
@@ -1286,10 +1270,9 @@ class ProductModel(CategoryModel):
         fusion = FusionData(names, dual, N, qd)
         self.factors = (m1, m2)
         self._n2 = n2
-        self._kron_order = int(m1.N.max()) <= 1
+        self._base = int(max(m1.N.max(), m2.N.max()))  # bounds every e and f of a tree
         super().__init__(fusion, None, name=name or f"{m1.name}(x){m2.name}")
         self.braided = m1.braided and m2.braided
-        self._r_cache = {}
 
     def pack(self, i: int, j: int) -> int:
         return i * self._n2 + j
@@ -1298,7 +1281,14 @@ class ProductModel(CategoryModel):
         return divmod(k, self._n2)
 
     def _f_table(self) -> _Blocks:
-        return _build_f_table(self, self.F)
+        """The product's F table, built through :meth:`f_stack`, one block size at a time."""
+        quads, size, _ = _tree_counts(self.N)
+        blocks = [None] * len(quads)
+        for n in set(size.tolist()):
+            at = np.flatnonzero(size == n)
+            for q, B in zip(at.tolist(), self.f_stack(quads[at])):
+                blocks[q] = B
+        return _Blocks(quads, blocks, size, self.rank)
 
     def _f_finite(self) -> bool:
         # the product's F entries are products of the factors' entries, and each
@@ -1306,84 +1296,81 @@ class ProductModel(CategoryModel):
         return all(m._f_finite() for m in self.factors)
 
     def R(self, a, b, c) -> np.ndarray:
-        key = (a, b, c)
-        out = self._r_cache.get(key)
-        if out is None:
-            m1, m2 = self.factors
-            (a1, a2), (b1, b2), (c1, c2) = map(self.unpack, key)
-            out = self._r_cache[key] = np.kron(m1.R(a1, b1, c1), m2.R(a2, b2, c2))
-        return out
+        """R1 (x) R2: with one vertex, Kronecker order is the product's."""
+        m1, m2 = self.factors
+        (a1, a2), (b1, b2), (c1, c2) = map(self.unpack, (a, b, c))
+        R1, R2 = m1.R(a1, b1, c1), m2.R(a2, b2, c2)
+        n = len(R1) * len(R2)
+        return (R1[:, None, :, None] * R2[None, :, None, :]).reshape(n, n)
 
     def _r_table(self) -> _Blocks:
         if not self.braided:
             raise UnsupportedOperationError("category carries no braiding")
         return _build_r_table(self, self.R)
 
+    def _tree_map(self, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+        """(rows, cols): for each pair of factor label rows of ``q1`` and
+        ``q2``, the row of F1 (x) F2 that holds each left tree of their
+        product's F, and the column that holds each right tree, in tree
+        order.  The pairs must share their factor block sizes.
+
+        The left trees j1 = (s1, e1, f1) of F1 and j2 = (s2, e2, f2) of F2
+        make the product's left tree (s, e, f) with s = pack(s1, s2),
+        e = e1 n2_e + e2 and f = f1 n2_f + f2, where n2_e and n2_f are F2's
+        multiplicities at its two vertices; F1 (x) F2 holds it in row
+        j1 size(F2) + j2.  The product's trees are in lexicographic order,
+        that is in the order of (s1, s2, e1, e2, f1, f2): the order of the
+        sum of a key of j1 and a key of j2.  Right trees likewise.
+        """
+        b = self._base
+        keys = []
+        for m, q, (ks, ke, kf) in zip(self.factors, (q1, q2),
+                                      ((self._n2 * b ** 4, b ** 3, b), (b ** 4, b ** 2, 1))):
+            left, right = _tree_rows(m.N, *q.T)
+            _, s, e, f = _trees(*map(np.concatenate, zip(left, right)))
+            keys.append((s * ks + e * ke + f * kf).reshape(2, len(q), -1))
+        key = keys[0][..., :, None] + keys[1][..., None, :]
+        return np.argsort(key.reshape(2, len(q1), -1), axis=2)
+
     def F(self, a, b, c, d) -> np.ndarray:
         """F1 (x) F2, with rows and columns in the product's tree order.
 
-        A product tree (s, i, j) packs the factor trees (s1, i1, j1) and
-        (s2, i2, j2) as s = pack(s1, s2), i = i1 * n2_i + i2 and
-        j = j1 * n2_j + j2, where n2_i and n2_j are the second factor's
-        multiplicities at its two vertices.  When the first factor's fusion
-        rules are multiplicity free (i1 = j1 = 0), that is Kronecker order,
-        and F needs neither the product's tree lists nor an index map.  The
-        factors' F checks associativity, shapes and the unit gauge, so they
-        hold for the product too.
+        The factors' F checks associativity, shapes and the unit gauge, so
+        they hold for the product too.
         """
-        m1, m2 = self.factors
-        (a1, a2), (b1, b2), (c1, c2), (d1, d2) = map(self.unpack, (a, b, c, d))
-        F1, F2 = m1.F(a1, b1, c1, d1), m2.F(a2, b2, c2, d2)
-        if self._kron_order:
-            n1, n2 = len(F1), len(F2)
-            return (F1[:, None, :, None] * F2[None, :, None, :]).reshape(n1 * n2, n1 * n2)
-        N2 = m2.N
-        rows1, rows2 = self._split_trees(self.f_left(a, b, c, d), m1.f_left(a1, b1, c1, d1),
-                                         m2.f_left(a2, b2, c2, d2), N2[a2, b2], N2[:, c2, d2])
-        cols1, cols2 = self._split_trees(self.f_right(a, b, c, d), m1.f_right(a1, b1, c1, d1),
-                                         m2.f_right(a2, b2, c2, d2), N2[b2, c2], N2[a2, :, d2])
-        rows1, rows2 = np.array(rows1, dtype=np.intp), np.array(rows2, dtype=np.intp)
-        return F1[rows1[:, None], cols1] * F2[rows2[:, None], cols2]
+        q1, q2 = np.divmod(np.array([[a, b, c, d]]), self._n2)
+        F1, F2 = (m.F(*q[0].tolist()) for m, q in zip(self.factors, (q1, q2)))
+        n = len(F1) * len(F2)
+        (rows,), (cols,) = self._tree_map(q1, q2)
+        return (F1[:, None, :, None] * F2[None, :, None, :]).reshape(n, n)[rows[:, None], cols]
 
     def f_stack(self, quads: np.ndarray) -> np.ndarray:
         """F at each label row of ``quads`` (blocks of one size), as one stack.
 
-        In Kronecker order the factor blocks are gathered from the factors'
-        tables, one stack per pair of factor block sizes, and multiplied out
-        entry by entry as :meth:`F` does; otherwise each block is :meth:`F`'s.
+        The factor blocks are gathered from the factors' tables, one stack per
+        pair of factor block sizes, multiplied out entry by entry and
+        reordered as :meth:`F` does.
         """
-        if not self._kron_order:
-            return super().f_stack(quads)
         t1, t2 = (m._f_table() for m in self.factors)
         q1, q2 = np.divmod(quads, self._n2)
         b1, b2 = t1.find(q1), t2.find(q2)
         s1 = t1.size[b1]
         n = int(s1[0] * t2.size[b2[0]])
-        out = np.empty((len(quads), n, n), dtype=complex)
+        parts = []
         for k1 in set(s1.tolist()):
             at = np.flatnonzero(s1 == k1)
-            k2 = n // k1
-            F1, F2 = t1.stack(b1[at], k1), t2.stack(b2[at], k2)
-            out[at] = (F1[:, :, None, :, None] * F2[:, None, :, None, :]).reshape(-1, n, n)
+            rows, cols = self._tree_map(q1[at], q2[at])
+            # entry (i, j) of block r is entry (r n + rows[r, i]) n + cols[r, j]
+            # of the raveled stack of F1 (x) F2
+            rows += np.arange(len(at))[:, None] * n
+            F1, F2 = t1.stack(b1[at], k1), t2.stack(b2[at], n // k1)
+            kron = (F1[:, :, None, :, None] * F2[:, None, :, None, :]).reshape(-1)
+            parts.append((at, kron[rows[:, :, None] * n + cols[:, None, :]]))
+        del kron  # not kept while out is filled: that bounds the peak memory
+        out = np.empty((len(quads), n, n), dtype=complex)
+        for at, blocks in parts:
+            out[at] = blocks
         return out
-
-    def _split_trees(self, trees, trees1, trees2, inner2, outer2):
-        """Positions in the factor tree lists of each product tree (s, i, j).
-
-        ``inner2[s2]`` and ``outer2[s2]`` are the second factor's
-        multiplicities at the two vertices of its trees.
-        """
-        pos1 = dict(zip(trees1, range(len(trees1))))
-        pos2 = dict(zip(trees2, range(len(trees2))))
-        inner2, outer2 = inner2.tolist(), outer2.tolist()
-        rows1, rows2 = [], []
-        for s, i, j in trees:
-            s1, s2 = divmod(s, self._n2)
-            i1, i2 = divmod(i, inner2[s2])
-            j1, j2 = divmod(j, outer2[s2])
-            rows1.append(pos1[s1, i1, j1])
-            rows2.append(pos2[s2, i2, j2])
-        return rows1, rows2
 
 
 def deligne_product(m1: CategoryModel, m2: CategoryModel, name="") -> ProductModel:

@@ -10,6 +10,7 @@ in the package imports this module.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,14 +105,47 @@ def su2_f_oracle(k: int):
     return f
 
 
+# -- fusion-tree lists, label by label -----------------------------------------
+
+# per model: (side, a, b, c, d) -> the tree list, or the position of each tree
+_TREE_LISTS = weakref.WeakKeyDictionary()
+
+
+def _memo(model: CategoryModel, key: tuple, make):
+    memo = _TREE_LISTS.setdefault(model, {})
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
+
+
+def f_left(model: CategoryModel, a, b, c, d) -> list:
+    """Left trees [(s, e, f)] of Hom(d, abc), e < N[a, b, s], f < N[s, c, d]."""
+    N = model.N
+    return _memo(model, ("left", a, b, c, d), lambda: [
+        (s, e, f) for s in range(model.rank) for e in range(N[a, b, s]) for f in range(N[s, c, d])])
+
+
+def f_right(model: CategoryModel, a, b, c, d) -> list:
+    """Right trees [(t, g, h)] of Hom(d, abc), g < N[b, c, t], h < N[a, t, d]."""
+    N = model.N
+    return _memo(model, ("right", a, b, c, d), lambda: [
+        (t, g, h) for t in range(model.rank) for g in range(N[b, c, t]) for h in range(N[a, t, d])])
+
+
+def f_right_pos(model: CategoryModel, a, b, c, d) -> dict:
+    """Position of each right tree (t, g, h) in :func:`f_right`."""
+    return _memo(model, ("right_pos", a, b, c, d),
+                 lambda: {t: i for i, t in enumerate(f_right(model, a, b, c, d))})
+
+
 # -- F blocks as a list of matrices ---------------------------------------------
 
 
 def _f_block_list(model: CategoryModel):
     """(quads, blocks, start, left, right) as ``_f_blocks`` lays them out, but with
-    ``blocks`` the list of the matrices ``model.F(*quads[q])``."""
-    quads, _, start, left, right = _f_blocks(model)
-    return quads, [model.F(*q) for q in quads.tolist()], start, left, right
+    ``blocks`` the list of the F blocks, block q for the labels ``quads[q]``."""
+    quads, fl, start, left, right = _f_blocks(model)
+    return quads, [fl.view(q) for q in map(tuple, quads.tolist())], start, left, right
 
 
 # -- the pentagon as joins on a sorted table of F entries ----------------------
@@ -567,8 +601,8 @@ def gauged(model: CategoryModel, u: dict) -> CategoryModel:
         return U
 
     def f(a, b, c, d):
-        UL = change(model.f_left(a, b, c, d), lambda s: (a, b, s), lambda s: (s, c, d))
-        UR = change(model.f_right(a, b, c, d), lambda t: (b, c, t), lambda t: (a, t, d))
+        UL = change(f_left(model, a, b, c, d), lambda s: (a, b, s), lambda s: (s, c, d))
+        UR = change(f_right(model, a, b, c, d), lambda t: (b, c, t), lambda t: (a, t, d))
         return UL.conj().T @ model.F(a, b, c, d) @ UR
 
     def r(a, b, c):
@@ -636,26 +670,23 @@ def zeta_oracle(pair, d_theta: float) -> dict:
 # -- the braiding fixed-point identity -----------------------------------------
 
 
-def braiding_morphism(D, theta: ThetaSpec, convention: str = "opposite") -> Morphism:
-    """eps(theta, theta) as a morphism on theta^2: the oracle of ``ctps_braiding``.
-
-    ``"unconjugated"`` rebuilds the product with the second factor's R
-    conjugated back, so the second factor braids with the unmirrored R.
-    """
-    if convention == "opposite":
-        return braid(D, theta.object, theta.object)
-    if convention != "unconjugated":
-        raise ValueError("convention must be 'opposite' or 'unconjugated'")
+def unconjugated(D) -> CategoryModel:
+    """``D`` with the second factor's R conjugated back, so that factor braids
+    with the unmirrored R symbols: a negative control that must break the w1
+    fixed-point identity on a product of a category with its opposite."""
     m1, m2 = D.factors
-    bad_second = CategoryModel(m2.fusion,
-                               lambda a, b, c, d: m2.F(a, b, c, d),
-                               lambda a, b, c: np.conj(m2.R(a, b, c)),
-                               name="unconjugated")
-    Dbad = deligne_product(m1, bad_second)
-    th_bad = ThetaSpec(Dbad, theta.multiplicities)
-    eps = braid(Dbad, th_bad.object, th_bad.object)
-    src, tgt = eps.source, eps.target
-    return Morphism(D, SumObject(src.words, src.tags), SumObject(tgt.words, tgt.tags), eps.blocks)
+    second = CategoryModel(m2.fusion, m2.F, lambda a, b, c: np.conj(m2.R(a, b, c)),
+                           name="unconjugated")
+    return deligne_product(m1, second)
+
+
+def braiding_morphism(D, theta: ThetaSpec) -> Morphism:
+    """eps(theta, theta) braided in ``D``, as a morphism on theta^2 over
+    theta's model: the oracle of ``ctps_braiding(D, theta)``.  ``D`` has the
+    fusion rules of theta's model, and may be :func:`unconjugated` of it."""
+    th = ThetaSpec(D, theta.multiplicities)
+    eps = braid(D, th.object, th.object)
+    return Morphism(theta.model, eps.source, eps.target, eps.blocks)
 
 
 def commutativity_oracle(q: QSystem, eps: Morphism) -> float:

@@ -24,7 +24,7 @@ from qsystems.modular import check_modular_invariant, compute_st, enumerate_comm
 from qsystems.morphisms import validate_category
 from qsystems.qsystem import check_commutativity, lr_qsystem, validate_qsystem
 
-from oracles import alpha_dimension
+from oracles import alpha_dimension, unconjugated
 
 D4 = np.zeros((5, 5), dtype=int)
 D4[0, 0] = D4[0, 4] = D4[4, 0] = D4[4, 4] = 1
@@ -167,8 +167,7 @@ def test_criterion_8_soundness_controls(lr_pairs, d4_result):
         q2 = assemble_w1(res.product_model, res.theta, z2, pair)
         if not validate_qsystem(q2, tol=1e-8).ok:
             flips += 1
-    eps_bad = ctps_braiding(d4_result.product_model, d4_result.theta,
-                            convention="unconjugated")
+    eps_bad = ctps_braiding(unconjugated(d4_result.product_model), d4_result.theta)
     swap_resid = check_commutativity(d4_result.qsystem, eps_bad)
     ok = flips == len(keys) and swap_resid > 0.1
     verdict(8, ok,

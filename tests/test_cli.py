@@ -5,7 +5,7 @@ import pytest
 
 from qsystems.cli import main
 from qsystems.io import load_algebra, load_category, read_matrix, save_algebra, save_category, write_matrix
-from qsystems.morphisms import distance
+from qsystems.morphisms import deligne_product, distance, mirror
 
 
 def run(argv):
@@ -115,6 +115,23 @@ def test_verify_category_bad_index(data_dir, tmp_path, capsys, edit):
     path.write_text(json.dumps(doc))
     assert run(["verify-category", path]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["N"].append(list(doc["N"][0])),              # the same multiplicity again
+    lambda doc: doc["F"].append(doc["F"][0][:6] + [[0.5, 0.0]]),  # a second value for an entry
+    lambda doc: doc["F"].append(list(doc["F"][0])),              # an exact repeat
+    lambda doc: doc["R"].append(doc["R"][0][:5] + [[1.0, 0.0]]),
+], ids=["N", "F-new-value", "F-repeat", "R"])
+def test_verify_category_duplicate_entry(data_dir, tmp_path, capsys, edit):
+    # the last of two entries for one place used to win, silently
+    doc = json.loads((data_dir / "su2k4.cat").read_text())
+    edit(doc)
+    path = tmp_path / "dup.cat"
+    path.write_text(json.dumps(doc))
+    assert run(["verify-category", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "duplicate" in err
 
 
 def test_missing_file_is_io_error(tmp_path):
@@ -270,6 +287,24 @@ def test_algebra_round_trip(data_dir, tmp_path, models):
         assert distance(alg.mult, alg2.mult) == 0, name
 
 
+def test_product_bundle_round_trip(models, tmp_path):
+    # rep_a4 has a vertex of multiplicity two, so these products' tree order
+    # is not the Kronecker order of their factors'.  Every block comes back
+    # bitwise, except that -0.0 comes back as 0.0: zero entries are omitted
+    bits = lambda B: (B + 0).tobytes()
+    for D in (deligne_product(models["rep_a4"], models["semion"]),
+              deligne_product(models["rep_a4"], mirror(models["rep_a4"]))):
+        path = tmp_path / "product.cat"
+        save_category(D, path)
+        back = load_category(path)
+        assert np.array_equal(back.N, D.N) and back.braided, D.name
+        fl = D._f_table()
+        for q in map(tuple, fl.keys.tolist()):
+            assert bits(back.F(*q)) == bits(fl.view(q)), (D.name, q)
+        for t in np.argwhere(D.N).tolist():
+            assert bits(back.R(*t)) == bits(D.R(*t)), (D.name, t)
+
+
 def _z2_variant(data_dir, tmp_path, **changes):
     doc = json.loads((data_dir / "z2.alg").read_text())
     doc.update(changes)
@@ -296,6 +331,17 @@ def test_algebra_coefficient_non_finite(data_dir, tmp_path, capsys, bad):
     assert run(["build-ctps", data_dir / "su2k4.cat", "--alg", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not finite" in err
+
+
+def test_algebra_duplicate_coefficient(data_dir, tmp_path, capsys):
+    # a second [1, 0, 1, 0] at 9.0 used to replace the first, at 1.0
+    doc = json.loads((data_dir / "z2.alg").read_text())
+    first = next(c for c in doc["coefficients"] if c[:4] == [1, 0, 1, 0])
+    coeffs = doc["coefficients"] + [first[:4] + [[9.0, 0.0]]]
+    path = _z2_variant(data_dir, tmp_path, coefficients=coeffs)
+    assert run(["build-ctps", data_dir / "su2k4.cat", "--alg", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "duplicate" in err and "[1, 0, 1, 0]" in err
 
 
 def test_algebra_without_unit_summand(data_dir, tmp_path, capsys):

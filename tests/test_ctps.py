@@ -20,7 +20,7 @@ from qsystems.modular import check_modular_invariant, compute_st
 from qsystems.morphisms import braid, compose, deligne_product, distance, mirror, mono_product, word_obj
 from qsystems.qsystem import check_commutativity, lr_qsystem, validate_qsystem
 
-from oracles import gauged, rotate_bases, slot_coefficients, zeta_oracle
+from oracles import gauged, rotate_bases, slot_coefficients, unconjugated, zeta_oracle
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -209,8 +209,7 @@ def test_prop1_implication(d4_result, lr_pairs, models):
 
 
 def test_wrong_opposite_braiding_control(d4_result):
-    eps_bad = ctps_braiding(d4_result.product_model, d4_result.theta,
-                            convention="unconjugated")
+    eps_bad = ctps_braiding(unconjugated(d4_result.product_model), d4_result.theta)
     assert check_commutativity(d4_result.qsystem, eps_bad) > 0.1
 
 

@@ -36,13 +36,16 @@ from qsystems.morphisms import (
     UnsupportedOperationError,
     _f_blocks,
     _tree_counts,
+    _tree_pos,
+    _tree_rows,
+    _trees,
 )
 from qsystems import catalog
 from qsystems.fusion import FusionData, StructureError
 from qsystems.io import load_algebra
 
-from oracles import (conjugate_oracle, conjugate_pair, dim_word, gauged, left_inverse,
-                     random_morphism, right_inverse, stacked_hexagon_oracle,
+from oracles import (conjugate_oracle, conjugate_pair, dim_word, f_left, f_right, f_right_pos,
+                     gauged, left_inverse, random_morphism, right_inverse, stacked_hexagon_oracle,
                      stacked_pentagon_oracle, stacked_unitarity_oracle, su2_f_oracle,
                      word_conjugate_pair, word_dual)
 
@@ -615,30 +618,30 @@ def oracle_pentagon_residual(model):
         for col, (h, de, k, ep, ze) in enumerate(right):
             # route A: three recouplings
             F1 = model.F(b, c, d, k)
-            c1 = model.f_right_pos(b, c, d, k)[h, de, ep]
-            for (m, mu, nu), v1 in zip(model.f_left(b, c, d, k), F1[:, c1]):
+            c1 = f_right_pos(model, b, c, d, k)[h, de, ep]
+            for (m, mu, nu), v1 in zip(f_left(model, b, c, d, k), F1[:, c1]):
                 if v1 == 0:
                     continue
                 F2 = model.F(a, m, d, e)
-                c2 = model.f_right_pos(a, m, d, e)[k, nu, ze]
-                for (g, rho, sg), v2 in zip(model.f_left(a, m, d, e), F2[:, c2]):
+                c2 = f_right_pos(model, a, m, d, e)[k, nu, ze]
+                for (g, rho, sg), v2 in zip(f_left(model, a, m, d, e), F2[:, c2]):
                     if v2 == 0:
                         continue
                     F3 = model.F(a, b, c, g)
-                    c3 = model.f_right_pos(a, b, c, g)[m, mu, rho]
-                    for (f, al, be), v3 in zip(model.f_left(a, b, c, g), F3[:, c3]):
+                    c3 = f_right_pos(model, a, b, c, g)[m, mu, rho]
+                    for (f, al, be), v3 in zip(f_left(model, a, b, c, g), F3[:, c3]):
                         if v3 == 0:
                             continue
                         PA[lpos[(f, al, g, be, sg)], col] += v1 * v2 * v3
             # route B: two recouplings
             F4 = model.F(a, b, h, e)
-            c4 = model.f_right_pos(a, b, h, e)[k, ep, ze]
-            for (f, al, epp), v4 in zip(model.f_left(a, b, h, e), F4[:, c4]):
+            c4 = f_right_pos(model, a, b, h, e)[k, ep, ze]
+            for (f, al, epp), v4 in zip(f_left(model, a, b, h, e), F4[:, c4]):
                 if v4 == 0:
                     continue
                 F5 = model.F(f, c, d, e)
-                c5 = model.f_right_pos(f, c, d, e)[h, de, epp]
-                for (g, be, ga), v5 in zip(model.f_left(f, c, d, e), F5[:, c5]):
+                c5 = f_right_pos(model, f, c, d, e)[h, de, epp]
+                for (g, be, ga), v5 in zip(f_left(model, f, c, d, e), F5[:, c5]):
                     if v5 == 0:
                         continue
                     PB[lpos[(f, al, g, be, ga)], col] += v4 * v5
@@ -700,8 +703,10 @@ def _assert_close(got, want, what):
 
 def _assert_coherence_matches_oracle(model, name):
     # the oracles read F and R entry by entry, so they read them from a model
-    # that holds the blocks once: a Deligne product makes a block on every read
-    held = CategoryModel(model.fusion, model.F, model.R if model.braided else None)
+    # that holds the blocks once: a Deligne product makes a block on every
+    # read, so its F blocks are taken from the table the checks read
+    fl = model._f_table()
+    held = CategoryModel(model.fusion, lambda *q: fl.view(q), model.R if model.braided else None)
     _assert_close(pentagon_residual(model), oracle_pentagon_residual(held), ("pentagon", name))
     if model.braided:
         _assert_close(hexagon_residual(model), oracle_hexagon_residual(held), ("hexagon", name))
@@ -763,7 +768,8 @@ def test_pentagon_matches_stacked_oracle_on_other_models(models, rng):
 
 def _assert_match_stacked_oracles(m, name):
     # the flat tables give the hexagon and unitarity of the stacked matrices, to the bit
-    want = {"f_unitarity": stacked_unitarity_oracle([m.F(*q) for q in m._f_table().keys.tolist()])}
+    fl = m._f_table()
+    want = {"f_unitarity": stacked_unitarity_oracle([fl.view(q) for q in map(tuple, fl.keys.tolist())])}
     if m.braided:
         want["hexagon"] = stacked_hexagon_oracle(m)
         want["r_unitarity"] = stacked_unitarity_oracle([m.R(*t) for t in np.argwhere(m.N).tolist()])
@@ -936,29 +942,16 @@ def test_braiding_on_noncommutative_fusion_is_refused():
 # tree lists and product recoupling against their label-by-label definitions
 
 
-def _f_left_loop(model, a, b, c, d):
-    N = model.N
-    return [(sig, e, f) for sig in range(model.rank)
-            for e in range(N[a, b, sig]) for f in range(N[sig, c, d])]
-
-
-def _f_right_loop(model, a, b, c, d):
-    N = model.N
-    return [(tau, g, h) for tau in range(model.rank)
-            for g in range(N[b, c, tau]) for h in range(N[a, tau, d])]
-
-
 def _f_product_loop(D, a, b, c, d):
     """F of a product model, filled entry by entry from the two factors' F."""
     m1, m2 = D.factors
     n2 = m2.rank
     (a1, a2), (b1, b2), (c1, c2), (d1, d2) = (divmod(x, n2) for x in (a, b, c, d))
     F1, F2 = m1.F(a1, b1, c1, d1), m2.F(a2, b2, c2, d2)
-    l1 = {t: i for i, t in enumerate(m1.f_left(a1, b1, c1, d1))}
-    l2 = {t: i for i, t in enumerate(m2.f_left(a2, b2, c2, d2))}
-    r1 = {t: i for i, t in enumerate(m1.f_right(a1, b1, c1, d1))}
-    r2 = {t: i for i, t in enumerate(m2.f_right(a2, b2, c2, d2))}
-    left, right = D.f_left(a, b, c, d), D.f_right(a, b, c, d)
+    l1 = {t: i for i, t in enumerate(f_left(m1, a1, b1, c1, d1))}
+    l2 = {t: i for i, t in enumerate(f_left(m2, a2, b2, c2, d2))}
+    r1, r2 = f_right_pos(m1, a1, b1, c1, d1), f_right_pos(m2, a2, b2, c2, d2)
+    left, right = f_left(D, a, b, c, d), f_right(D, a, b, c, d)
     M = np.zeros((len(left), len(right)), dtype=complex)
     for i, (sig, e, f) in enumerate(left):
         s1, s2 = divmod(sig, n2)
@@ -972,11 +965,24 @@ def _f_product_loop(D, a, b, c, d):
     return M
 
 
+def _tree_lists(quads: np.ndarray, i: np.ndarray, trees) -> list:
+    """The trees (s, e, f) that :func:`_trees` gives, as one list per label row."""
+    out = [[] for _ in quads]
+    for k, t in zip(i.tolist(), zip(*(x.tolist() for x in trees))):
+        out[k].append(t)
+    return out
+
+
 def test_tree_lists_match_full_label_loop(models):
+    # _trees lists the trees of every quadruple in the order of the label
+    # loops, and _tree_pos gives each tree's place in that list
     for name, m in models.items():
-        for quad in itertools.product(range(m.rank), repeat=4):
-            assert m.f_left(*quad) == _f_left_loop(m, *quad), (name, quad)
-            assert m.f_right(*quad) == _f_right_loop(m, *quad), (name, quad)
+        quads = np.array(list(itertools.product(range(m.rank), repeat=4)))
+        for rows, loop in zip(_tree_rows(m.N, *quads.T), (f_left, f_right)):
+            i, *trees = _trees(*rows)
+            assert _tree_lists(quads, i, trees) == [loop(m, *q) for q in quads.tolist()], name
+            assert _tree_pos(*rows, i, *trees).tolist() == \
+                (np.arange(len(i)) - np.searchsorted(i, i)).tolist(), name
 
 
 def test_tree_arrays_match_tree_lists(models):
@@ -984,12 +990,12 @@ def test_tree_arrays_match_tree_lists(models):
     for m in cases:
         quads, blocks, start, left, right = _f_blocks(m)
         labels = quads.tolist()
-        want_left = [t for q in labels for t in m.f_left(*q)]
-        want_right = [t for q in labels for t in m.f_right(*q)]
+        want_left = [t for q in labels for t in f_left(m, *q)]
+        want_right = [t for q in labels for t in f_right(m, *q)]
         assert left.dtype == right.dtype == np.int64, m.name
         assert left.tolist() == [list(t) for t in want_left], m.name
         assert right.tolist() == [list(t) for t in want_right], m.name
-        assert start.tolist() == np.cumsum([0] + [len(m.f_left(*q)) for q in labels]).tolist()
+        assert start.tolist() == np.cumsum([0] + [len(f_left(m, *q)) for q in labels]).tolist()
 
 
 def test_f_table_slices_are_the_f_blocks(models):
@@ -1027,8 +1033,6 @@ def test_f_product_matches_entry_loop(models, rng):
                 pick = np.r_[order[:40], rng.choice(len(quads), min(len(quads), 40), replace=False)]
                 want = {}
                 for quad in quads[pick].tolist():
-                    assert D.f_left(*quad) == _f_left_loop(D, *quad), (D.name, quad)
-                    assert D.f_right(*quad) == _f_right_loop(D, *quad), (D.name, quad)
                     want[tuple(quad)] = _f_product_loop(D, *quad)
                     assert np.abs(D.F(*quad) - want[tuple(quad)]).max() <= 1e-15, \
                         (D.name, quad)

@@ -37,6 +37,7 @@ from oracles import (
     commutativity_oracle,
     qsystem_of,
     random_qsystem,
+    unconjugated,
     unit_morphism,
 )
 
@@ -117,7 +118,7 @@ def test_commutativity_wrong_convention_breaks(lr_systems):
     # braiding the opposite factor without conjugating is off by O(1)
     for name in ["fibonacci", "ising"]:
         q, D = lr_systems[name]
-        eps_bad = ctps_braiding(D, q.theta, convention="unconjugated")
+        eps_bad = ctps_braiding(unconjugated(D), q.theta)
         assert check_commutativity(q, eps_bad) > 0.1, name
 
 
@@ -264,17 +265,18 @@ def test_validator_matches_oracle_on_random_coefficients(models, name, labels, s
 
 
 def assert_commutativity_matches_oracle(q):
-    """check_commutativity equals the morphism oracle in both conventions.
+    """check_commutativity equals the morphism oracle, with the model's
+    braiding and with the unconjugated control's.
 
     Each residual is within 1e-13 absolute plus 1e-13 relative of the
     operator norm of eps(theta, theta) w1 - w1, with eps built by braid on
     theta^2.  Returns the two residuals.
     """
     out = []
-    for convention in ("opposite", "unconjugated"):
-        got = check_commutativity(q, ctps_braiding(q.model, q.theta, convention))
-        want = commutativity_oracle(q, braiding_morphism(q.model, q.theta, convention))
-        assert abs(got - want) <= 1e-13 + 1e-13 * want, (convention, got, want)
+    for D in (q.model, unconjugated(q.model)):
+        got = check_commutativity(q, ctps_braiding(D, q.theta))
+        want = commutativity_oracle(q, braiding_morphism(D, q.theta))
+        assert abs(got - want) <= 1e-13 + 1e-13 * want, (D.name, got, want)
         out.append(got)
     return out
 
