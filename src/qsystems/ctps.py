@@ -147,17 +147,16 @@ def zeta_tensor(pair: ExtensionPair, d_theta: float) -> dict:
     a = pair.algebra
     qdim = model.qdim
     out = {}
-    lift_cache = {}
 
     def lifted(nu, lam, mu):
         """(lifts, adjoints): for each tree vertex T of Hom(nu, lam mu) the
         morphism 1_Theta x T of lift(T), and its adjoint, that of lift(T*).
-        Neither depends on the sign of the lift."""
-        key = (nu, lam, mu)
-        if key not in lift_cache:
+        Neither depends on the sign of the lift, so the algebra keeps them
+        for every pair on it."""
+        def build():
             up = [lift(a, t, +1).mor for t in hom_basis(model, nu, word_obj((lam, mu)))]
-            lift_cache[key] = (up, [adjoint(t) for t in up])
-        return lift_cache[key]
+            return up, [adjoint(t) for t in up]
+        return a._memo(("lifts", nu, lam, mu), build)
 
     def weighted(f):
         """The blocks of f, each scaled by d_c, in one row."""
@@ -247,13 +246,11 @@ def check_e3(pair: ExtensionPair) -> float:
     """
     model = pair.model
     a = pair.algebra
-    eps_cache = {}
 
     def eps(lam, mu, sign):
-        key = (lam, mu, sign)
-        if key not in eps_cache:
-            eps_cache[key] = lift(a, braid(model, word_obj((lam,)), word_obj((mu,))), sign)
-        return eps_cache[key]
+        """lift(eps(lam, mu), sign), kept on the algebra for every pair on it."""
+        return a._memo(("braid", lam, mu, sign),
+                       lambda: lift(a, braid(model, word_obj((lam,)), word_obj((mu,))), sign))
 
     def residual(i, j):
         """The identity for phi = phi_i and psi = phi_j, on the shared products."""

@@ -15,7 +15,15 @@ matrix
 
 Products of bimodule maps are relative tensor products over Theta, evaluated
 through the canonical multiplication / splitting pair, so the whole operator
-calculus of the extension happens at the level of category morphisms.
+calculus of the extension happens at the level of category morphisms.  The
+splitting map is the adjoint of the multiplication map over d(Theta).
+
+Each algebra keeps the maps that depend only on signed words
+(:meth:`AlgebraObject._memo`): the left and right actions of each induced
+bimodule, the multiplication map of each (signed word, plain word) pair,
+which serves as a splitting map too, and the lifts that
+:mod:`qsystems.ctps` reads, the tree vertices of zeta and the braidings of
+chiral locality.  Pairs of extensions on one algebra share them.
 """
 
 from __future__ import annotations
@@ -79,8 +87,9 @@ class AlgebraObject:
     theta: ThetaSpec
     unit: np.ndarray
     coeffs: dict
-    # maps built from (unit, mult) that depend only on signed words, keyed
-    # by the Bimod or Bimod pair they serve; see _memo
+    # maps built from (unit, mult) that depend only on signed words, see
+    # _memo: ("actions", Bimod), ("mult", Bimod, word), the lifted tree
+    # vertices ("lifts", nu, lam, mu) and braidings ("braid", lam, mu, sign)
     _maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _memo(self, key, build):
@@ -287,34 +296,32 @@ def lift(a: AlgebraObject, n: Morphism, sign: int) -> BimodMap:
     )
 
 
-def _mult_map(a: AlgebraObject, x: Bimod, y: Bimod) -> Morphism:
-    """Hom(Theta x Theta y, Theta x y): multiply through the signed crossing."""
-    move = lmul(a.object, rmul(_eps_signed(a, x), word_obj(y.word)))
-    return compose(rmul(a.mult, word_obj(x.word + y.word)), move)
+def _mult_map(a: AlgebraObject, x: Bimod, word: tuple) -> Morphism:
+    """Hom(Theta x Theta word, Theta x word): multiply through the signed crossing of x.
 
-
-def _split_map(a: AlgebraObject, x: Bimod, y: Bimod) -> Morphism:
-    """Right inverse of :func:`_mult_map`: comultiply and cross back."""
-    wy = word_obj(y.word)
-    out = rmul(adjoint(a.mult), word_obj(x.word + y.word))
-    back = lmul(a.object, rmul(adjoint(_eps_signed(a, x)), wy))
-    return (1.0 / a.d) * compose(back, out)
+    The signs of the second word are never read, so one map serves them all.
+    """
+    move = lmul(a.object, rmul(_eps_signed(a, x), word_obj(word)))
+    return compose(rmul(a.mult, word_obj(x.word + word)), move)
 
 
 def mtimes(f: BimodMap, g: BimodMap) -> BimodMap:
     """Monoidal product of bimodule maps (relative tensor product over Theta).
 
-    The multiplication and splitting maps depend only on the signed words,
-    so each is built once per algebra and word pair.
+    The product is mult (f x g) split, where the splitting map is the
+    adjoint of the multiplication map of the sources over d(Theta).  Each
+    multiplication map is built once per algebra, signed first word and
+    plain second word, and serves both roles.
     """
     a = f.algebra
     src = Bimod(f.src.word + g.src.word, f.src.signs + g.src.signs)
     tgt = Bimod(f.tgt.word + g.tgt.word, f.tgt.signs + g.tgt.signs)
-    mid = mono_product(f.mor, g.mor)
-    mult = a._memo(("mult", f.tgt, g.tgt), lambda: _mult_map(a, f.tgt, g.tgt))
-    split = a._memo(("split", f.src, g.src), lambda: _split_map(a, f.src, g.src))
-    mor = compose(mult, compose(mid, split))
-    return BimodMap(a, src, tgt, mor)
+
+    def mult(x, y):
+        return a._memo(("mult", x, y.word), lambda: _mult_map(a, x, y.word))
+
+    mor = compose(mult(f.tgt, g.tgt), compose(mono_product(f.mor, g.mor), adjoint(mult(f.src, g.src))))
+    return BimodMap(a, src, tgt, (1.0 / a.d) * mor)
 
 
 def trace_ip(f: BimodMap, g: BimodMap) -> complex:

@@ -218,6 +218,10 @@ class CategoryModel:
             self._r_provider = None
         return self._r
 
+    def _held(self) -> "CategoryModel":
+        """A model that holds its F and R tables: this one."""
+        return self
+
     # -- tree bases --------------------------------------------------------
 
     def tails(self, b, word, c):
@@ -1213,9 +1217,11 @@ class CategoryReport:
 def validate_category(model: CategoryModel, tol: float = 1e-9) -> CategoryReport:
     """Fusion axioms plus pentagon / unitarity / duality (and hexagon if braided).
 
-    Every check reads the model's F and R tables.  Data that is not finite
-    gives non-finite residuals, so the report is not ``ok``.
+    Every check reads the model's F and R tables, each built once per call
+    (:meth:`CategoryModel._held`).  Data that is not finite gives non-finite
+    residuals, so the report is not ``ok``.
     """
+    model = model._held()
     frep = validate_fusion(model.fusion)
     hexa = r_uni = None
     if model.braided:
@@ -1307,6 +1313,15 @@ class ProductModel(CategoryModel):
         if not self.braided:
             raise UnsupportedOperationError("category carries no braiding")
         return _build_r_table(self, self.R)
+
+    def _held(self) -> CategoryModel:
+        """A base model over this product's F and R tables, built once each,
+        for a caller that runs several checks and then drops it."""
+        held = CategoryModel(self.fusion, None, name=self.name)
+        held._f, held.braided = self._f_table(), self.braided
+        if self.braided:
+            held._r = self._r_table()
+        return held
 
     def _tree_map(self, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
         """(rows, cols): for each pair of factor label rows of ``q1`` and

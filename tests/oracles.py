@@ -26,6 +26,7 @@ from qsystems.induction import (
     lift,
     mtimes,
     right_action,
+    _eps_signed,
 )
 from qsystems.morphisms import (
     CategoryModel,
@@ -532,6 +533,15 @@ def right_inverse(model: CategoryModel, word, f: Morphism) -> Morphism:
 
 def bim_identity(a: AlgebraObject, b: Bimod) -> BimodMap:
     return BimodMap(a, b, b, identity_morphism(a.model, bim_object(a, b)))
+
+
+def split_map(a: AlgebraObject, x: Bimod, y: Bimod) -> Morphism:
+    """Right inverse of the multiplication map Hom(Theta x Theta y, Theta x y),
+    built directly: comultiply, then cross Theta back over x.  The package
+    reads it as the multiplication map's adjoint over d(Theta)."""
+    out = rmul(adjoint(a.mult), word_obj(x.word + y.word))
+    back = lmul(a.object, rmul(adjoint(_eps_signed(a, x)), word_obj(y.word)))
+    return (1.0 / a.d) * compose(back, out)
 
 
 def module_residual(f: BimodMap) -> float:

@@ -1,3 +1,6 @@
+import collections
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,13 +17,15 @@ from qsystems.ctps import (
     trivial_pair,
     zeta_tensor,
 )
-from qsystems import catalog
-from qsystems.induction import _mult_map, _split_map, lift, solve_haploid_algebra
+from qsystems import catalog, induction
+from qsystems.induction import Bimod, _mult_map, lift, solve_haploid_algebra
+from qsystems.io import load_algebra
 from qsystems.modular import check_modular_invariant, compute_st
-from qsystems.morphisms import braid, compose, deligne_product, distance, mirror, mono_product, word_obj
+from qsystems.morphisms import (adjoint, braid, compose, deligne_product, distance, mirror, mono_product,
+                                word_obj)
 from qsystems.qsystem import check_commutativity, lr_qsystem, validate_qsystem
 
-from oracles import gauged, rotate_bases, slot_coefficients, unconjugated, zeta_oracle
+from oracles import gauged, rotate_bases, slot_coefficients, split_map, unconjugated, zeta_oracle
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -138,13 +143,20 @@ def test_e3_controls(models, algebras, d4_pair):
     assert check_e3(bad) > 0.1
 
 
-def _check_e3_ordered_pairs(pair):
-    """Reference: every ordered pair of basis maps, products built afresh each time."""
+def _check_e3_ordered_pairs(pair, split=None):
+    """Reference: every ordered pair of basis maps, products built afresh each time.
+
+    ``split(a, x, y)`` gives the splitting map of the products; without it
+    they are formed as mtimes forms them, from the multiplication map alone.
+    """
     model, a = pair.model, pair.algebra
 
     def times(f, g):
         mid = mono_product(f.mor, g.mor)
-        return compose(_mult_map(a, f.tgt, g.tgt), compose(mid, _split_map(a, f.src, g.src)))
+        mult = _mult_map(a, f.tgt, g.tgt.word)
+        if split is None:
+            return (1.0 / a.d) * compose(mult, compose(mid, adjoint(_mult_map(a, f.src, g.src.word))))
+        return compose(mult, compose(mid, split(a, f.src, g.src)))
 
     worst = 0.0
     keys = [k for k, b in pair.phi.items() if b]
@@ -199,6 +211,57 @@ def test_e3_matches_ordered_pair_loop(algebras, d4_pair):
              alpha_pair(algebras["fibtau"]), alpha_pair(algebras["isingpsi"])]
     for pair in pairs:
         assert check_e3(pair) == _check_e3_ordered_pairs(pair)
+
+
+def test_e3_matches_ordered_pairs_with_the_reference_split(algebras, d4_pair):
+    pairs = [d4_pair, alpha_pair(algebras["z2"], +1, +1),
+             alpha_pair(algebras["fibtau"]), alpha_pair(algebras["isingpsi"])]
+    for pair in pairs:
+        got = check_e3(pair)
+        assert abs(got - _check_e3_ordered_pairs(pair, split_map)) <= 1e-15 * max(1.0, got)
+
+
+@pytest.mark.parametrize("name", ["z2", "isingpsi"])
+def test_split_map_is_the_adjoint_of_the_multiplication_map(algebras, name):
+    # mtimes reads the splitting map of (x, y) as mult(x, y)* / d(Theta)
+    a = algebras[name]
+    labels = range(a.model.rank)
+    for signs in [(+1, -1), (+1, +1), (-1, -1)]:
+        for l, m in itertools.product(labels, repeat=2):
+            x, y = Bimod((l,), signs[:1]), Bimod((m,), signs[1:])
+            got = (1.0 / a.d) * adjoint(_mult_map(a, x, y.word))
+            assert distance(got, split_map(a, x, y)) <= 1e-15, (signs, l, m)
+
+
+def test_each_multiplication_map_is_built_once(models, data_dir, monkeypatch):
+    # one map per signed first word and plain second word serves mtimes as
+    # multiplication and as splitting map, for every pair on the algebra
+    built = collections.Counter()
+    real = induction._mult_map
+
+    def counted(a, x, word):
+        built[x, word] += 1
+        return real(a, x, word)
+
+    monkeypatch.setattr(induction, "_mult_map", counted)
+
+    def z2():
+        return load_algebra(data_dir / "z2.alg", models["su2k4"])
+
+    fresh = build_ctps(alpha_pair(z2(), +1, +1), tol=1e-8)
+    plus_plus = set(built)
+    assert set(built.values()) == {1}
+    built.clear()
+    a = z2()
+    build_ctps(alpha_pair(a, +1, -1), tol=1e-8)
+    first = set(built)
+    built.clear()
+    shared = build_ctps(alpha_pair(a, +1, +1), tol=1e-8)
+    assert set(built) == plus_plus - first and set(built.values()) <= {1}
+    assert first & plus_plus
+    assert set(shared.zeta) == set(fresh.zeta)
+    assert max(abs(shared.zeta[k] - v) for k, v in fresh.zeta.items()) <= 1e-15
+    assert abs(shared.e3_residual - fresh.e3_residual) <= 1e-15 * fresh.e3_residual
 
 
 def test_prop1_implication(d4_result, lr_pairs, models):
@@ -297,11 +360,11 @@ def test_nonlocal_algebra_doubles_have_identity_coupling(bundle_results):
         assert res.report.ok
 
 
-def test_modular_certificates(bundle_results, d4_result, d5_result, e6_result):
+def test_modular_certificates(bundle_results, d4_result, d5_result, e6_result, d6_result, d8_result):
     # Z commutes with S and T (Boeckenhauer-Evans-Kawahigashi), and on a
     # modular input d(theta) is the global dimension sum_lam d_lam^2 (the full
     # centre is Lagrangian); dim_identity only compares two orders of sum Z d d
-    for res in [*bundle_results.values(), d4_result, d5_result, e6_result]:
+    for res in [*bundle_results.values(), d4_result, d5_result, e6_result, d6_result, d8_result]:
         model = res.pair.model
         st_pair = compute_st(model)
         assert st_pair.modular, model.name

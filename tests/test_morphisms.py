@@ -924,6 +924,31 @@ def test_each_f_and_r_block_is_requested_once(build):
     assert r_calls == collections.Counter(triples)
 
 
+def test_validate_category_builds_a_product_table_once(models):
+    # a product holds no F or R table, so validate_category builds each once
+    # for all of its checks, and they read what the checks one by one read
+    m = deligne_product(models["ising"], mirror(models["ising"]))
+    calls = collections.Counter()
+
+    def counted(name):
+        build = getattr(m, name)
+
+        def table():
+            calls[name] += 1
+            return build()
+        return table
+
+    for name in ("_f_table", "_r_table"):
+        setattr(m, name, counted(name))
+    rep = validate_category(m)
+    assert calls == {"_f_table": 1, "_r_table": 1}
+    assert rep.ok
+    assert rep.residuals() == {
+        "pentagon": pentagon_residual(m), "f_unitarity": f_unitarity_residual(m),
+        "conjugate_equations": conjugate_residual(m), "hexagon": hexagon_residual(m),
+        "r_unitarity": r_unitarity_residual(m)}
+
+
 def test_braiding_on_noncommutative_fusion_is_refused():
     # the group S3 as a pointed category: associative, but g h != h g
     perms = list(itertools.permutations(range(3)))
