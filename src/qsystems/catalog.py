@@ -49,10 +49,8 @@ def fibonacci() -> CategoryModel:
     return CategoryModel(fus, f, r, name="fibonacci")
 
 
-def ising(nu: int = 1) -> CategoryModel:
-    """Ising anyons; `nu` (odd) selects among the eight Ising-type models."""
-    if nu % 2 != 1:
-        raise ValueError("nu must be odd")
+def ising() -> CategoryModel:
+    """Ising anyons, with Frobenius-Schur indicator +1 and theta(s) = exp(i pi / 8)."""
     N = np.zeros((3, 3, 3), dtype=int)
     for a in range(3):
         N[a, 0, a] = N[0, a, a] = 1
@@ -60,8 +58,7 @@ def ising(nu: int = 1) -> CategoryModel:
     N[1, 2, 1] = N[2, 1, 1] = 1  # s*p = p*s = s
     N[2, 2, 0] = 1               # p*p = 1
     fus = FusionData(["1", "s", "p"], [0, 1, 2], N, [1.0, np.sqrt(2.0), 1.0])
-    kappa = (-1) ** ((nu * nu - 1) // 8)  # Frobenius-Schur indicator of s
-    Fsss = kappa / np.sqrt(2.0) * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
+    Fsss = 1 / np.sqrt(2.0) * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
 
     def f(a, b, c, d):
         if (a, b, c, d) == (1, 1, 1, 1):
@@ -72,12 +69,11 @@ def ising(nu: int = 1) -> CategoryModel:
 
     def r(a, b, c):
         if a == b == 1:
-            val = np.exp(-1j * nu * np.pi / 8.0) * kappa if c == 0 else np.exp(3j * nu * np.pi / 8.0) * kappa
-            return np.array([[val]])
+            return np.array([[np.exp(-1j * np.pi / 8.0) if c == 0 else np.exp(3j * np.pi / 8.0)]])
         if a == b == 2:
             return -np.eye(1, dtype=complex)
         if {a, b} == {1, 2}:
-            return ((-1j) ** nu) * np.eye(1, dtype=complex)
+            return -1j * np.eye(1, dtype=complex)
         return np.eye(1, dtype=complex)
 
     return CategoryModel(fus, f, r, name="ising")

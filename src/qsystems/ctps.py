@@ -38,9 +38,10 @@ from .morphisms import (CategoryModel, adjoint, braid, compose, deligne_product,
 from .qsystem import QReport, QSystem, ThetaSpec, assemble_qsystem, check_commutativity, validate_qsystem
 from .induction import (
     AlgebraObject,
+    Bimod,
     BimodMap,
     bim_compose,
-    hom_alpha,
+    bimodule_hom,
     lift,
     mtimes,
     trivial_algebra,
@@ -92,7 +93,7 @@ class ExtensionPair:
         Z = np.zeros((n, n), dtype=int)
         for lam1 in range(n):
             for lam2 in range(n):
-                basis = hom_alpha(algebra, lam1, lam2, sign1, sign2).basis
+                basis = bimodule_hom(algebra, Bimod((lam1,), (sign1,)), Bimod((lam2,), (sign2,)))
                 self.phi[(lam1, lam2)] = basis
                 Z[lam1, lam2] = len(basis)
         self.Z = Z
@@ -286,22 +287,13 @@ def check_normality(Z: np.ndarray, fus1, fus2) -> NormalityResult:
     Z = np.asarray(Z)
     n2 = bool(np.array_equal(Z[:, 0], np.eye(Z.shape[0], dtype=int)[0])
               and np.array_equal(Z[0, :], np.eye(Z.shape[1], dtype=int)[0]))
-    pi = None
-    n3 = False
     if Z.shape[0] == Z.shape[1] and np.array_equal(Z @ Z.T, np.eye(Z.shape[0], dtype=Z.dtype)):
-        cand = [int(np.argmax(Z[i])) for i in range(Z.shape[0])]
+        pi = np.argmax(Z, axis=1)
         # permutation found; it must preserve dimensions and the fusion tensor
-        ok = np.allclose(fus1.qdim, fus2.qdim[cand], atol=1e-9)
-        if ok:
-            n = Z.shape[0]
-            ok = all(
-                fus1.N[a, b, c] == fus2.N[cand[a], cand[b], cand[c]]
-                for a in range(n) for b in range(n) for c in range(n)
-            )
-        if ok:
-            n3 = True
-            pi = cand
-    return NormalityResult(n2=n2, n3=n3, pi=pi)
+        if (np.allclose(fus1.qdim, fus2.qdim[pi], atol=1e-9)
+                and np.array_equal(fus1.N, fus2.N[np.ix_(pi, pi, pi)])):
+            return NormalityResult(n2=n2, n3=True, pi=pi.tolist())
+    return NormalityResult(n2=n2, n3=False, pi=None)
 
 
 @dataclass

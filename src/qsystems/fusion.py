@@ -103,7 +103,7 @@ class FusionData:
         return f"FusionData({self.names})"
 
 
-def compute_qdims(data: FusionData, tol: float = 1e-10) -> np.ndarray:
+def compute_qdims(data: FusionData) -> np.ndarray:
     """Unique positive solution of ``d(lam) d(mu) = sum_nu N[lam,mu,nu] d(nu)``.
 
     The quantum dimensions form the common Perron-Frobenius eigenvector of all
@@ -115,10 +115,10 @@ def compute_qdims(data: FusionData, tol: float = 1e-10) -> np.ndarray:
     # Perron-Frobenius: eigenvalue of largest real part, positive eigenvector
     i = int(np.argmax(evals.real))
     v = evecs[:, i]
-    if abs(v[0]) < tol:
+    if abs(v[0]) < 1e-10:
         raise StructureError("degenerate fusion data: Perron-Frobenius vector vanishes at the identity")
     v = v / v[0]
-    if np.max(np.abs(v.imag)) > tol:
+    if np.max(np.abs(v.imag)) > 1e-10:
         raise StructureError("fusion data has no real Perron-Frobenius eigenvector")
     d = v.real
     if np.any(d <= 0):
@@ -131,12 +131,12 @@ def compute_qdims(data: FusionData, tol: float = 1e-10) -> np.ndarray:
     return d
 
 
-def validate_fusion(data: FusionData, tol: float = 1e-9) -> FusionReport:
+def validate_fusion(data: FusionData) -> FusionReport:
     """Check the closure axioms of the fusion data.
 
     Integer axioms (identity sector, conjugates, associativity, Frobenius
     reciprocity, dual involution) are checked exactly; the quantum-dimension
-    equations within ``tol``.
+    equations within 1e-9.
     """
     n = data.rank
     N = data.N
@@ -196,17 +196,17 @@ def validate_fusion(data: FusionData, tol: float = 1e-9) -> FusionReport:
 
     # quantum dimensions
     d = data.qdim
-    if d[0] != 1.0 and abs(d[0] - 1.0) > tol:
+    if d[0] != 1.0 and abs(d[0] - 1.0) > 1e-9:
         rep.add("qdim-identity", (0,), f"d(0) = {d[0]}, expected 1")
     if np.any(d <= 0):
         rep.add("qdim-positive", (), "quantum dimensions must be positive")
     resid = np.abs(d[:, None] * d[None, :] - np.einsum("lmn,n->lm", N, d))
-    if np.max(resid) > tol * max(1.0, float(np.max(d) ** 2)):
+    if np.max(resid) > 1e-9 * max(1.0, float(np.max(d) ** 2)):
         lam, mu = np.unravel_index(int(np.argmax(resid)), resid.shape)
         rep.add("qdim-fusion", (int(lam), int(mu)),
                 f"dimension equation residual {resid[lam, mu]:.3e} at ({lam},{mu})")
     dd = np.abs(d - d[data.dual])
-    if np.max(dd) > tol:
+    if np.max(dd) > 1e-9:
         rep.add("qdim-dual", (int(np.argmax(dd)),), "d(conj(lam)) != d(lam)")
 
     return rep

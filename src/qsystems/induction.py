@@ -68,8 +68,6 @@ __all__ = [
     "mtimes",
     "trace_ip",
     "bimodule_hom",
-    "InducedMorphismSpace",
-    "hom_alpha",
 ]
 
 
@@ -382,22 +380,3 @@ def bimodule_hom(a: AlgebraObject, src: Bimod, tgt: Bimod):
         ortho.append(f)
     return ortho
 
-
-@dataclass
-class InducedMorphismSpace:
-    """Solved Hom(alpha^{s1}_lam, alpha^{s2}_mu) with an orthonormal basis."""
-
-    lam: int
-    mu: int
-    sign1: int
-    sign2: int
-    basis: list
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def hom_alpha(a: AlgebraObject, lam: int, mu: int, sign1: int = +1, sign2: int = -1) -> InducedMorphismSpace:
-    basis = bimodule_hom(a, Bimod((int(lam),), (sign1,)), Bimod((int(mu),), (sign2,)))
-    return InducedMorphismSpace(lam=int(lam), mu=int(mu), sign1=sign1, sign2=sign2, basis=basis)

@@ -191,7 +191,7 @@ def load_category(path) -> CategoryModel:
                 raise BundleError(f"R entry {(a, b, c, f, e)} is not fusion compatible")
             r_entries.setdefault((a, b, c), []).append((f, e, _j2c(v)))
         braided = bool(doc.get("braided", False))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, BundleError):
             raise
         raise BundleError(f"malformed category bundle {path}: {exc}") from exc

@@ -36,8 +36,9 @@ class ModularPair:
         return len(self.T)
 
 
-def compute_st(model: CategoryModel, tol: float = 1e-9) -> ModularPair:
-    """S from the monodromy trace, T from the twists (T[0] = 1 by construction)."""
+def compute_st(model: CategoryModel) -> ModularPair:
+    """S from the monodromy trace, T from the twists (T[0] = 1 by construction);
+    ``modular`` says whether S is unitary within 1e-7."""
     if not model.braided:
         raise UnsupportedOperationError("modular data needs a braiding")
     n = model.rank
@@ -55,7 +56,7 @@ def compute_st(model: CategoryModel, tol: float = 1e-9) -> ModularPair:
             # (so that (ST)^3 is proportional to S^2)
             S[lam, mu] = np.conj(acc) / D
     T = np.array([twist(model, lam) for lam in range(n)])
-    modular = bool(np.max(np.abs(S @ S.conj().T - np.eye(n))) < max(tol, 1e-7))
+    modular = bool(np.max(np.abs(S @ S.conj().T - np.eye(n))) < 1e-7)
     return ModularPair(S=S, T=T, modular=modular)
 
 

@@ -82,16 +82,9 @@ class UnsupportedOperationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SumObject:
-    """Formal finite direct sum of tensor words, with unique summand tags."""
+    """Formal finite direct sum of tensor words."""
 
     words: tuple
-    tags: tuple
-
-    def __post_init__(self):
-        if len(self.words) != len(self.tags):
-            raise StructureError("one tag per summand required")
-        if len(set(self.tags)) != len(self.tags):
-            raise StructureError("summand tags must be unique")
 
     def __len__(self):
         return len(self.words)
@@ -100,9 +93,8 @@ class SumObject:
         return f"SumObject({list(self.words)})"
 
 
-def word_obj(word, tag=None) -> SumObject:
-    w = tuple(int(x) for x in word)
-    return SumObject((w,), (tag if tag is not None else 0,))
+def word_obj(word) -> SumObject:
+    return SumObject((tuple(int(x) for x in word),))
 
 
 def unit_obj() -> SumObject:
@@ -116,9 +108,7 @@ def as_obj(x) -> SumObject:
 
 
 def sum_product(a: SumObject, b: SumObject) -> SumObject:
-    words = tuple(wa + wb for wa in a.words for wb in b.words)
-    tags = tuple((ta, tb) for ta in a.tags for tb in b.tags)
-    return SumObject(words, tags)
+    return SumObject(tuple(wa + wb for wa in a.words for wb in b.words))
 
 
 def same_object(a: SumObject, b: SumObject) -> bool:
@@ -191,9 +181,11 @@ class CategoryModel:
         return self._f_table().view((a, b, c, d))
 
     def f_stack(self, quads: np.ndarray) -> np.ndarray:
-        """F at each label row (a, b, c, d) of ``quads``, as one stack; the
-        blocks must share one size."""
-        return np.stack([self.F(*q) for q in quads.tolist()])
+        """F at each label row (a, b, c, d) of ``quads``, gathered from the F
+        table as one stack; the blocks must share one size."""
+        fl = self._f_table()
+        q = fl.find(quads)
+        return fl.stack(q, int(fl.size[q[0]]))
 
     def _f_table(self) -> "_Blocks":
         """The model's F table, built on the first call."""
@@ -280,14 +272,10 @@ class CategoryModel:
         return out
 
     def obj_dim(self, c, obj: SumObject) -> int:
-        return self.obj_offsets(c, obj)[-1]
-
-    def obj_offsets(self, c, obj: SumObject):
-        """Cumulative basis offsets of the summands of `obj` in sector c."""
-        return self.sector_offsets(obj)[c]
+        return self.sector_offsets(obj)[c][-1]
 
     def sector_offsets(self, obj: SumObject):
-        """:meth:`obj_offsets` of every sector, indexed by c, from one lookup."""
+        """Cumulative basis offsets of the summands of `obj`, one tuple per sector c."""
         out = self._offsets.get(obj.words)
         if out is None:
             dims = np.zeros((self.rank, len(obj.words) + 1), dtype=np.int64)
@@ -692,9 +680,10 @@ def categorical_trace(f: Morphism) -> complex:
 
 
 def twist(model: CategoryModel, lam: int) -> complex:
-    """Topological spin theta(lam) = Tr(eps(lam, lam)) / d(lam)."""
-    w = word_obj((lam,))
-    return categorical_trace(braid(model, w, w)) / model.qdim[lam]
+    """Topological spin theta(lam) = Tr(eps(lam, lam)) / d(lam), read from the
+    R table: sum_c d(c) tr R(lam, lam; c) / d(lam)."""
+    R = [model.R(lam, lam, c) for c in range(model.rank)]
+    return complex(sum(model.qdim[c] * np.trace(B) for c, B in enumerate(R) if B.size)) / model.qdim[lam]
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +831,7 @@ def _build_f_table(model: CategoryModel, provider) -> _Blocks:
         i = int(np.argmax(nl != nr))
         raise StructureError(f"fusion data not associative at {tuple(quads[i].tolist())}: "
                              f"{nl[i]} != {nr[i]}")
-    eye = [np.eye(m, dtype=complex) for m in range(int(nl.max()) + 1)]
+    eye = [np.eye(m, dtype=complex) for m in range(int(nl.max(initial=0)) + 1)]
     inner = quads[:, :3].all(axis=1).tolist()
     blocks = (_provided("F", provider, key, trees) if nonunit else eye[trees]
               for key, trees, nonunit in zip(zip(*quads.T.tolist()), nl.tolist(), inner))
@@ -1261,9 +1250,8 @@ class ProductModel(CategoryModel):
     F and R blocks are made from the factors' on demand.  The product holds
     no F table and keeps no F block: its whole table grows quadratically with
     the factors' (E7's Q-system reads 178,385 blocks), so :meth:`f_stack`
-    reads each batch from the factors' tables, and :meth:`F` makes one block.
-    Both take F1 (x) F2 and reorder its rows and columns into the product's
-    tree order (:meth:`_tree_map`).
+    reads each batch from the factors' tables, and :meth:`F` is a batch of
+    one.
     """
 
     def __init__(self, m1: CategoryModel, m2: CategoryModel, name=""):
@@ -1348,23 +1336,21 @@ class ProductModel(CategoryModel):
         return np.argsort(key.reshape(2, len(q1), -1), axis=2)
 
     def F(self, a, b, c, d) -> np.ndarray:
-        """F1 (x) F2, with rows and columns in the product's tree order.
+        """One block of :meth:`f_stack` (0 x 0 where Hom(d, abc) has no trees).
 
         The factors' F checks associativity, shapes and the unit gauge, so
         they hold for the product too.
         """
-        q1, q2 = np.divmod(np.array([[a, b, c, d]]), self._n2)
-        F1, F2 = (m.F(*q[0].tolist()) for m, q in zip(self.factors, (q1, q2)))
-        n = len(F1) * len(F2)
-        (rows,), (cols,) = self._tree_map(q1, q2)
-        return (F1[:, None, :, None] * F2[None, :, None, :]).reshape(n, n)[rows[:, None], cols]
+        if not self.N[a, b] @ self.N[:, c, d]:
+            return np.zeros((0, 0), dtype=complex)
+        return self.f_stack(np.array([[a, b, c, d]]))[0]
 
     def f_stack(self, quads: np.ndarray) -> np.ndarray:
         """F at each label row of ``quads`` (blocks of one size), as one stack.
 
         The factor blocks are gathered from the factors' tables, one stack per
-        pair of factor block sizes, multiplied out entry by entry and
-        reordered as :meth:`F` does.
+        pair of factor block sizes, multiplied out entry by entry as F1 (x) F2
+        and reordered into the product's tree order (:meth:`_tree_map`).
         """
         t1, t2 = (m._f_table() for m in self.factors)
         q1, q2 = np.divmod(quads, self._n2)

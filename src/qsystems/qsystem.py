@@ -89,8 +89,7 @@ class ThetaSpec:
         self.summands = [(lam, copy)
                          for lam in sorted(self.multiplicities)
                          for copy in range(1, self.multiplicities[lam] + 1)]
-        self.object = SumObject(tuple((lam,) for lam, _ in self.summands),
-                                tuple(self.summands))
+        self.object = SumObject(tuple((lam,) for lam, _ in self.summands))
         self.square = sum_product(self.object, self.object)
         self.d_theta = float(sum(model.qdim[lam] for lam, _ in self.summands))
 

@@ -18,6 +18,7 @@ import numpy as np
 from qsystems import catalog
 from qsystems.induction import (
     AlgebraObject,
+    algebra_from_coefficients,
     Bimod,
     BimodMap,
     bim_compose,
@@ -52,6 +53,7 @@ from qsystems.morphisms import (
     _pairs,
     _run_starts,
 )
+from qsystems.fusion import FusionData
 from qsystems.modular import ModularPair
 from qsystems.qsystem import QSystem, ThetaSpec
 
@@ -424,10 +426,10 @@ def dim_word(model: CategoryModel, c: int, word) -> int:
 
 def injection(model: CategoryModel, obj: SumObject, k: int) -> Morphism:
     """Isometry of the k-th summand into `obj` (the W_k of a direct sum)."""
-    src = SumObject((obj.words[k],), (obj.tags[k],))
+    src = SumObject((obj.words[k],))
     blocks = {}
     for c in range(model.rank):
-        offs = model.obj_offsets(c, obj)
+        offs = model.sector_offsets(obj)[c]
         B = np.zeros((offs[-1], offs[k + 1] - offs[k]), dtype=complex)
         B[offs[k]:offs[k + 1], :] = np.eye(offs[k + 1] - offs[k])
         blocks[c] = B
@@ -491,7 +493,7 @@ def _strip_prefix(obj: SumObject, word) -> SumObject:
     for w in obj.words:
         if w[:k] != word:
             raise ObjectMismatchError(f"object {obj!r} is not left divisible by {word}")
-    return SumObject(tuple(w[k:] for w in obj.words), obj.tags)
+    return SumObject(tuple(w[k:] for w in obj.words))
 
 
 def _strip_suffix(obj: SumObject, word) -> SumObject:
@@ -499,7 +501,7 @@ def _strip_suffix(obj: SumObject, word) -> SumObject:
     for w in obj.words:
         if k and w[-k:] != word:
             raise ObjectMismatchError(f"object {obj!r} is not right divisible by {word}")
-    return SumObject(tuple(w[:len(w) - k] for w in obj.words), obj.tags)
+    return SumObject(tuple(w[:len(w) - k] for w in obj.words))
 
 
 def left_inverse(model: CategoryModel, word, f: Morphism) -> Morphism:
@@ -716,3 +718,41 @@ def verlinde_fusion(pair: ModularPair, tol: float = 1e-6) -> np.ndarray:
     if np.max(np.abs(N.imag)) > tol or np.max(np.abs(N.real - np.round(N.real))) > tol:
         raise ValueError("Verlinde numbers are not integral; S is not modular fusion data")
     return np.round(N.real).astype(int)
+
+
+def twist_oracle(model: CategoryModel, lam: int) -> complex:
+    """theta(lam) as the categorical trace of the braiding morphism eps(lam, lam),
+    over d(lam): the oracle of ``twist``, which reads the R table."""
+    w = word_obj((lam,))
+    return categorical_trace(braid(model, w, w)) / model.qdim[lam]
+
+
+# -- pointed categories C(Z_n, p) ------------------------------------------------
+
+
+def pointed(n: int, p: int) -> CategoryModel:
+    """C(Z_n, p): labels a in Z_n with a x b = a + b, trivial F and
+    R(a, b; a + b) = exp(2 pi i p a b / n).  The braiding is nondegenerate
+    exactly when 2p is prime to n."""
+    a = np.arange(n)
+    N = np.zeros((n, n, n), dtype=int)
+    N[a[:, None], a, (a[:, None] + a) % n] = 1
+    fus = FusionData([str(x) for x in range(n)], (-a) % n, N, np.ones(n))
+    return CategoryModel(fus, lambda *_: np.eye(1, dtype=complex),
+                         lambda x, y, _: np.array([[np.exp(2j * np.pi * p * x * y / n)]]),
+                         name=f"Z{n}_p{p}")
+
+
+def subgroup_algebra(model: CategoryModel, g: int) -> AlgebraObject:
+    """The group algebra of the subgroup H = <g> of Z_n (g divides n) in
+    :func:`pointed`: one summand per element of H, every coefficient 1."""
+    theta = ThetaSpec(model, {h: 1 for h in range(0, model.rank, g)})
+    return algebra_from_coefficients(theta, dict.fromkeys(theta.slots, 1.0))
+
+
+def pointed_coupling(n: int, p: int, g: int) -> np.ndarray:
+    """Z[lam, mu] = [mu - lam in H] [lam + mu in H^perp] for H = <g>, where
+    H^perp = {x : p x h = 0 mod n for all h in H}."""
+    a = np.arange(n)
+    diff, total = (a[None, :] - a[:, None]) % n, (a[:, None] + a[None, :]) % n
+    return ((diff % g == 0) & (p * total * g % n == 0)).astype(int)

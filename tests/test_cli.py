@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsystems.cli import main
 from qsystems.io import load_algebra, load_category, read_matrix, save_algebra, save_category, write_matrix
@@ -132,6 +136,102 @@ def test_verify_category_duplicate_entry(data_dir, tmp_path, capsys, edit):
     assert run(["verify-category", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "duplicate" in err
+
+
+def test_verify_category_multiplicity_too_large_for_an_integer(data_dir, tmp_path, capsys):
+    # N[0, 0, 0] = 2^70 overflowed the int64 fusion tensor with a traceback
+    doc = json.loads((data_dir / "ising.cat").read_text())
+    doc["N"][0][3] = 2 ** 70
+    path = tmp_path / "big.cat"
+    path.write_text(json.dumps(doc))
+    assert run(["verify-category", path]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed category bundle")
+
+
+def test_verify_category_without_fusion_rules(data_dir, tmp_path, capsys):
+    # with no N entry no Hom(d, abc) has a tree, and the F table build took the
+    # max of an empty array with a traceback; the fusion axioms fail instead
+    doc = json.loads((data_dir / "trivial.cat").read_text())
+    doc["N"] = []
+    path = tmp_path / "empty.cat"
+    path.write_text(json.dumps(doc))
+    assert run(["verify-category", path]) == 1
+    assert "fusion violation [identity-right]" in capsys.readouterr().out
+
+
+# every bundle, with the category of an algebra file: a category file goes
+# through verify-category, an algebra file through build-ctps over its category
+MUTATED_BUNDLES = [(f"{name}.cat", None)
+                   for name in ["trivial", "fibonacci", "ising", "su2k4", "z2boson", "semion", "z4", "rep_a4"]]
+MUTATED_BUNDLES += [("z2.alg", "su2k4"), ("fibtau.alg", "fibonacci"), ("isingpsi.alg", "ising"),
+                    ("z4fermion.alg", "z4")]
+
+
+def _nodes(x, path=()):
+    """(path, value) of every value in a parsed bundle, containers included."""
+    yield path, x
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _is_label(path) -> bool:
+    """Whether a path holds a label: a sector of N, R, F (its trees' too) or
+    dual, or a summand of an algebra coefficient."""
+    if not path or path[0] not in ("N", "R", "F", "coefficients", "dual"):
+        return False
+    if path[0] == "dual":
+        return len(path) == 2
+    if path[0] == "F":
+        return (len(path) == 3 and path[2] < 4) or (len(path) == 4 and path[2] in (4, 5) and path[3] == 0)
+    return len(path) == 3 and path[2] < 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(bundle=st.sampled_from(MUTATED_BUNDLES),
+       kind=st.sampled_from(["drop", "duplicate", "label", "non-number", "truncate"]), data=st.data())
+def test_mutated_bundles_exit_cleanly(data_dir, bundle, kind, data):
+    # a bundle with an entry dropped or repeated, a label out of range, a
+    # number replaced by something else, or its text cut short: the command
+    # ends with an exit code (0 only where every check still passes), never
+    # with a traceback
+    name, category = bundle
+    text = (data_dir / name).read_text()
+    if kind == "truncate":
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    else:
+        doc = json.loads(text)
+        nodes = list(_nodes(doc))
+        if kind in ("drop", "duplicate"):
+            path = data.draw(st.sampled_from([p for p, v in nodes if isinstance(v, list) and v]))
+            entries = doc
+            for key in path:
+                entries = entries[key]
+            i = data.draw(st.integers(0, len(entries) - 1))
+            if kind == "drop":
+                del entries[i]
+            else:
+                entries.insert(i, json.loads(json.dumps(entries[i])))
+        else:
+            numbers = [p for p, v in nodes if isinstance(v, (int, float)) and not isinstance(v, bool)]
+            if kind == "label":
+                path, value = data.draw(st.sampled_from([p for p in numbers if _is_label(p)])), \
+                    data.draw(st.sampled_from([-1, 64, 2 ** 70]))
+            else:
+                path, value = data.draw(st.sampled_from(numbers)), data.draw(st.sampled_from(["x", None, [], {}]))
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        text = json.dumps(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text)
+        if category is None:
+            argv = ["verify-category", path]
+        else:
+            argv = ["build-ctps", data_dir / f"{category}.cat", "--alg", path]
+        assert run(argv) in (0, 1, 2)
 
 
 def test_missing_file_is_io_error(tmp_path):

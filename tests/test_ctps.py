@@ -18,14 +18,15 @@ from qsystems.ctps import (
     zeta_tensor,
 )
 from qsystems import catalog, induction
-from qsystems.induction import Bimod, _mult_map, lift, solve_haploid_algebra
+from qsystems.induction import Bimod, _mult_map, lift, solve_haploid_algebra, verify_algebra
 from qsystems.io import load_algebra
 from qsystems.modular import check_modular_invariant, compute_st
 from qsystems.morphisms import (adjoint, braid, compose, deligne_product, distance, mirror, mono_product,
-                                word_obj)
+                                validate_category, word_obj)
 from qsystems.qsystem import check_commutativity, lr_qsystem, validate_qsystem
 
-from oracles import gauged, rotate_bases, slot_coefficients, split_map, unconjugated, zeta_oracle
+from oracles import (gauged, pointed, pointed_coupling, rotate_bases, slot_coefficients, split_map,
+                     subgroup_algebra, unconjugated, zeta_oracle)
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -360,11 +361,16 @@ def test_nonlocal_algebra_doubles_have_identity_coupling(bundle_results):
         assert res.report.ok
 
 
-def test_modular_certificates(bundle_results, d4_result, d5_result, e6_result, d6_result, d8_result):
+def test_modular_certificates(bundle_results, d4_result, d5_result, e6_result, d6_result, d7_result,
+                              d8_result, pointed_results):
     # Z commutes with S and T (Boeckenhauer-Evans-Kawahigashi), and on a
     # modular input d(theta) is the global dimension sum_lam d_lam^2 (the full
-    # centre is Lagrangian); dim_identity only compares two orders of sum Z d d
-    for res in [*bundle_results.values(), d4_result, d5_result, e6_result, d6_result, d8_result]:
+    # centre is Lagrangian), which is N on the pointed C(Z_N, p); dim_identity
+    # only compares two orders of sum Z d d
+    pointed_modular = [res for (n, p, _), (*_, res) in pointed_results.items() if np.gcd(2 * p, n) == 1]
+    assert len(pointed_modular) == 4
+    for res in [*bundle_results.values(), d4_result, d5_result, e6_result, d6_result, d7_result,
+                d8_result, *pointed_modular]:
         model = res.pair.model
         st_pair = compute_st(model)
         assert st_pair.modular, model.name
@@ -407,6 +413,17 @@ def test_d5_ctps_pinned(d5_result):
     assert res.theta.d_theta == pytest.approx(_d_theta_from_z(res), abs=1e-9)
 
 
+def test_d7_ctps_pinned(d7_result):
+    # D7 at su2k10: the non-local simple current 0 + 10 gives the permutation
+    # invariant that swaps 1 and 9, 3 and 7
+    pi = [0, 9, 2, 7, 4, 5, 6, 3, 8, 1, 10]
+    res = d7_result
+    assert np.array_equal(res.Z, np.eye(11, dtype=int)[pi])
+    assert res.ok
+    assert res.normality.n2 and res.normality.n3 and res.normality.pi == pi
+    assert res.theta.d_theta == pytest.approx(_d_theta_from_z(res), abs=1e-9)
+
+
 def test_e6_ctps_pinned(e6_result):
     # E6 at su2k10 from the default Newton start: |x0+x6|^2 + |x3+x7|^2 + |x4+x10|^2
     res = e6_result
@@ -431,8 +448,46 @@ def d6_result():
 
 
 @pytest.fixture(scope="session")
+def d7_result():
+    return _simple_current_ctps(10)
+
+
+@pytest.fixture(scope="session")
 def d8_result():
     return _simple_current_ctps(12)
+
+
+# (N, p, g): C(Z_N, p) with the algebra of H = <g>, and the normality flags
+# (n2, n3) of its Z.  Modular where 2p is prime to N, degenerate otherwise
+POINTED = {(3, 1, 1): (True, True), (5, 2, 1): (True, True), (5, 1, 5): (True, True),
+           (9, 1, 3): (False, False), (4, 1, 2): (False, False), (6, 1, 3): (True, True),
+           (6, 1, 2): (True, True), (8, 1, 4): (False, False)}
+
+
+@pytest.fixture(scope="session")
+def pointed_results():
+    """build_ctps of every POINTED case, with the validation of its inputs."""
+    out = {}
+    for n, p, g in POINTED:
+        m = pointed(n, p)
+        a = subgroup_algebra(m, g)
+        out[n, p, g] = (validate_category(m), verify_algebra(a), build_ctps(alpha_pair(a), tol=1e-8))
+    return out
+
+
+@pytest.mark.parametrize("case", list(POINTED))
+def test_pointed_ctps_closed_form(pointed_results, case):
+    # C(Z_N, p) with the group algebra of a subgroup H: Z[lam, mu] is
+    # [mu - lam in H] [lam + mu in H^perp], on modular and degenerate inputs
+    cat, alg, res = pointed_results[case]
+    assert cat.ok, cat.residuals()
+    assert alg.ok, alg.residuals
+    assert res.ok, res.residuals()
+    assert np.array_equal(res.Z, pointed_coupling(*case))
+    n2, n3 = POINTED[case]
+    assert (res.normality.n2, res.normality.n3) == (n2, n3)
+    if n3:
+        assert np.array_equal(res.Z, np.eye(len(res.Z), dtype=int)[res.normality.pi])
 
 
 def _d_series(k):

@@ -11,7 +11,6 @@ from qsystems.induction import (
     bim_compose,
     bim_object,
     bimodule_hom,
-    hom_alpha,
     left_action,
     lift,
     mtimes,
@@ -95,28 +94,30 @@ def test_induced_dimensions_match_sectors(models, algebras):
             assert raw == pytest.approx(alg.d * su.qdim[lam], abs=1e-9)
 
 
+def induced_hom(a, lam, mu, sign1=+1, sign2=-1):
+    """Orthonormal basis of Hom(alpha^sign1_lam, alpha^sign2_mu)."""
+    return bimodule_hom(a, Bimod((lam,), (sign1,)), Bimod((mu,), (sign2,)))
+
+
 def test_trivial_algebra_hom_spaces(models):
     fib = models["fibonacci"]
     a = trivial_algebra(fib)
     for lam in range(2):
         for mu in range(2):
-            sp = hom_alpha(a, lam, mu)
-            assert sp.dim == (1 if lam == mu else 0)
-    sp = hom_alpha(a, 1, 1)
+            assert len(induced_hom(a, lam, mu)) == (1 if lam == mu else 0)
+    basis = induced_hom(a, 1, 1)
     # basis is the identity map of the underlying object, up to phase
-    assert distance(sp.basis[0].mor,
-                    identity_morphism(fib, sp.basis[0].mor.source)) < 1e-9
+    assert distance(basis[0].mor, identity_morphism(fib, basis[0].mor.source)) < 1e-9
 
 
 def test_identity_hom_space_both_plus(algebras):
-    sp = hom_alpha(algebras["z2"], 0, 0, +1, +1)
-    assert sp.dim == 1
+    assert len(induced_hom(algebras["z2"], 0, 0, +1, +1)) == 1
 
 
 def test_su2k4_hom_dimension_two(algebras):
-    sp = hom_alpha(algebras["z2"], 2, 2, +1, -1)
-    assert sp.dim == 2
-    gram = np.array([[trace_ip(f, g) for g in sp.basis] for f in sp.basis])
+    basis = induced_hom(algebras["z2"], 2, 2, +1, -1)
+    assert len(basis) == 2
+    gram = np.array([[trace_ip(f, g) for g in basis] for f in basis])
     assert np.allclose(gram, np.eye(2), atol=1e-10)
 
 
@@ -239,7 +240,7 @@ def test_product_maps_are_per_algebra(algebras, rng):
     alg = algebras["z2"]
     alg2 = _regauged(alg, rng)
     for a in (alg, alg2):
-        f, h = hom_alpha(a, 2, 2).basis[0], hom_alpha(a, 4, 4).basis[0]
+        f, h = induced_hom(a, 2, 2)[0], induced_hom(a, 4, 4)[0]
         assert module_residual(mtimes(f, h)) < 1e-12
         assert module_residual(mtimes(h, f)) < 1e-12
     shared = alg._maps.keys() & alg2._maps.keys()
@@ -255,9 +256,8 @@ def test_product_maps_are_per_algebra(algebras, rng):
 
 def test_product_calculus(algebras, rng):
     alg = algebras["z2"]
-    f = hom_alpha(alg, 2, 2).basis[0]
-    g = hom_alpha(alg, 2, 2).basis[1]
-    h = hom_alpha(alg, 4, 4).basis[0]
+    f, g = induced_hom(alg, 2, 2)
+    h = induced_hom(alg, 4, 4)[0]
     one = bim_identity(alg, Bimod((), ()))
     assert distance(mtimes(one, f).mor, f.mor) < 1e-12
     assert distance(mtimes(f, one).mor, f.mor) < 1e-12
@@ -271,7 +271,7 @@ def test_induced_left_inverse_is_standard(algebras):
     # normalized trace on endomorphisms of the induced sectors
     alg = algebras["z2"]
     for lam in [0, 2, 4]:
-        for b in hom_alpha(alg, lam, lam, +1, +1).basis:
+        for b in induced_hom(alg, lam, lam, +1, +1):
             assert abs(induced_left_inverse_scalar(b) - phi_scalar(b)) < 1e-10
 
 

@@ -47,7 +47,7 @@ from qsystems.io import load_algebra
 from oracles import (conjugate_oracle, conjugate_pair, dim_word, f_left, f_right, f_right_pos,
                      gauged, left_inverse, random_morphism, right_inverse, stacked_hexagon_oracle,
                      stacked_pentagon_oracle, stacked_unitarity_oracle, su2_f_oracle,
-                     word_conjugate_pair, word_dual)
+                     twist_oracle, word_conjugate_pair, word_dual)
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -387,6 +387,19 @@ def test_twists(models):
         assert twist(models["z4"], a) == pytest.approx(z8 ** (a * a))
 
 
+def test_twist_matches_braid_trace_oracle(models):
+    # twist reads sum_c d_c tr R(lam, lam; c) / d_lam from the R table; the
+    # oracle traces the braiding morphism, and the two agree bit for bit
+    cases = {name: m for name, m in models.items() if m.braided}
+    cases.update(su2k8=catalog.su2_level(8), su2k10=catalog.su2_level(10))
+    for name, m in cases.items():
+        for lam in range(m.rank):
+            got, want = twist(m, lam), twist_oracle(m, lam)
+            assert type(got) is type(want) and repr(got) == repr(want), (name, lam)
+    with pytest.raises(UnsupportedOperationError):
+        twist(CategoryModel(models["fibonacci"].fusion, models["fibonacci"].F), 1)
+
+
 # ---------------------------------------------------------------------------
 # derived models
 
@@ -427,8 +440,8 @@ def _oracle_sub_blocks(f, ks, kt):
     model = f.model
     out = {}
     for c in range(model.rank):
-        so = model.obj_offsets(c, f.source)
-        to = model.obj_offsets(c, f.target)
+        so = model.sector_offsets(f.source)[c]
+        to = model.sector_offsets(f.target)[c]
         out[c] = f.blocks[c][to[kt]:to[kt + 1], so[ks]:so[ks + 1]]
     return out
 
@@ -447,8 +460,8 @@ def oracle_rmul(f, right):
             fsub = _oracle_sub_blocks(f, ks, kt)
             for kb, wb in enumerate(right.words):
                 for c in range(model.rank):
-                    roff = model.obj_offsets(c, tgt)[kt * nb + kb]
-                    coff = model.obj_offsets(c, src)[ks * nb + kb]
+                    roff = model.sector_offsets(tgt)[c][kt * nb + kb]
+                    coff = model.sector_offsets(src)[c][ks * nb + kb]
                     row_pos = {p: i for i, p in enumerate(model.paths(c, wt + wb))}
                     col_pos = {p: i for i, p in enumerate(model.paths(c, ws + wb))}
                     for m in range(model.rank):
@@ -494,8 +507,8 @@ def oracle_lmul(left, f):
             fsub = _oracle_sub_blocks(f, ks, kt)
             for ka, wa in enumerate(left.words):
                 for c in range(model.rank):
-                    roff = model.obj_offsets(c, tgt)[ka * nt + kt]
-                    coff = model.obj_offsets(c, src)[ka * ns + ks]
+                    roff = model.sector_offsets(tgt)[c][ka * nt + kt]
+                    coff = model.sector_offsets(src)[c][ka * ns + ks]
                     row_pos = {p: i for i, p in enumerate(model.paths(c, wa + wt))}
                     col_pos = {p: i for i, p in enumerate(model.paths(c, wa + ws))}
                     for m in range(model.rank):
@@ -511,7 +524,7 @@ def oracle_lmul(left, f):
 
 
 def _sum_obj(*words):
-    return SumObject(tuple(tuple(w) for w in words), tuple(range(len(words))))
+    return SumObject(tuple(tuple(w) for w in words))
 
 
 def _assert_products_match_oracle(m, left, source, target, right, rng):
