@@ -21,6 +21,8 @@ phi_l x phi_m are built once per ordered pair of summands and kept on the
 are: since (phi_l x phi_m)* = phi_l* x phi_m* (the split map is
 mult* / d(Theta)), the trace above is the induced pairing of phi_l x phi_m
 with lift2(T_e2) phi_n lift1(T_e1)*, which needs no adjoint of the product.
+A lifted tree vertex 1_Theta x T_e is a set of columns of the F blocks
+F(theta_s, lam, mu; c), so zeta reads it from the F table.
 Everything downstream is checked, not trusted: the Q-system relations,
 isometry, chiral locality, the braiding fixed-point identity, and the
 normality predicates on Z.
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .morphisms import (CategoryModel, adjoint, braid, compose, deligne_product, distance, hom_basis,
+from .morphisms import (CategoryModel, _run_starts, _tree_rows, _trees, braid, deligne_product, distance,
                         mirror, word_obj)
 from .qsystem import QReport, QSystem, ThetaSpec, assemble_qsystem, check_commutativity, validate_qsystem
 from .induction import (
@@ -129,6 +131,40 @@ def trivial_pair(model: CategoryModel) -> ExtensionPair:
     return ExtensionPair(trivial_algebra(model), +1, -1)
 
 
+def _lifted_trees(model: CategoryModel, th: np.ndarray, lam: int, mu: int):
+    """(L, rows): every tree vertex of every Hom(t, lam mu), lifted to
+    1_Theta x T, where ``th`` holds the labels of the summands of Theta.
+
+    L[c, t, g] is block c of the lift of vertex g of Hom(t, lam mu), padded
+    with zeros.  Its rows are the basis of Theta lam mu at c: the left trees
+    of F(th_s, lam, mu; c), summand by summand.  Its columns are the basis of
+    Theta t at c: (s, h) with h < N[th_s, t, c].  On summand s the block is
+    the columns (t, g, h) of F(th_s, lam, mu; c), gathered from the F table.
+    rows[c] counts the rows at c.
+    """
+    N, rank, fl = model.N, model.rank, model._f_table()
+    # one block (c, s) per sector and summand of Theta, sector by sector
+    c, s = np.divmod(np.arange(rank * len(th)), len(th))
+    quad = np.stack([th[s], np.full_like(s, lam), np.full_like(s, mu), c], axis=1)
+    left, right = _tree_rows(N, *quad.T)
+    size = np.bincount(_trees(*left)[0], minlength=len(quad))
+    _, t, g, h = _trees(*right)
+    rows = np.bincount(c, weights=size, minlength=rank).astype(np.int64)
+    k = N[th].transpose(2, 0, 1)  # k[c, s, t] = N[th_s, t, c]
+    col = np.cumsum(k, axis=1) - k  # column of (s, 0) in the basis of Theta t
+    # entry (i, j) of every block with trees: left tree i, right tree j
+    at = np.flatnonzero(size)
+    m = size[at]
+    b = np.repeat(at, m * m)
+    loc = np.arange(len(b)) - np.repeat(_run_starts(m * m), m * m)
+    i, j = np.divmod(loc, size[b])
+    j += _run_starts(size)[b]
+    L = np.zeros((rank, rank, int(N.max()), int(rows.max()), int(k.sum(axis=1).max())), dtype=complex)
+    L[c[b], t[j], g[j], i + (_run_starts(size) - _run_starts(rows)[c])[b],
+      col[c[b], s[b], t[j]] + h[j]] = fl.table[np.repeat(fl.off[fl.find(quad[at])], m * m) + loc]
+    return L, rows
+
+
 def zeta_tensor(pair: ExtensionPair, d_theta: float) -> dict:
     """All nonzero fusion-compatible coefficients, keyed as :attr:`ThetaSpec.slots`.
 
@@ -139,47 +175,48 @@ def zeta_tensor(pair: ExtensionPair, d_theta: float) -> dict:
     coefficient is the trace formula of the module docstring.  By
     cyclicity, Phi_nu[T1* Q* T2 phi_n] = <Q, Y> / (d(Theta) d(nu1)) with
     Q = ``pair.product(l, m)`` (which :func:`check_e3` reads too),
-    Y = lift(T_e2, sign2) phi_n lift(T_e1*, sign1) and <Q, Y> the pairing
-    sum_c d_c tr(Q_c* Y_c).  The Y of every summand n and vertex pair
-    (e1, e2) are rows of one matrix per pair of summand labels, so each
-    summand pair (l, m) takes one matrix-vector product.
+    Y = L2 phi_n L1*, Lk the lift 1_Theta x T_ek of the tree vertex T_ek, and
+    <Q, Y> the pairing sum_c d_c tr(Q_c* Y_c).  Each lifted vertex is a set of
+    F columns (:func:`_lifted_trees`), so the Y of every summand n and vertex
+    pair (e1, e2) are one batched product per sector, the rows of one matrix
+    per pair of summand labels, and each summand pair (l, m) takes one
+    matrix-vector product.
     """
     model = pair.model
     a = pair.algebra
-    qdim = model.qdim
+    N, qdim, rank = model.N, model.qdim, model.rank
+    th = np.array([lam for lam, _ in a.theta.summands])
+    n1, n2 = (np.array([getattr(n, f) for n in pair.summands]) for f in ("lam1", "lam2"))
+    lifted = {}
+
+    def lifts(lam, mu):
+        if (lam, mu) not in lifted:
+            lifted[lam, mu] = _lifted_trees(model, th, lam, mu)
+        return lifted[lam, mu]
+
+    # phi[c, n]: block c of the basis map of summand n, padded as the lifts' columns
+    k = int(N[th].sum(axis=0).max())
+    phi = np.zeros((rank, len(pair.summands), k, k), dtype=complex)
+    for n, s in enumerate(pair.summands):
+        for c, B in pair.phi_of(s).mor.blocks.items():
+            phi[c, n, :B.shape[0], :B.shape[1]] = B
     out = {}
-
-    def lifted(nu, lam, mu):
-        """(lifts, adjoints): for each tree vertex T of Hom(nu, lam mu) the
-        morphism 1_Theta x T of lift(T), and its adjoint, that of lift(T*).
-        Neither depends on the sign of the lift, so the algebra keeps them
-        for every pair on it."""
-        def build():
-            up = [lift(a, t, +1).mor for t in hom_basis(model, nu, word_obj((lam, mu)))]
-            return up, [adjoint(t) for t in up]
-        return a._memo(("lifts", nu, lam, mu), build)
-
-    def weighted(f):
-        """The blocks of f, each scaled by d_c, in one row."""
-        return np.concatenate([qdim[c] * B.ravel() for c, B in f.blocks.items()])
 
     def pairing_rows(l, m):
         """(keys, Y) for the labels of the summands l and m: row r of Y is the
         weighted Y of the summand and vertex (n, e) = keys[r], times its prefactor."""
-        keys, rows = [], []
-        for k, n in enumerate(pair.summands):
-            if model.N[l.lam1, m.lam1, n.lam1] == 0 or model.N[l.lam2, m.lam2, n.lam2] == 0:
-                continue
-            phi_n = pair.phi_of(n).mor
-            pref = (np.sqrt(qdim[l.lam2] * qdim[m.lam2] / (d_theta * qdim[n.lam2]))
-                    / (a.d * qdim[n.lam1]))
-            second = lifted(n.lam2, l.lam2, m.lam2)[0]
-            for e1, t1 in enumerate(lifted(n.lam1, l.lam1, m.lam1)[1]):
-                right = compose(phi_n, t1)
-                for e2, t2 in enumerate(second):
-                    keys.append((k, e1 * len(second) + e2))
-                    rows.append(pref * weighted(compose(t2, right)))
-        return keys, np.array(rows)
+        c1, c2 = N[l.lam1, m.lam1, n1], N[l.lam2, m.lam2, n2]
+        kn = np.repeat(np.arange(len(n1)), c1 * c2)
+        e = np.arange(len(kn)) - np.repeat(_run_starts(c1 * c2), c1 * c2)
+        e1, e2 = np.divmod(e, c2[kn])
+        (L1, r1), (L2, r2) = lifts(l.lam1, m.lam1), lifts(l.lam2, m.lam2)
+        Y = L2[:, n2[kn], e2] @ phi[:, kn] @ L1[:, n1[kn], e1].conj().swapaxes(2, 3)
+        Y *= qdim[:, None, None, None]
+        live = ((np.arange(Y.shape[2]) < r2[:, None])[:, :, None]
+                & (np.arange(Y.shape[3]) < r1[:, None])[:, None, :])
+        pref = (np.sqrt(qdim[l.lam2] * qdim[m.lam2] / (d_theta * qdim[n2[kn]]))
+                / (a.d * qdim[n1[kn]]))
+        return list(zip(kn.tolist(), e.tolist())), pref[:, None] * Y.transpose(1, 0, 2, 3)[:, live]
 
     groups = {}
     for i, s in enumerate(pair.summands):

@@ -21,9 +21,8 @@ splitting map is the adjoint of the multiplication map over d(Theta).
 Each algebra keeps the maps that depend only on signed words
 (:meth:`AlgebraObject._memo`): the left and right actions of each induced
 bimodule, the multiplication map of each (signed word, plain word) pair,
-which serves as a splitting map too, and the lifts that
-:mod:`qsystems.ctps` reads, the tree vertices of zeta and the braidings of
-chiral locality.  Pairs of extensions on one algebra share them.
+which serves as a splitting map too, and the lifted braidings that
+chiral locality reads.  Pairs of extensions on one algebra share them.
 """
 
 from __future__ import annotations
@@ -86,8 +85,8 @@ class AlgebraObject:
     unit: np.ndarray
     coeffs: dict
     # maps built from (unit, mult) that depend only on signed words, see
-    # _memo: ("actions", Bimod), ("mult", Bimod, word), the lifted tree
-    # vertices ("lifts", nu, lam, mu) and braidings ("braid", lam, mu, sign)
+    # _memo: ("actions", Bimod), ("mult", Bimod, word) and the lifted
+    # braidings ("braid", lam, mu, sign)
     _maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _memo(self, key, build):

@@ -1329,9 +1329,11 @@ class ProductModel(CategoryModel):
         keys = []
         for m, q, (ks, ke, kf) in zip(self.factors, (q1, q2),
                                       ((self._n2 * b ** 4, b ** 3, b), (b ** 4, b ** 2, 1))):
-            left, right = _tree_rows(m.N, *q.T)
-            _, s, e, f = _trees(*map(np.concatenate, zip(left, right)))
-            keys.append((s * ks + e * ke + f * kf).reshape(2, len(q), -1))
+            side = []
+            for rows in _tree_rows(m.N, *q.T):
+                _, s, e, f = _trees(*rows)
+                side.append((s * ks + e * ke + f * kf).reshape(len(q), -1))
+            keys.append(np.stack(side))
         key = keys[0][..., :, None] + keys[1][..., None, :]
         return np.argsort(key.reshape(2, len(q1), -1), axis=2)
 

@@ -30,7 +30,9 @@ label, so repeated labels add up on one tree:
   on the right trees.  The rows of all triples stack to the theta^3 block.
 * Frobenius: B_c B_c^H against the theta^2 x theta^2 block whose entry at
   row (l, q; h) and column (p, k; e2) is sum_m sum_{e1, g}
-  conj(zeta[q; m, k, g]) conj(F[(lam_p, e1, e2), (lam_q, g, h)]) zeta[p; l, m, e1].
+  conj(zeta[q; m, k, g]) conj(F[(lam_p, e1, e2), (lam_q, g, h)]) zeta[p; l, m, e1],
+  formed on the basis rows of sector c by scattering the term of each pair
+  of trees.  A sector that holds no summand carries only this block.
 
 Triples (l, m, k; c) with no tree in Hom(c, lam_l lam_m lam_k) are skipped.
 :func:`_defects` forms these blocks; the validator takes their operator
@@ -55,6 +57,7 @@ from .morphisms import (
     CategoryModel,
     Morphism,
     SumObject,
+    _pairs,
     _trees,
     deligne_product,
     mirror,
@@ -200,6 +203,32 @@ def _norm(M: np.ndarray) -> float:
 
 
 _RELATIONS = ("unit_left", "unit_right", "coassociativity", "frobenius", "isometry", "w_isometry")
+# Cells in one batch of the F-move pass of _defects.  A triple counts 64 for
+# its labels, its candidate labels of the two inner vertices, its F entries
+# and at most that many Frobenius cells per pair of summands.  It bounds that
+# pass's working memory at any size.
+_RELATION_CELLS = 1 << 14
+
+
+def _triple_trees(n_lm, n_kc, n_lc, inner, c, l, k, m):
+    """((i, sig, e1, e2), (i, tau, g, h)): the left and right trees of
+    Hom(c, lam_l lam_m lam_k) for each triple i of the arrays, in the order of
+    :func:`~qsystems.morphisms._trees`, which is that of F's rows and columns.
+
+    ``inner`` = (start, count, label) lists the labels s with N[lam_l, lam_m, s]
+    > 0 in ascending order, those of the summand pair (l, m) at
+    start[l ns + m]:start[l ns + m] + count[l ns + m], so each triple reads only
+    those labels.
+    """
+    ns = len(n_lm)
+    start, count, label = inner
+    out = []
+    for a, b, x, outer in ((l, m, k, n_kc), (m, k, l, n_lc)):
+        i, at = _pairs(start[a * ns + b], count[a * ns + b])
+        s = label[at]
+        t, _, e, f = _trees(n_lm[a[i], b[i], s][:, None], outer[c[i], x[i], s][:, None])
+        out.append((i[t], s[t], e, f))
+    return out
 
 
 def _defects(theta: ThetaSpec, zeta: np.ndarray, w: np.ndarray, names=_RELATIONS) -> dict:
@@ -207,7 +236,14 @@ def _defects(theta: ThetaSpec, zeta: np.ndarray, w: np.ndarray, names=_RELATIONS
 
     ``zeta`` is w1 as :meth:`ThetaSpec.dense` lays it out and ``w`` is w over
     the summands, zero off the label 0.  Blocks follow the module docstring;
-    w_isometry has one 1 x 1 block.
+    w_isometry has one 1 x 1 block.  The unit, isometry and coassociativity
+    blocks are formed in the sectors that hold a summand, the only ones where
+    they have a nonzero size; the Frobenius block in every sector, on its
+    theta^2 basis rows, by scattering the term of each pair of trees.
+
+    F is gathered once per tree count over the triples of all sectors, in
+    batches of at most ``_RELATION_CELLS`` cells, and each batch serves both
+    coassociativity and the Frobenius blocks.
     """
     model = theta.model
     N, ns, rank = model.N, len(theta), model.rank
@@ -215,71 +251,128 @@ def _defects(theta: ThetaSpec, zeta: np.ndarray, w: np.ndarray, names=_RELATIONS
     ne = zeta.shape[3]
     member = np.zeros((rank, ns))  # member[s, p] = 1 if lam_p = s
     member[lab, np.arange(ns)] = 1.0
-    # N[lam_l, lam_m, s], N[s, lam_k, c] at [c, k, s] and N[lam_l, s, c] at
-    # [c, l, s]: each sector reads contiguous rows
+    count = np.bincount(lab, minlength=rank)  # the summands labelled s are first[s]:first[s] + count[s]
+    first = np.cumsum(count) - count
+    # N[lam_l, lam_m, s], N[s, lam_k, c] at [c, k, s] and N[lam_l, s, c] at [c, l, s]
     n_lm = N[np.ix_(lab, lab)]
     n_kc = np.ascontiguousarray(N[:, lab, :].transpose(2, 1, 0))
     n_lc = np.ascontiguousarray(N[lab].transpose(2, 0, 1))
-    # trees[l, m, c, k] = dim Hom(c, lam_l lam_m lam_k)
+    pair, label = np.divmod(np.flatnonzero(n_lm), rank)
+    span = np.bincount(pair, minlength=ns * ns)
+    inner = (np.cumsum(span) - span, span, label)
+    frobenius = "frobenius" in names
+    # the triples (c; l, k, m) with trees, sector by sector: in every sector
+    # for the Frobenius block, else in those with a summand; trees[l, m, c, k]
+    # = dim Hom(c, lam_l lam_m lam_k)
     trees = (n_lm.reshape(ns * ns, rank).astype(float)
              @ n_kc.reshape(rank * ns, rank).T).reshape(ns, ns, rank, ns)
-    frobenius = "frobenius" in names
-
+    c, l, k, m = np.nonzero(trees.transpose(2, 0, 3, 1))
+    if not frobenius:
+        c, l, k, m = (x[count[c] > 0] for x in (c, l, k, m))
+    size = trees[l, m, c, k].astype(np.int64)
+    del trees
+    lo = np.searchsorted(c, np.arange(rank + 1))  # sector c holds triples lo[c]:lo[c + 1]
+    held = count[c] > 0
+    moved = np.zeros(len(c), dtype=bool)
     out = {name: [] for name in _RELATIONS}
-    for c in range(rank):
-        P = np.flatnonzero(lab == c)
-        if not len(P) and not frobenius:
-            continue  # every other block has a column per summand labelled c
+    coassociativity = {}
+
+    def sector(s):
+        """The unit and isometry blocks of sector s, and (L, R, first row of
+        each triple) of its coassociativity; marks its moved triples."""
+        P = np.flatnonzero(lab == s)
         zc = zeta[P]
         # the sector block of w1: theta^2 rows (l, m, e) with e a tree vertex
-        basis = np.flatnonzero(np.arange(ne) < n_lm[:, :, c, None])
+        basis = np.flatnonzero(np.arange(ne) < n_lm[:, :, s, None])
         B = zc.reshape(len(P), ns * ns * ne)[:, basis].T
         one = theta.d_theta ** -0.5 * np.eye(len(P))
         out["unit_left"].append(np.einsum("p,apb->ba", w.conj(), zc[:, :, P, 0]) - one)
         out["unit_right"].append(np.einsum("p,abp->ba", w.conj(), zc[:, P, :, 0]) - one)
         out["isometry"].append(B.conj().T @ B - np.eye(len(P)))
-        l, k, m = np.nonzero(trees[:, :, c].transpose(0, 2, 1))
-        quads = np.stack([lab[l], lab[m], lab[k], np.full(len(l), c)], axis=1)
+        at = slice(lo[s], lo[s + 1])
+        ls, ks, ms = l[at], k[at], m[at]
         # every left tree (sig, e1, e2) and right tree (tau, g, h) of every
-        # triple, triple by triple; U and V are (w1 x 1) and (1 x w1) on the
-        # theta^2 columns (p, k; e2) and (l, q; h), which give L and R
-        ti, sig, e1, e2 = _trees(n_lm[l, m], n_kc[c, k])
-        tj, tau, g, h = _trees(n_lm[m, k], n_lc[c, l])
-        u = zeta[:, l[ti], m[ti], e1].T * member[sig]
-        v = zeta[:, m[tj], k[tj], g].T * member[tau]
-        L = np.einsum("tp,npt->tn", u, zc[:, :, k[ti], e2])
-        R = np.einsum("tq,tnq->tn", v, zc[:, l[tj], :, h])
+        # triple; u and v are (w1 x 1) and (1 x w1) on them, which give L and
+        # R on the columns n' labelled s
+        (ti, sig, e1, e2), (tj, tau, g, h) = _triple_trees(n_lm, n_kc, n_lc, inner, c[at], ls, ks, ms)
+        u = zeta[:, ls[ti], ms[ti], e1].T * member[sig]
+        v = zeta[:, ms[tj], ks[tj], g].T * member[tau]
+        L = np.einsum("tp,npt->tn", u, zc[:, :, ks[ti], e2])
+        R = np.einsum("tq,tnq->tn", v, zc[:, ls[tj], :, h])
+        # a triple whose (1 x w1) rows are all zero needs no F-move
+        moved[at] = np.bincount(tj, weights=v.any(axis=1), minlength=len(ls)) > 0
+        return L, R, np.cumsum(size[at]) - size[at]
+
+    def move(part, n):
+        """The F-move of the triples ``part``, each with n trees: subtract
+        F R from L, and add the Frobenius terms to the blocks."""
         if frobenius:
-            U = np.zeros((len(ti), ns, ne), dtype=complex)
-            U[np.arange(len(ti)), :, e2] = u
-            V = np.zeros((len(tj), ns, ne), dtype=complex)
-            V[np.arange(len(tj)), :, h] = v
-            # Frobenius terms, summed over m into frob[(l, k), (q, h), (p, e2)]
-            frob = np.zeros((ns * ns, ns * ne, ns * ne), dtype=complex)
-        # one F-move per triple whose (1 x w1) rows are not all zero, batched
-        # over triples with the same number of trees (a triple has as many
-        # right trees as left trees, so both run from start)
-        size = np.bincount(ti, minlength=len(l))
-        start = np.cumsum(size) - size
-        moved = np.bincount(tj, weights=v.any(axis=1), minlength=len(l)) > 0
-        for n in sorted(set(size[moved].tolist())):
-            batch = np.flatnonzero(moved & (size == n))
-            F = model.f_stack(quads[batch])
-            rows = start[batch][:, None] + np.arange(n)
-            L[rows] -= F @ R[rows]
-            if frobenius:
-                Ub, Vb = U[rows].reshape(len(batch), n, -1), V[rows].reshape(len(batch), n, -1)
-                terms = Vb.conj().transpose(0, 2, 1) @ (F.conj().transpose(0, 2, 1) @ Ub)
-                # batch keeps the (l, k, m) order, so each (l, k) is one run
-                lk = l[batch] * ns + k[batch]
-                first = np.flatnonzero(np.r_[True, lk[1:] != lk[:-1]])
-                frob[lk[first]] += np.add.reduceat(terms, first, axis=0)
+            (ti, sig, e1, e2), (tj, tau, g, h) = _triple_trees(
+                n_lm, n_kc, n_lc, inner, c[part], l[part], k[part], m[part])
+            # the summands p labelled sig of each left tree and q labelled
+            # tau of each right tree, with zeta[p; l, m, e1] and zeta[q; m, k, g]
+            x, p = _pairs(first[sig], count[sig])
+            y, q = _pairs(first[tau], count[tau])
+            uv = zeta[p, l[part][ti[x]], m[part][ti[x]], e1[x]]
+            vv = zeta[q, m[part][tj[y]], k[part][tj[y]], g[y]]
+            # a triple in a sector without a summand is moved if a v is not 0
+            off = ~held[part]
+            moved[part[off]] = (np.bincount(tj[y], weights=vv != 0, minlength=len(part)) > 0)[off]
+            live = moved[part]
+            part = part[live]
+        if not len(part):
+            return
+        F = model.f_stack(np.stack([lab[l[part]], lab[m[part]], lab[k[part]], c[part]], axis=1))
+        for s in sorted(set(c[part].tolist()) & coassociativity.keys()):
+            L, R, rows = coassociativity[s]
+            on = c[part] == s
+            rows = rows[part[on] - lo[s]][:, None] + np.arange(n)
+            L[rows] -= F[on] @ R[rows]
+        if frobenius:
+            # each nonzero u and v of one triple t make a cell: the term
+            # conj(v) conj(F[a, b]) u at row (l, q, h) and column (p, k, e2)
+            t = np.cumsum(live) - 1  # the position in F of each live triple
+            x, p, uv = (a[(uv != 0) & live[ti[x]]] for a in (x, p, uv))
+            y, q, vv = (a[(vv != 0) & live[tj[y]]] for a in (y, q, vv))
+            nu = np.bincount(t[ti[x]], minlength=len(part))
+            nv = np.bincount(t[tj[y]], minlength=len(part))
+            i, xi = _pairs(np.cumsum(nu) - nu, nu)
+            j, yi = _pairs((np.cumsum(nv) - nv)[i], nv[i])
+            xi, i = xi[j], i[j]
+            x, y = x[xi], y[yi]
+            cs = c[part][i]
+            cell = at[cs] + (pos[cs, l[part][i] * ns + q[yi]] + h[y]) * dim[cs]
+            cell += pos[cs, p[xi] * ns + k[part][i]] + e2[x]
+            np.add.at(frob, cell, np.conj(vv[yi] * F.reshape(-1)[(i * n + x % n) * n + y % n]) * uv[xi])
+
+    for s in np.flatnonzero(count).tolist():
+        coassociativity[s] = sector(s)
+    if frobenius:
+        # row (l, m, e) of the theta^2 basis of sector c is pos[c, l ns + m] + e,
+        # and the block of c is frob[at[c]:at[c + 1]], row-major
+        dim = n_lm.sum(axis=(0, 1))
+        flat = n_lm.reshape(ns * ns, rank).T
+        pos = np.cumsum(flat, axis=1) - flat
+        at = np.append(0, np.cumsum(dim * dim))
+        frob = np.zeros(at[-1], dtype=complex)
+    # the moved triples, in batches of one tree count (a triple has as many
+    # right trees as left trees, so both run from its first row) and of
+    # about _RELATION_CELLS cells
+    for n in sorted(set(size.tolist())):
+        batch = np.flatnonzero((moved | (frobenius & ~held)) & (size == n))
+        cells = (64 + span[l[batch] * ns + m[batch]] + span[m[batch] * ns + k[batch]]
+                 + n * n * (1 + frobenius * int(count.max()) ** 2))
+        part = (np.cumsum(cells) - cells) // _RELATION_CELLS
+        edges = np.r_[0, np.flatnonzero(np.diff(part)) + 1, len(batch)].tolist()
+        for a, b in zip(edges[:-1], edges[1:]):
+            move(batch[a:b], n)
+    for L, _, _ in coassociativity.values():
         out["coassociativity"].append(L)
-        if frobenius:
-            # back to theta^2 basis order (l, q, h) x (p, k, e2), dropping padded slots
-            frob = frob.reshape(ns, ns, ns, ne, ns, ne).transpose(0, 2, 3, 4, 1, 5)
-            frob = frob.reshape(ns * ns * ne, -1)[np.ix_(basis, basis)]
-            out["frobenius"].append(B @ B.conj().T - frob)
+    for s in np.flatnonzero(dim).tolist() if frobenius else []:
+        P = np.flatnonzero(lab == s)
+        basis = np.flatnonzero(np.arange(ne) < n_lm[:, :, s, None])
+        B = zeta[P].reshape(len(P), ns * ns * ne)[:, basis].T
+        out["frobenius"].append(B @ B.conj().T - frob[at[s]:at[s + 1]].reshape(dim[s], dim[s]))
     out["w_isometry"].append(np.array([[np.vdot(w, w) - 1.0]]))
     return {name: out[name] for name in names}
 
