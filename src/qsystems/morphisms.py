@@ -802,6 +802,16 @@ class _Blocks:
             self._views[key] = out
         return out
 
+    def conj(self) -> "_Blocks":
+        """The same blocks conjugated: one new table, the keys and offsets shared."""
+        out = object.__new__(_Blocks)
+        for name in ("keys", "off", "size", "finite", "_dims", "_code"):
+            setattr(out, name, getattr(self, name))
+        out.table = np.conj(self.table)
+        out.table.flags.writeable = False
+        out._views = {}
+        return out
+
     def find(self, keys: np.ndarray) -> np.ndarray:
         """Block number of each label row of ``keys``; every row must have a block."""
         return np.searchsorted(self._code, np.ravel_multi_index(tuple(keys.T), self._dims))
@@ -1239,9 +1249,12 @@ def mirror(model: CategoryModel) -> CategoryModel:
     an intertwiner T to its opposite is antilinear and maps tree bases to
     tree bases, so all structure constants conjugate.
     """
-    f = lambda a, b, c, d: np.conj(model.F(a, b, c, d))
-    r = (lambda a, b, c: np.conj(model.R(a, b, c))) if model.braided else None
-    return CategoryModel(model.fusion, f, r, name=model.name + "_op")
+    held = model._held()
+    out = CategoryModel(model.fusion, None, name=model.name + "_op")
+    out._f = held._f_table().conj()
+    if model.braided:
+        out.braided, out._r = True, held._r_table().conj()
+    return out
 
 
 class ProductModel(CategoryModel):

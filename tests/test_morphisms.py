@@ -1080,3 +1080,16 @@ def test_f_product_matches_entry_loop(models, rng):
                     assert got.shape == (len(batch), n, n), (D.name, n)
                     for quad, F in zip(batch.tolist(), got):
                         assert np.abs(F - want[tuple(quad)]).max() <= 1e-15, (D.name, quad)
+
+
+def test_mirror_holds_conjugated_tables(models):
+    # mirror copies the model's F and R tables conjugated, under the same keys
+    for name, m in models.items():
+        op = mirror(m)
+        for key in _tree_counts(m.N)[0].tolist():
+            got, want = op.F(*key), np.conj(m.F(*key))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, key)
+        if m.braided:
+            for key in np.argwhere(m.N).tolist():
+                got, want = op.R(*key), np.conj(m.R(*key))
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, key)
