@@ -139,10 +139,11 @@ def _lifted_trees(model: CategoryModel, th: np.ndarray, lam: int, mu: int):
     with zeros.  Its rows are the basis of Theta lam mu at c: the left trees
     of F(th_s, lam, mu; c), summand by summand.  Its columns are the basis of
     Theta t at c: (s, h) with h < N[th_s, t, c].  On summand s the block is
-    the columns (t, g, h) of F(th_s, lam, mu; c), gathered from the F table.
-    rows[c] counts the rows at c.
+    the columns (t, g, h) of F(th_s, lam, mu; c), gathered by
+    :meth:`~qsystems.morphisms.CategoryModel.f_stack` one block size at a
+    time.  rows[c] counts the rows at c.
     """
-    N, rank, fl = model.N, model.rank, model._f_table()
+    N, rank = model.N, model.rank
     # one block (c, s) per sector and summand of Theta, sector by sector
     c, s = np.divmod(np.arange(rank * len(th)), len(th))
     quad = np.stack([th[s], np.full_like(s, lam), np.full_like(s, mu), c], axis=1)
@@ -152,16 +153,15 @@ def _lifted_trees(model: CategoryModel, th: np.ndarray, lam: int, mu: int):
     rows = np.bincount(c, weights=size, minlength=rank).astype(np.int64)
     k = N[th].transpose(2, 0, 1)  # k[c, s, t] = N[th_s, t, c]
     col = np.cumsum(k, axis=1) - k  # column of (s, 0) in the basis of Theta t
-    # entry (i, j) of every block with trees: left tree i, right tree j
-    at = np.flatnonzero(size)
-    m = size[at]
-    b = np.repeat(at, m * m)
-    loc = np.arange(len(b)) - np.repeat(_run_starts(m * m), m * m)
-    i, j = np.divmod(loc, size[b])
-    j += _run_starts(size)[b]
+    row = _run_starts(size) - _run_starts(rows)[c]  # the row of left tree 0 of each block
     L = np.zeros((rank, rank, int(N.max()), int(rows.max()), int(k.sum(axis=1).max())), dtype=complex)
-    L[c[b], t[j], g[j], i + (_run_starts(size) - _run_starts(rows)[c])[b],
-      col[c[b], s[b], t[j]] + h[j]] = fl.table[np.repeat(fl.off[fl.find(quad[at])], m * m) + loc]
+    # entry (i, j) of every block of n trees: left tree i, right tree j
+    for n in set(size.tolist()) - {0}:
+        at = np.flatnonzero(size == n)
+        b = np.repeat(at, n * n)
+        i, j = np.divmod(np.tile(np.arange(n * n), len(at)), n)
+        j += _run_starts(size)[b]
+        L[c[b], t[j], g[j], i + row[b], col[c[b], s[b], t[j]] + h[j]] = model.f_stack(quad[at]).ravel()
     return L, rows
 
 

@@ -214,6 +214,13 @@ class CategoryModel:
         """A model that holds its F and R tables: this one."""
         return self
 
+    @staticmethod
+    def _over(fusion: FusionData, f: "_Blocks", r: "_Blocks | None", name: str) -> "CategoryModel":
+        """A model over the F table ``f`` and the R table ``r`` (None: unbraided)."""
+        out = CategoryModel(fusion, None, name=name)
+        out._f, out._r, out.braided = f, r, r is not None
+        return out
+
     # -- tree bases --------------------------------------------------------
 
     def tails(self, b, word, c):
@@ -731,18 +738,24 @@ def _tree_counts(N: np.ndarray):
     return np.stack(at, axis=1), left[at], right[at]
 
 
-def _trees(inner: np.ndarray, outer: np.ndarray):
+def _trees(inner: np.ndarray, outer: np.ndarray, i=None, s=None):
     """Two-vertex trees (i, s, e, f) with e < inner[i, s] and f < outer[i, s].
 
     Rows i of ``inner`` and ``outer`` are independent problems; the trees of
     each run over (s, e, f) lexicographically.  This is the tree order of
-    every F block: :func:`_tree_rows` gives its rows.
+    every F block: :func:`_tree_rows` gives its rows.  Given ``i`` and ``s``,
+    ``inner`` and ``outer`` are flat instead, entry j standing at (i[j], s[j]),
+    in that order; labels s that are left out have no trees.
     """
     w = inner * outer
     at = np.flatnonzero(w)
     n = w.ravel()[at]
-    i, s = np.divmod(np.repeat(at, n), w.shape[1])
-    e, f = np.divmod(np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n), outer[i, s])
+    at = np.repeat(at, n)
+    if i is None:
+        i, s = np.divmod(at, w.shape[1])
+    else:
+        i, s = i[at], s[at]
+    e, f = np.divmod(np.arange(len(at)) - np.repeat(np.cumsum(n) - n, n), outer.ravel()[at])
     return i, s, e, f
 
 
@@ -1250,11 +1263,8 @@ def mirror(model: CategoryModel) -> CategoryModel:
     tree bases, so all structure constants conjugate.
     """
     held = model._held()
-    out = CategoryModel(model.fusion, None, name=model.name + "_op")
-    out._f = held._f_table().conj()
-    if model.braided:
-        out.braided, out._r = True, held._r_table().conj()
-    return out
+    r = held._r_table().conj() if model.braided else None
+    return CategoryModel._over(model.fusion, held._f_table().conj(), r, model.name + "_op")
 
 
 class ProductModel(CategoryModel):
@@ -1318,11 +1328,8 @@ class ProductModel(CategoryModel):
     def _held(self) -> CategoryModel:
         """A base model over this product's F and R tables, built once each,
         for a caller that runs several checks and then drops it."""
-        held = CategoryModel(self.fusion, None, name=self.name)
-        held._f, held.braided = self._f_table(), self.braided
-        if self.braided:
-            held._r = self._r_table()
-        return held
+        r = self._r_table() if self.braided else None
+        return CategoryModel._over(self.fusion, self._f_table(), r, self.name)
 
     def _tree_map(self, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
         """(rows, cols): for each pair of factor label rows of ``q1`` and

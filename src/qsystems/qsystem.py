@@ -198,37 +198,24 @@ class QReport:
         return "\n".join(lines)
 
 
-def _norm(M: np.ndarray) -> float:
-    return float(np.linalg.norm(M, 2)) if M.size else 0.0
+def _worst(blocks) -> float:
+    """The largest operator norm of the blocks (0 if none has an entry): one
+    batched SVD per block shape and dtype, as np.linalg.norm(B, 2) takes it."""
+    like = {}
+    for B in blocks:
+        if B.size:
+            like.setdefault((B.shape, B.dtype), []).append(B)
+    return max((float(np.linalg.svd(np.stack(bs), compute_uv=False)[:, 0].max())
+                for bs in like.values()), default=0.0)
 
 
 _RELATIONS = ("unit_left", "unit_right", "coassociativity", "frobenius", "isometry", "w_isometry")
-# Cells in one batch of the F-move pass of _defects.  A triple counts 64 for
-# its labels, its candidate labels of the two inner vertices, its F entries
-# and at most that many Frobenius cells per pair of summands.  It bounds that
-# pass's working memory at any size.
-_RELATION_CELLS = 1 << 14
-
-
-def _triple_trees(n_lm, n_kc, n_lc, inner, c, l, k, m):
-    """((i, sig, e1, e2), (i, tau, g, h)): the left and right trees of
-    Hom(c, lam_l lam_m lam_k) for each triple i of the arrays, in the order of
-    :func:`~qsystems.morphisms._trees`, which is that of F's rows and columns.
-
-    ``inner`` = (start, count, label) lists the labels s with N[lam_l, lam_m, s]
-    > 0 in ascending order, those of the summand pair (l, m) at
-    start[l ns + m]:start[l ns + m] + count[l ns + m], so each triple reads only
-    those labels.
-    """
-    ns = len(n_lm)
-    start, count, label = inner
-    out = []
-    for a, b, x, outer in ((l, m, k, n_kc), (m, k, l, n_lc)):
-        i, at = _pairs(start[a * ns + b], count[a * ns + b])
-        s = label[at]
-        t, _, e, f = _trees(n_lm[a[i], b[i], s][:, None], outer[c[i], x[i], s][:, None])
-        out.append((i[t], s[t], e, f))
-    return out
+# Cells (8-byte words) in one batch of the tree pass of _defects.  A triple
+# with n trees counts 64 for its labels and its F gather, n ns (4 + 2 P) for
+# its u and v rows and coassociativity operands, and n^2 (2 + 12 P^2) for its
+# F block and its Frobenius terms, with P the most summands of one label.
+# It bounds that pass's working memory at any size.
+_RELATION_CELLS = 1 << 18
 
 
 def _defects(theta: ThetaSpec, zeta: np.ndarray, w: np.ndarray, names=_RELATIONS) -> dict:
@@ -241,25 +228,28 @@ def _defects(theta: ThetaSpec, zeta: np.ndarray, w: np.ndarray, names=_RELATIONS
     they have a nonzero size; the Frobenius block in every sector, on its
     theta^2 basis rows, by scattering the term of each pair of trees.
 
-    F is gathered once per tree count over the triples of all sectors, in
-    batches of at most ``_RELATION_CELLS`` cells, and each batch serves both
-    coassociativity and the Frobenius blocks.
+    The triples of all sectors are taken in batches of one tree count and at
+    most ``_RELATION_CELLS`` cells.  Each batch enumerates its trees once and
+    gathers F once, for the triples whose (1 x w1) rows are not all zero, and
+    serves both coassociativity and the Frobenius blocks.
     """
     model = theta.model
     N, ns, rank = model.N, len(theta), model.rank
-    lab = np.array([lam for lam, _ in theta.summands], dtype=np.int64)
+    lab = np.array([lam for lam, _ in theta.summands])
     ne = zeta.shape[3]
     member = np.zeros((rank, ns))  # member[s, p] = 1 if lam_p = s
     member[lab, np.arange(ns)] = 1.0
-    count = np.bincount(lab, minlength=rank)  # the summands labelled s are first[s]:first[s] + count[s]
-    first = np.cumsum(count) - count
-    # N[lam_l, lam_m, s], N[s, lam_k, c] at [c, k, s] and N[lam_l, s, c] at [c, l, s]
+    count = np.bincount(lab, minlength=rank)
+    # N[lam_l, lam_m, s], N[s, lam_k, c] at [c, k, s] and N[lam_l, s, c] at
+    # [c, l, s]: each triple reads contiguous rows
     n_lm = N[np.ix_(lab, lab)]
     n_kc = np.ascontiguousarray(N[:, lab, :].transpose(2, 1, 0))
     n_lc = np.ascontiguousarray(N[lab].transpose(2, 0, 1))
+    # the labels s with N[lam_l, lam_m, s] > 0, those of (l, m) at
+    # start[l ns + m]:start[l ns + m] + span[l ns + m]
     pair, label = np.divmod(np.flatnonzero(n_lm), rank)
     span = np.bincount(pair, minlength=ns * ns)
-    inner = (np.cumsum(span) - span, span, label)
+    start = np.cumsum(span) - span
     frobenius = "frobenius" in names
     # the triples (c; l, k, m) with trees, sector by sector: in every sector
     # for the Frobenius block, else in those with a summand; trees[l, m, c, k]
@@ -271,82 +261,23 @@ def _defects(theta: ThetaSpec, zeta: np.ndarray, w: np.ndarray, names=_RELATIONS
         c, l, k, m = (x[count[c] > 0] for x in (c, l, k, m))
     size = trees[l, m, c, k].astype(np.int64)
     del trees
+    # the first row of each triple in the coassociativity block of its sector
     lo = np.searchsorted(c, np.arange(rank + 1))  # sector c holds triples lo[c]:lo[c + 1]
-    held = count[c] > 0
-    moved = np.zeros(len(c), dtype=bool)
+    first = np.cumsum(size) - size
+    first -= first[lo[c]]
     out = {name: [] for name in _RELATIONS}
-    coassociativity = {}
-
-    def sector(s):
-        """The unit and isometry blocks of sector s, and (L, R, first row of
-        each triple) of its coassociativity; marks its moved triples."""
+    coassociativity, isometry_rows = {}, {}
+    for s in np.flatnonzero(count).tolist():
         P = np.flatnonzero(lab == s)
         zc = zeta[P]
         # the sector block of w1: theta^2 rows (l, m, e) with e a tree vertex
         basis = np.flatnonzero(np.arange(ne) < n_lm[:, :, s, None])
-        B = zc.reshape(len(P), ns * ns * ne)[:, basis].T
+        B = isometry_rows[s] = zc.reshape(len(P), ns * ns * ne)[:, basis].T
         one = theta.d_theta ** -0.5 * np.eye(len(P))
         out["unit_left"].append(np.einsum("p,apb->ba", w.conj(), zc[:, :, P, 0]) - one)
         out["unit_right"].append(np.einsum("p,abp->ba", w.conj(), zc[:, P, :, 0]) - one)
         out["isometry"].append(B.conj().T @ B - np.eye(len(P)))
-        at = slice(lo[s], lo[s + 1])
-        ls, ks, ms = l[at], k[at], m[at]
-        # every left tree (sig, e1, e2) and right tree (tau, g, h) of every
-        # triple; u and v are (w1 x 1) and (1 x w1) on them, which give L and
-        # R on the columns n' labelled s
-        (ti, sig, e1, e2), (tj, tau, g, h) = _triple_trees(n_lm, n_kc, n_lc, inner, c[at], ls, ks, ms)
-        u = zeta[:, ls[ti], ms[ti], e1].T * member[sig]
-        v = zeta[:, ms[tj], ks[tj], g].T * member[tau]
-        L = np.einsum("tp,npt->tn", u, zc[:, :, ks[ti], e2])
-        R = np.einsum("tq,tnq->tn", v, zc[:, ls[tj], :, h])
-        # a triple whose (1 x w1) rows are all zero needs no F-move
-        moved[at] = np.bincount(tj, weights=v.any(axis=1), minlength=len(ls)) > 0
-        return L, R, np.cumsum(size[at]) - size[at]
-
-    def move(part, n):
-        """The F-move of the triples ``part``, each with n trees: subtract
-        F R from L, and add the Frobenius terms to the blocks."""
-        if frobenius:
-            (ti, sig, e1, e2), (tj, tau, g, h) = _triple_trees(
-                n_lm, n_kc, n_lc, inner, c[part], l[part], k[part], m[part])
-            # the summands p labelled sig of each left tree and q labelled
-            # tau of each right tree, with zeta[p; l, m, e1] and zeta[q; m, k, g]
-            x, p = _pairs(first[sig], count[sig])
-            y, q = _pairs(first[tau], count[tau])
-            uv = zeta[p, l[part][ti[x]], m[part][ti[x]], e1[x]]
-            vv = zeta[q, m[part][tj[y]], k[part][tj[y]], g[y]]
-            # a triple in a sector without a summand is moved if a v is not 0
-            off = ~held[part]
-            moved[part[off]] = (np.bincount(tj[y], weights=vv != 0, minlength=len(part)) > 0)[off]
-            live = moved[part]
-            part = part[live]
-        if not len(part):
-            return
-        F = model.f_stack(np.stack([lab[l[part]], lab[m[part]], lab[k[part]], c[part]], axis=1))
-        for s in sorted(set(c[part].tolist()) & coassociativity.keys()):
-            L, R, rows = coassociativity[s]
-            on = c[part] == s
-            rows = rows[part[on] - lo[s]][:, None] + np.arange(n)
-            L[rows] -= F[on] @ R[rows]
-        if frobenius:
-            # each nonzero u and v of one triple t make a cell: the term
-            # conj(v) conj(F[a, b]) u at row (l, q, h) and column (p, k, e2)
-            t = np.cumsum(live) - 1  # the position in F of each live triple
-            x, p, uv = (a[(uv != 0) & live[ti[x]]] for a in (x, p, uv))
-            y, q, vv = (a[(vv != 0) & live[tj[y]]] for a in (y, q, vv))
-            nu = np.bincount(t[ti[x]], minlength=len(part))
-            nv = np.bincount(t[tj[y]], minlength=len(part))
-            i, xi = _pairs(np.cumsum(nu) - nu, nu)
-            j, yi = _pairs((np.cumsum(nv) - nv)[i], nv[i])
-            xi, i = xi[j], i[j]
-            x, y = x[xi], y[yi]
-            cs = c[part][i]
-            cell = at[cs] + (pos[cs, l[part][i] * ns + q[yi]] + h[y]) * dim[cs]
-            cell += pos[cs, p[xi] * ns + k[part][i]] + e2[x]
-            np.add.at(frob, cell, np.conj(vv[yi] * F.reshape(-1)[(i * n + x % n) * n + y % n]) * uv[xi])
-
-    for s in np.flatnonzero(count).tolist():
-        coassociativity[s] = sector(s)
+        coassociativity[s] = np.zeros((int(size[lo[s]:lo[s + 1]].sum()), len(P)), dtype=complex)
     if frobenius:
         # row (l, m, e) of the theta^2 basis of sector c is pos[c, l ns + m] + e,
         # and the block of c is frob[at[c]:at[c + 1]], row-major
@@ -355,23 +286,73 @@ def _defects(theta: ThetaSpec, zeta: np.ndarray, w: np.ndarray, names=_RELATIONS
         pos = np.cumsum(flat, axis=1) - flat
         at = np.append(0, np.cumsum(dim * dim))
         frob = np.zeros(at[-1], dtype=complex)
-    # the moved triples, in batches of one tree count (a triple has as many
-    # right trees as left trees, so both run from its first row) and of
-    # about _RELATION_CELLS cells
-    for n in sorted(set(size.tolist())):
-        batch = np.flatnonzero((moved | (frobenius & ~held)) & (size == n))
-        cells = (64 + span[l[batch] * ns + m[batch]] + span[m[batch] * ns + k[batch]]
-                 + n * n * (1 + frobenius * int(count.max()) ** 2))
-        part = (np.cumsum(cells) - cells) // _RELATION_CELLS
-        edges = np.r_[0, np.flatnonzero(np.diff(part)) + 1, len(batch)].tolist()
+
+    def trees(a, b, outer, cs, x):
+        """The trees (i, s, e, f) of the triples i, e < N[lam_a, lam_b, s] and
+        f < outer[c, x, s], read on the labels s of (a, b) only."""
+        i, at = _pairs(start[a * ns + b], span[a * ns + b])
+        s = label[at]
+        return _trees(n_lm[a[i], b[i], s], outer[cs[i], x[i], s], i, s)
+
+    def batch(part, n):
+        """The trees of the triples ``part``, each with n trees: their rows
+        of the coassociativity blocks, with one F-move per triple whose
+        (1 x w1) rows are not all zero, and their Frobenius terms."""
+        cp, lp, kp, mp = c[part], l[part], k[part], m[part]
+        # every left tree (sig, e1, e2) and right tree (tau, g, h) of every
+        # triple, triple by triple (n of each); u and v are (w1 x 1) and
+        # (1 x w1) on them, over the summands
+        ti, sig, e1, e2 = trees(lp, mp, n_kc, cp, kp)
+        u = zeta[:, lp[ti], mp[ti], e1].T * member[sig]
+        tj, tau, g, h = trees(mp, kp, n_lc, cp, lp)
+        v = zeta[:, mp[tj], kp[tj], g].T * member[tau]
+        del sig, e1, tau, g
+        live = np.bincount(tj, weights=v.any(axis=1), minlength=len(part)) > 0
+        if live.any():
+            F = model.f_stack(np.stack([lab[lp], lab[mp], lab[kp], cp], axis=1)[live])
+        at_f = np.cumsum(live) - 1  # the position in F of each live triple
+        # the triples of one sector are a run of part
+        edges = np.flatnonzero(np.r_[True, cp[1:] != cp[:-1], True]).tolist()
         for a, b in zip(edges[:-1], edges[1:]):
-            move(batch[a:b], n)
-    for L, _, _ in coassociativity.values():
-        out["coassociativity"].append(L)
+            block = coassociativity.get(int(cp[a]))
+            if block is None:
+                continue
+            zc = zeta[lab == cp[a]]
+            rows = slice(a * n, b * n)
+            L = np.einsum("tp,npt->tn", u[rows], zc[:, :, kp[ti[rows]], e2[rows]])
+            R = np.einsum("tq,tnq->tn", v[rows], zc[:, lp[tj[rows]], :, h[rows]])
+            on = np.flatnonzero(live[a:b])
+            if len(on):
+                moved = (on * n)[:, None] + np.arange(n)
+                L[moved] -= F[at_f[a + on]] @ R[moved]
+            block[(first[part[a:b]][:, None] + np.arange(n)).ravel()] = L
+        if frobenius and live.any():
+            # each nonzero u and v of one live triple make a cell: the term
+            # conj(v) conj(F[a, b]) u at row (l, q, h) and column (p, k, e2)
+            x, p = np.nonzero(u * live[ti, None])
+            y, q = np.nonzero(v * live[tj, None])
+            nu = np.bincount(ti[x], minlength=len(part))
+            nv = np.bincount(tj[y], minlength=len(part))
+            i, xi = _pairs(np.cumsum(nu) - nu, nu)
+            j, yi = _pairs((np.cumsum(nv) - nv)[i], nv[i])
+            i, x, p, y, q = i[j], x[xi[j]], p[xi[j]], y[yi], q[yi]
+            cs = cp[i]
+            cell = at[cs] + (pos[cs, lp[i] * ns + q] + h[y]) * dim[cs] + pos[cs, p * ns + kp[i]] + e2[x]
+            np.add.at(frob, cell, np.conj(v[y, q] * F.reshape(-1)[(at_f[i] * n + x % n) * n + y % n]) * u[x, p])
+
+    # the triples, in batches of one tree count (a triple has as many right
+    # trees as left trees, so both run from its first tree) and of about
+    # _RELATION_CELLS cells
+    most = int(count.max())
+    for n in sorted(set(size.tolist())):
+        one = np.flatnonzero(size == n)
+        cells = 64 + n * ns * (4 + 2 * most) + n * n * (2 + 12 * frobenius * most ** 2)
+        per = max(1, _RELATION_CELLS // cells)
+        for a in range(0, len(one), per):
+            batch(one[a:a + per], n)
+    out["coassociativity"] = list(coassociativity.values())
     for s in np.flatnonzero(dim).tolist() if frobenius else []:
-        P = np.flatnonzero(lab == s)
-        basis = np.flatnonzero(np.arange(ne) < n_lm[:, :, s, None])
-        B = zeta[P].reshape(len(P), ns * ns * ne)[:, basis].T
+        B = isometry_rows.get(s, np.zeros((dim[s], 0)))
         out["frobenius"].append(B @ B.conj().T - frob[at[s]:at[s + 1]].reshape(dim[s], dim[s]))
     out["w_isometry"].append(np.array([[np.vdot(w, w) - 1.0]]))
     return {name: out[name] for name in names}
@@ -383,7 +364,7 @@ def validate_qsystem(q: QSystem, tol: float = 1e-8) -> QReport:
     Each residual is the operator norm of the defect, computed from the
     coefficients of w and w1 by the formulas of the module docstring.
     """
-    res = {name: max(map(_norm, blocks))
+    res = {name: _worst(blocks)
            for name, blocks in _defects(q.theta, q.zeta, q.w).items()}
     irreducible = q.model.obj_dim(0, q.theta.object) == 1
     return QReport(residuals=res, irreducible=irreducible, tol=tol)
@@ -459,5 +440,4 @@ def check_commutativity(q: QSystem, eps: np.ndarray) -> float:
     defect = (eps @ q.zeta[..., None])[..., 0].transpose(0, 2, 1, 3) - q.zeta
     lab = np.array([lam for lam, _ in q.theta.summands])
     # a set, not np.unique(lab): on numpy 2.4 that imports numpy.ma (1.6 MB of peak RSS)
-    return max(_norm(defect[lab == c].reshape(np.count_nonzero(lab == c), -1).T)
-               for c in set(lab.tolist()))
+    return _worst(defect[lab == c].reshape(np.count_nonzero(lab == c), -1).T for c in set(lab.tolist()))

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qsystems import catalog
+from qsystems import catalog, induction
 from qsystems.ctps import alpha_pair
 from qsystems.induction import (
     Bimod,
@@ -344,6 +344,20 @@ def test_solved_algebras_at_rounding_level(algebras, d5_result, e6_result):
     for a in [*algebras.values(), d5_result.pair.algebra, e6_result.pair.algebra, d6]:
         rep = verify_algebra(a)
         assert max(rep.residuals.values()) < 1e-14, (a.theta, rep.residuals)
+
+
+@pytest.mark.parametrize("k, mult, seed, calls", [(8, {0: 1, 8: 1}, 0, 37), (10, {0: 1, 6: 1}, None, 94)])
+def test_newton_path_pinned_by_residual_count(monkeypatch, k, mult, seed, calls):
+    # D6 from default_rng(0) and E6 from the default start form the Newton
+    # residual this many times: a change to the residual's arithmetic that
+    # moves a step, or a Jacobian other than the central difference, changes
+    # the count
+    seen = []
+    real = induction._defects
+    monkeypatch.setattr(induction, "_defects", lambda *a, **kw: seen.append(1) or real(*a, **kw))
+    rng = None if seed is None else np.random.default_rng(seed)
+    assert verify_algebra(solve_haploid_algebra(catalog.su2_level(k), mult, rng=rng), tol=1e-9).ok
+    assert len(seen) == calls
 
 
 def test_hom_solver_needs_one_letter_source(algebras):

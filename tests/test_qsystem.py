@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -231,6 +232,26 @@ def test_product_model_holds_no_f_blocks(models):
         blocks = [k for memo in vars(D).values() if isinstance(memo, dict) for k, v in memo.items()
                   if isinstance(k, tuple) and len(k) == 4 and isinstance(v, np.ndarray)]
         assert D._f is None and not blocks, name
+
+
+def test_relations_memory_bounded_by_sector_blocks(models):
+    # a summand of multiplicity 6 (rep_a4, random coefficients; the relations
+    # need not hold): the tracemalloc peak of validate_qsystem stays within 8
+    # times the Frobenius sector blocks (sum_c basis_c^2 entries) plus 2 MiB,
+    # 64 B per cell of one batch of the tree pass (qsystem._RELATION_CELLS)
+    m = models["rep_a4"]
+    theta = ThetaSpec(m, {0: 1, 3: 6})
+    q = random_qsystem(theta, np.random.default_rng(0))
+    validate_qsystem(q)  # the F table is built outside the measurement
+    lab = [lam for lam, _ in theta.summands]
+    blocks = 16 * int((m.N[np.ix_(lab, lab)].sum(axis=(0, 1)) ** 2).sum())
+    tracemalloc.start()
+    try:
+        validate_qsystem(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * blocks + 2 ** 21, (peak, blocks)
 
 
 def test_validator_matches_oracle_on_ctps(algebras):
