@@ -165,13 +165,14 @@ def _lifted_trees(model: CategoryModel, th: np.ndarray, lam: int, mu: int):
     return L, rows
 
 
-def zeta_tensor(pair: ExtensionPair, d_theta: float) -> dict:
-    """All nonzero fusion-compatible coefficients, keyed as :attr:`ThetaSpec.slots`.
+def zeta_tensor(pair: ExtensionPair, d_theta: float) -> np.ndarray:
+    """The coefficient array zeta[n, l, m, e] of theta's w1.
 
-    A key is (n, l, m, e): the positions of the summands in ``pair.summands``,
-    which runs in the summand order of :func:`build_theta`, and the product
-    tree vertex e = e1 * N2 + e2 of the factor vertices e1 and e2, with N2
-    the second factor's multiplicity; missing keys are zero.  Each
+    n, l and m are the positions of the summands in ``pair.summands``, which
+    runs in the summand order of :func:`build_theta`, and e = e1 * N2 + e2 is
+    the product tree vertex of the factor vertices e1 and e2, with N2 the
+    second factor's multiplicity; the e axis is theta's (the most tree
+    vertices of a summand triple).  Exact zeros are stored as +0.  Each
     coefficient is the trace formula of the module docstring.  By
     cyclicity, Phi_nu[T1* Q* T2 phi_n] = <Q, Y> / (d(Theta) d(nu1)) with
     Q = ``pair.product(l, m)`` (which :func:`check_e3` reads too),
@@ -187,6 +188,7 @@ def zeta_tensor(pair: ExtensionPair, d_theta: float) -> dict:
     N, qdim, rank = model.N, model.qdim, model.rank
     th = np.array([lam for lam, _ in a.theta.summands])
     n1, n2 = (np.array([getattr(n, f) for n in pair.summands]) for f in ("lam1", "lam2"))
+    vertices = N[np.ix_(n1, n1, n1)] * N[np.ix_(n2, n2, n2)]
     lifted = {}
 
     def lifts(lam, mu):
@@ -200,11 +202,11 @@ def zeta_tensor(pair: ExtensionPair, d_theta: float) -> dict:
     for n, s in enumerate(pair.summands):
         for c, B in pair.phi_of(s).mor.blocks.items():
             phi[c, n, :B.shape[0], :B.shape[1]] = B
-    out = {}
+    out = np.zeros((len(n1),) * 3 + (max(1, int(vertices.max(initial=0))),), dtype=complex)
 
     def pairing_rows(l, m):
-        """(keys, Y) for the labels of the summands l and m: row r of Y is the
-        weighted Y of the summand and vertex (n, e) = keys[r], times its prefactor."""
+        """(kn, e, Y) for the labels of the summands l and m: row r of Y is the
+        weighted Y of the summand and vertex (kn[r], e[r]), times its prefactor."""
         c1, c2 = N[l.lam1, m.lam1, n1], N[l.lam2, m.lam2, n2]
         kn = np.repeat(np.arange(len(n1)), c1 * c2)
         e = np.arange(len(kn)) - np.repeat(_run_starts(c1 * c2), c1 * c2)
@@ -216,21 +218,19 @@ def zeta_tensor(pair: ExtensionPair, d_theta: float) -> dict:
                 & (np.arange(Y.shape[3]) < r1[:, None])[:, None, :])
         pref = (np.sqrt(qdim[l.lam2] * qdim[m.lam2] / (d_theta * qdim[n2[kn]]))
                 / (a.d * qdim[n1[kn]]))
-        return list(zip(kn.tolist(), e.tolist())), pref[:, None] * Y.transpose(1, 0, 2, 3)[:, live]
+        return kn, e, pref[:, None] * Y.transpose(1, 0, 2, 3)[:, live]
 
     groups = {}
     for i, s in enumerate(pair.summands):
         groups.setdefault((s.lam1, s.lam2), []).append(i)
     for li, mi in itertools.product(groups.values(), repeat=2):
-        keys, Y = pairing_rows(pair.summands[li[0]], pair.summands[mi[0]])
-        if not keys:
+        kn, e, Y = pairing_rows(pair.summands[li[0]], pair.summands[mi[0]])
+        if not len(kn):
             continue
         for i, j in itertools.product(li, mi):
             Q = pair.product(i, j).mor
-            vals = Y @ np.concatenate([B.ravel() for B in Q.blocks.values()]).conj()
-            for (k, e), val in zip(keys, vals.tolist()):
-                if val != 0.0:
-                    out[(k, i, j, e)] = val
+            out[kn, i, j, e] = Y @ np.concatenate([B.ravel() for B in Q.blocks.values()]).conj()
+    out[out == 0] = 0
     return out
 
 
@@ -248,11 +248,11 @@ def build_theta(D, Z: np.ndarray) -> ThetaSpec:
     return ThetaSpec(D, mult)
 
 
-def assemble_w1(D, theta: ThetaSpec, zeta: dict, pair: ExtensionPair) -> QSystem:
+def assemble_w1(D, theta: ThetaSpec, zeta: np.ndarray, pair: ExtensionPair) -> QSystem:
     """QSystem over the product category from the coefficients of :func:`zeta_tensor`.
 
-    ``zeta`` is keyed as ``theta.slots`` already, so neither ``D`` nor
-    ``pair`` is read.
+    ``zeta`` is laid out as theta's coefficient array already, so neither
+    ``D`` nor ``pair`` is read.
     """
     return assemble_qsystem(theta, zeta)
 
@@ -261,13 +261,12 @@ def ctps_braiding(D, theta: ThetaSpec) -> np.ndarray:
     """The braiding eps(theta, theta) on theta^2, as coefficients.
 
     eps[n, l, m] = R_D(lam_l, lam_m; lam_n), the braiding of the summand pair
-    (l, m) in sector lam_n, zero-padded to the e axis of
-    :meth:`ThetaSpec.dense`; :func:`~qsystems.qsystem.check_commutativity`
-    reads it.  On the product of a category with its antilinear opposite
+    (l, m) in sector lam_n, zero-padded to the e axis of theta's coefficient
+    array; :func:`~qsystems.qsystem.check_commutativity` reads it.  On the product of a category with its antilinear opposite
     this is the faithful model's braiding.
     """
-    lab = [lam for lam, _ in theta.summands]
-    ns, ne = len(lab), theta.vertices
+    lab = theta.labels.tolist()
+    ns, ne = len(lab), theta.live.shape[3]
     eps = np.zeros((ns, ns, ns, ne, ne), dtype=complex)
     for l, m, n in zip(*np.nonzero(D.N[np.ix_(lab, lab, lab)])):
         B = D.R(lab[l], lab[m], lab[n])
@@ -342,7 +341,7 @@ class CtpsResult:
     Z: np.ndarray
     theta: ThetaSpec
     qsystem: QSystem
-    zeta: dict
+    zeta: np.ndarray
     report: QReport
     e3_residual: float
     commutativity: float | None

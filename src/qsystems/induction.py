@@ -76,14 +76,15 @@ class AlgebraObject:
 
     ``unit`` is the isometry in Hom(id, Theta) as a vector over the summands,
     zero off the label 0, and ``coeffs`` are the coefficients of mult in
-    Hom(Theta^2, Theta), keyed as :attr:`ThetaSpec.slots` (missing keys are
-    zero).  mult is normalized so that mult (unit x 1) = 1 and mult mult* =
-    d(Theta); equivalently mult = sqrt(d) w1* for the Q-system isometry w1.
+    Hom(Theta^2, Theta) as the array coeffs[n, l, m, e] of :class:`ThetaSpec`
+    (zero off ``theta.live``).  mult is normalized so that mult (unit x 1) = 1
+    and mult mult* = d(Theta); equivalently mult = sqrt(d) w1* for the
+    Q-system isometry w1.
     """
 
     theta: ThetaSpec
     unit: np.ndarray
-    coeffs: dict
+    coeffs: np.ndarray
     # maps built from (unit, mult) that depend only on signed words, see
     # _memo: ("actions", Bimod), ("mult", Bimod, word) and the lifted
     # braidings ("braid", lam, mu, sign)
@@ -109,25 +110,22 @@ class AlgebraObject:
 
     @cached_property
     def mult(self) -> Morphism:
-        """mult in Hom(Theta^2, Theta), built once: each coefficient sits at the
-        transpose of its slot."""
-        theta, model = self.theta, self.model
-        offs, offs2 = model.sector_offsets(theta.object), model.sector_offsets(theta.square)
-        blocks = {c: np.zeros((offs[c][-1], offs2[c][-1]), dtype=complex) for c in range(model.rank)}
-        for key, (c, row, col) in theta.slots.items():
-            blocks[c][col, row] = self.coeffs.get(key, 0.0)
-        return Morphism(model, theta.square, theta.object, blocks)
+        """mult in Hom(Theta^2, Theta), built once: its blocks are the
+        transposes of those that ``coeffs`` has in Hom(Theta, Theta^2)."""
+        blocks = self.theta.coefficient_blocks(self.coeffs)
+        return Morphism(self.model, self.theta.square, self.object,
+                        {c: np.ascontiguousarray(B.T) for c, B in blocks.items()})
 
 
 def trivial_algebra(model: CategoryModel) -> AlgebraObject:
-    return algebra_from_coefficients(ThetaSpec(model, {0: 1}), {(0, 0, 0, 0): 1.0})
+    return algebra_from_coefficients(ThetaSpec(model, {0: 1}), np.ones((1, 1, 1, 1)))
 
 
 def to_qsystem(a: AlgebraObject) -> QSystem:
     """(theta, w, w1) of ``a``: w is the unit and w1 = mult* / sqrt(d(Theta)),
     so zeta = conj(coeff) d(Theta)^(-1/2).  The Newton solver's residual reads
     the same zeta."""
-    return QSystem(theta=a.theta, zeta=a.theta.dense(a.coeffs).conj() * a.d ** -0.5, w=a.unit)
+    return QSystem(theta=a.theta, zeta=a.coeffs.conj() * a.d ** -0.5, w=a.unit)
 
 
 def verify_algebra(a: AlgebraObject, tol: float = 1e-8) -> QReport:
@@ -135,13 +133,13 @@ def verify_algebra(a: AlgebraObject, tol: float = 1e-8) -> QReport:
     return validate_qsystem(to_qsystem(a), tol=tol)
 
 
-def algebra_from_coefficients(theta: ThetaSpec, coeffs) -> AlgebraObject:
+def algebra_from_coefficients(theta: ThetaSpec, coeffs: np.ndarray) -> AlgebraObject:
     """The algebra on theta whose multiplication has coefficients ``coeffs``.
 
-    ``coeffs`` is keyed as :attr:`ThetaSpec.slots`; the unit is the identity
-    summand.
+    ``coeffs`` is theta's coefficient array, zero off ``theta.live``; the
+    unit is the identity summand.
     """
-    return AlgebraObject(theta=theta, unit=np.eye(len(theta))[theta.index(0)], coeffs=coeffs)
+    return AlgebraObject(theta, np.eye(len(theta))[theta.index(0)], np.asarray(coeffs, dtype=complex))
 
 
 def solve_haploid_algebra(model: CategoryModel, multiplicities: dict,
@@ -164,13 +162,14 @@ def solve_haploid_algebra(model: CategoryModel, multiplicities: dict,
 
     # the unknowns keep (l, m, n, e) order, so a seeded start always means the
     # same coefficients; channels with a unit factor are pinned by the unit law
-    keys = sorted(theta.slots, key=lambda k: (k[1], k[2], k[0], k[3]))
-    fixed = {(n, l, m, e): 1.0 for (n, l, m, e) in keys
-             if theta.summands[l][0] == 0 or theta.summands[m][0] == 0}
-    free = [k for k in keys if k not in fixed]
+    unit = theta.labels == 0
+    pinned = theta.live & (unit[:, None] | unit)[..., None]
+    free = np.nonzero((theta.live & ~pinned).transpose(1, 2, 0, 3))
 
     def algebra(x):
-        return algebra_from_coefficients(theta, {**fixed, **dict(zip(free, x[0::2] + 1j * x[1::2]))})
+        coeffs = pinned.astype(complex)
+        coeffs.transpose(1, 2, 0, 3)[free] = x[0::2] + 1j * x[1::2]
+        return algebra_from_coefficients(theta, coeffs)
 
     def residual(x):
         q = to_qsystem(algebra(x))
@@ -179,7 +178,7 @@ def solve_haploid_algebra(model: CategoryModel, multiplicities: dict,
         return np.concatenate([r.real, r.imag])
 
     for attempt in range(attempts):
-        x = rng.standard_normal(2 * len(free))
+        x = rng.standard_normal(2 * len(free[0]))
         r = residual(x)
         for _ in range(60):
             J = np.array([residual(x + e) - residual(x - e) for e in np.eye(len(x))])

@@ -3,7 +3,10 @@
 Category bundles and algebra bundles are JSON documents; complex numbers are
 stored as [re, im] pairs of decimal doubles and tree bases are addressed by
 explicit (channel, multiplicity...) index triples, so files are unambiguous
-and diff friendly.  Multiplicity indices are 0-based throughout.
+and diff friendly.  Multiplicity indices are 0-based throughout, and every
+label and index must be a JSON integer.  An algebra's coefficient entries
+(l, m, n, e, value) are read into, and written from, its coefficient array
+coeffs[n, l, m, e].
 
 Canonical form: entries are sorted, zero entries and the identity-sector
 recouplings (implied by the unital gauge) are omitted; a parse -> serialize
@@ -138,9 +141,10 @@ def load_category(path) -> CategoryModel:
         n = len(names)
 
         def labels(*xs):
-            # numpy would wrap a negative label and never look up a large one
+            # numpy would wrap a negative label, never look up a large one and
+            # read a bool as a mask
             for x in xs:
-                if not (isinstance(x, int) and 0 <= x < n):
+                if not (type(x) is int and 0 <= x < n):
                     raise BundleError(f"label {x!r} is not one of 0..{n - 1}")
 
         _once(doc["N"], 3, "N")
@@ -159,7 +163,7 @@ def load_category(path) -> CategoryModel:
 
         def vertices(*pairs):
             """True when each (i, count) has an int index i with 0 <= i < count."""
-            return all(isinstance(i, int) and 0 <= i < count for i, count in pairs)
+            return all(type(i) is int and 0 <= i < count for i, count in pairs)
 
         # the model never reads an entry at an identity label (the unital
         # gauge fixes those) or off the tree bases, so such entries are errors
@@ -219,8 +223,9 @@ def load_category(path) -> CategoryModel:
 def save_algebra(alg: AlgebraObject, path, name: str = "", provenance: str = "") -> None:
     model = alg.model
     mult_vec = [int(alg.theta.multiplicities.get(lam, 0)) for lam in range(model.rank)]
-    coeffs = {key: alg.coeffs.get(key, 0.0) for key in alg.theta.slots}
-    entries = [[l, m, n, e, _c2j(v)] for (n, l, m, e), v in coeffs.items() if abs(v) > 1e-15]
+    live = alg.theta.live
+    entries = [[l, m, n, e, _c2j(v)] for (n, l, m, e), v in zip(np.argwhere(live).tolist(), alg.coeffs[live].tolist())
+               if abs(v) > 1e-15]
     doc = {
         "format": ALGEBRA_FORMAT,
         "name": name or "algebra",
@@ -249,11 +254,15 @@ def load_algebra(path, model: CategoryModel) -> AlgebraObject:
             raise BundleError(f"multiplicity of the identity sector is {mult_vec[0]}; "
                               "an algebra needs a unit summand")
         _once(doc["coefficients"], 4, "coefficient")
-        coeffs = {}
+        coeffs = np.zeros(theta.live.shape, dtype=complex)
         for l, m, n, e, v in doc["coefficients"]:
-            if (n, l, m, e) not in theta.slots:
+            key = (n, l, m, e)
+            # numpy would read a bool as a mask, a float as an index and wrap a negative one
+            if not all(type(i) is int for i in key):
+                raise BundleError(f"coefficient entry {[l, m, n, e]} has an index that is not an integer")
+            if not (all(0 <= i < k for i, k in zip(key, theta.live.shape)) and theta.live[key]):
                 raise BundleError(f"coefficient entry {[l, m, n, e]} is not fusion compatible")
-            coeffs[(n, l, m, e)] = _j2c(v)
+            coeffs[key] = _j2c(v)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         if isinstance(exc, BundleError):
             raise

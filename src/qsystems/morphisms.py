@@ -842,22 +842,34 @@ def _provided(name: str, provider, key: tuple, size: int) -> np.ndarray:
     return out
 
 
+# Entries of the largest F table a model builds, the sum over its label
+# quadruples of trees^2.  The largest table the tests and CI build, su(2)
+# level 28's, has 4,094,945.
+_F_CELLS = 1 << 26
+
+
 def _build_f_table(model: CategoryModel, provider) -> _Blocks:
     """F(a, b, c, d) for every label quadruple with trees, with
     ``provider(a, b, c, d)`` called once for each where none of a, b, c is the
     unit (there F is the identity, the unital gauge).
 
-    That each Hom(d, abc) has as many left as right trees is checked first.
+    A table of more than ``_F_CELLS`` entries is refused first, counted in
+    floats so that no tree count overflows; then that each Hom(d, abc) has as
+    many left as right trees is checked.
     """
+    n = model.N.astype(float)
+    cells = max(float(np.square(np.tensordot(n, n, axes=(2, i))).sum()) for i in (0, 1))
+    if cells > _F_CELLS:
+        raise StructureError(f"the F table would hold {cells:.3g} entries, more than {_F_CELLS}")
     quads, nl, nr = _tree_counts(model.N)
     if (nl != nr).any():
         i = int(np.argmax(nl != nr))
         raise StructureError(f"fusion data not associative at {tuple(quads[i].tolist())}: "
                              f"{nl[i]} != {nr[i]}")
-    eye = [np.eye(m, dtype=complex) for m in range(int(nl.max(initial=0)) + 1)]
-    inner = quads[:, :3].all(axis=1).tolist()
+    inner = quads[:, :3].all(axis=1)
+    eye = {m: np.eye(m, dtype=complex) for m in set(nl[~inner].tolist())}
     blocks = (_provided("F", provider, key, trees) if nonunit else eye[trees]
-              for key, trees, nonunit in zip(zip(*quads.T.tolist()), nl.tolist(), inner))
+              for key, trees, nonunit in zip(zip(*quads.T.tolist()), nl.tolist(), inner.tolist()))
     return _Blocks(quads, blocks, nl, model.rank)
 
 

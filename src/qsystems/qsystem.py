@@ -12,9 +12,9 @@ where theta(x) = 1_theta x x (left monoidal multiplication).  The validator
 reports the operator-norm residual of each relation; residual norms are the
 largest singular value across sector blocks.
 
-Every summand of theta is simple, so w1 is its coefficient tensor
-zeta[n; l, m, e] (:attr:`ThetaSpec.slots`) and w is a vector w_p over the
-summands labelled 0.  :func:`validate_qsystem` forms each sector block c of
+Every summand of theta is simple, so w1 is its coefficient array
+zeta[n; l, m, e] (zero off :attr:`ThetaSpec.live`) and w is a vector w_p over
+the summands labelled 0.  :func:`validate_qsystem` forms each sector block c of
 each defect from these numbers and one F-move per summand triple, without
 building theta^3.  Write lam_i for the label of summand i; n' runs over the
 summands labelled c, and sums over p or q run over summands with a given
@@ -58,6 +58,7 @@ from .morphisms import (
     Morphism,
     SumObject,
     _pairs,
+    _run_starts,
     _trees,
     deligne_product,
     mirror,
@@ -66,6 +67,11 @@ from .morphisms import (
 
 __all__ = ["ThetaSpec", "QSystem", "QReport", "validate_qsystem",
            "assemble_qsystem", "lr_zeta", "lr_qsystem", "check_commutativity"]
+
+# Cells of the coefficient array zeta[n, l, m, e] of the largest theta a
+# ThetaSpec takes: ns^3 ne for ns summands and ne tree vertices.  The largest
+# theta the tests and CI build, E7's (17 summands, one vertex), has 4,913.
+_THETA_CELLS = 1 << 22
 
 
 class ThetaSpec:
@@ -78,9 +84,12 @@ class ThetaSpec:
     l * len(theta) + m is the word of summand l followed by that of m.
 
     Since every summand is simple, a map in Hom(theta, theta^2) is its
-    coefficient tensor zeta[n, l, m, e]: the entry on the tree vertex e of
+    coefficient array zeta[n, l, m, e]: the entry on the tree vertex e of
     Hom(nu, lam mu), for the summands n, l, m with labels nu, lam, mu.
-    :attr:`slots` is the one place that says where each coefficient sits.
+    ``live`` says where a coefficient sits: live[n, l, m, e] is e < N[lam,
+    mu, nu], and the e axis is as long as the most tree vertices of any
+    summand triple.  A theta whose array would pass ``_THETA_CELLS`` cells is
+    refused before its summands are listed.
     """
 
     def __init__(self, model: CategoryModel, multiplicities: dict):
@@ -89,57 +98,36 @@ class ThetaSpec:
                 raise ValueError(f"multiplicity {v!r} of sector {k} is not a nonnegative integer")
         self.model = model
         self.multiplicities = {int(k): int(v) for k, v in multiplicities.items() if v > 0}
-        self.summands = [(lam, copy)
-                         for lam in sorted(self.multiplicities)
-                         for copy in range(1, self.multiplicities[lam] + 1)]
+        present = sorted(self.multiplicities)
+        ns = sum(self.multiplicities.values())
+        ne = max(1, int(model.N[np.ix_(present, present, present)].max(initial=0)))
+        if ns ** 3 * ne > _THETA_CELLS:
+            raise ValueError(f"theta with {ns} summands and {ne} tree vertices has more than "
+                             f"{_THETA_CELLS} coefficient cells")
+        self.summands = [(lam, copy) for lam in present for copy in range(1, self.multiplicities[lam] + 1)]
+        lab = self.labels = np.array([lam for lam, _ in self.summands], dtype=np.intp)
+        self.live = np.arange(ne) < model.N[np.ix_(lab, lab, lab)].transpose(2, 0, 1)[..., None]
         self.object = SumObject(tuple((lam,) for lam, _ in self.summands))
         self.square = sum_product(self.object, self.object)
         self.d_theta = float(sum(model.qdim[lam] for lam, _ in self.summands))
 
-    @cached_property
-    def slots(self) -> dict:
-        """Position of each coefficient in Hom(theta, theta^2).
-
-        Maps (n, l, m, e), for every e < N[lam, mu, nu], to (c, row, col):
-        the sector c = nu, the theta^2 basis index of tree e in summand
-        (l, m), and the theta basis index of summand n.  Keys run in sorted
-        order; a key outside this dict names no coefficient.
-        """
-        N = self.model.N
-        offs = self.model.sector_offsets(self.object)
-        offs2 = self.model.sector_offsets(self.square)
-        ns = len(self.summands)
-        out = {}
-        for n, (nu, _) in enumerate(self.summands):
-            for l, (lam, _) in enumerate(self.summands):
-                for m, (mu, _) in enumerate(self.summands):
-                    row = offs2[nu][l * ns + m]
-                    for e in range(int(N[lam, mu, nu])):
-                        out[(n, l, m, e)] = (nu, row + e, offs[nu][n])
-        return out
-
     def coefficient_blocks(self, zeta: np.ndarray) -> dict:
-        """Sector blocks of the map in Hom(theta, theta^2) with coefficients ``zeta``,
-        laid out as :meth:`dense` lays them out."""
-        offs = self.model.sector_offsets(self.object)
-        offs2 = self.model.sector_offsets(self.square)
-        blocks = {c: np.zeros((offs2[c][-1], offs[c][-1]), dtype=complex)
-                  for c in range(self.model.rank)}
-        for key, (c, row, col) in self.slots.items():
-            blocks[c][row, col] = zeta[key]
-        return blocks
+        """Sector blocks of the map in Hom(theta, theta^2) with coefficients ``zeta``.
 
-    @cached_property
-    def vertices(self) -> int:
-        """Length of the e axis of :meth:`dense`: the most tree vertices of a summand triple."""
-        return 1 + max((e for *_, e in self.slots), default=0)
-
-    def dense(self, zeta) -> np.ndarray:
-        """``zeta``, keyed as :attr:`slots`, as the array zeta[n, l, m, e]; zero off the slots."""
-        out = np.zeros((len(self),) * 3 + (self.vertices,), dtype=complex)
-        for key, val in zeta.items():
-            out[key] = val
-        return out
+        The coefficient at (n, l, m, e) sits in block c = nu, at the theta^2
+        basis row of tree e in summand (l, m) and the theta basis column of
+        summand n; the blocks are views of one array.
+        """
+        model = self.model
+        offs = np.array(model.sector_offsets(self.object))
+        offs2 = np.array(model.sector_offsets(self.square))
+        dim, size = offs[:, -1], offs[:, -1] * offs2[:, -1]
+        at = _run_starts(size)
+        n, l, m, e = np.nonzero(self.live)
+        c = self.labels[n]
+        flat = np.zeros(size.sum(), dtype=complex)
+        flat[at[c] + (offs2[c, l * len(self) + m] + e) * dim[c] + offs[c, n]] = zeta[n, l, m, e]
+        return {c: flat[at[c]:at[c] + size[c]].reshape(offs2[c, -1], dim[c]) for c in range(model.rank)}
 
     def index(self, lam: int, copy: int = 1) -> int:
         return self.summands.index((lam, copy))
@@ -156,9 +144,10 @@ class ThetaSpec:
 class QSystem:
     """Canonical triple (theta, w, w1), held as the coefficients of w and w1.
 
-    ``zeta`` is w1 in Hom(theta, theta^2) as :meth:`ThetaSpec.dense` lays it
-    out, and ``w`` is w in Hom(id, theta) as a vector over the summands, zero
-    off the label 0.  :attr:`w1` is the same map as a :class:`Morphism`.
+    ``zeta`` is w1 in Hom(theta, theta^2) as its coefficient array
+    zeta[n, l, m, e] (see :class:`ThetaSpec`), and ``w`` is w in Hom(id, theta)
+    as a vector over the summands, zero off the label 0.  :attr:`w1` is the
+    same map as a :class:`Morphism`.
     """
 
     theta: ThetaSpec
@@ -221,8 +210,8 @@ _RELATION_CELLS = 1 << 18
 def _defects(theta: ThetaSpec, zeta: np.ndarray, w: np.ndarray, names=_RELATIONS) -> dict:
     """lhs - rhs of each relation in ``names``: a list of sector blocks each.
 
-    ``zeta`` is w1 as :meth:`ThetaSpec.dense` lays it out and ``w`` is w over
-    the summands, zero off the label 0.  Blocks follow the module docstring;
+    ``zeta`` is the coefficient array of w1 and ``w`` is w over the
+    summands, zero off the label 0.  Blocks follow the module docstring;
     w_isometry has one 1 x 1 block.  The unit, isometry and coassociativity
     blocks are formed in the sectors that hold a summand, the only ones where
     they have a nonzero size; the Frobenius block in every sector, on its
@@ -235,8 +224,7 @@ def _defects(theta: ThetaSpec, zeta: np.ndarray, w: np.ndarray, names=_RELATIONS
     """
     model = theta.model
     N, ns, rank = model.N, len(theta), model.rank
-    lab = np.array([lam for lam, _ in theta.summands])
-    ne = zeta.shape[3]
+    lab = theta.labels
     member = np.zeros((rank, ns))  # member[s, p] = 1 if lam_p = s
     member[lab, np.arange(ns)] = 1.0
     count = np.bincount(lab, minlength=rank)
@@ -271,8 +259,7 @@ def _defects(theta: ThetaSpec, zeta: np.ndarray, w: np.ndarray, names=_RELATIONS
         P = np.flatnonzero(lab == s)
         zc = zeta[P]
         # the sector block of w1: theta^2 rows (l, m, e) with e a tree vertex
-        basis = np.flatnonzero(np.arange(ne) < n_lm[:, :, s, None])
-        B = isometry_rows[s] = zc.reshape(len(P), ns * ns * ne)[:, basis].T
+        B = isometry_rows[s] = zc.reshape(len(P), -1)[:, np.flatnonzero(theta.live[P[0]])].T
         one = theta.d_theta ** -0.5 * np.eye(len(P))
         out["unit_left"].append(np.einsum("p,apb->ba", w.conj(), zc[:, :, P, 0]) - one)
         out["unit_right"].append(np.einsum("p,abp->ba", w.conj(), zc[:, P, :, 0]) - one)
@@ -370,48 +357,37 @@ def validate_qsystem(q: QSystem, tol: float = 1e-8) -> QReport:
     return QReport(residuals=res, irreducible=irreducible, tol=tol)
 
 
-def assemble_qsystem(theta: ThetaSpec, zeta) -> QSystem:
+def assemble_qsystem(theta: ThetaSpec, zeta: np.ndarray) -> QSystem:
     """Assemble (theta, w, w1) from comultiplication coefficients.
 
-    ``zeta`` maps ``(n, l, m, e) -> complex`` over summand indices n, l, m of
-    theta and the multiplicity index e of Hom(nu, lam mu); missing keys are
-    zero (see :attr:`ThetaSpec.slots`).  w is the injection of the identity
-    summand, and
+    ``zeta[n, l, m, e]`` is the coefficient on the summands n, l, m of theta
+    and the tree vertex e of Hom(nu, lam mu), zero off ``theta.live``.  w is
+    the injection of the identity summand, and
 
         w1 = sum (W_l x W_m) T^n_lm W_n*,
         T^n_lm = sum_e zeta[n,l,m,e] T_e.
     """
     if theta.model.obj_dim(0, theta.object) != 1:
         raise ValueError("theta must contain the identity sector exactly once")
-    return QSystem(theta=theta, zeta=theta.dense(zeta), w=np.eye(len(theta))[theta.index(0)])
+    return QSystem(theta=theta, zeta=np.asarray(zeta, dtype=complex), w=np.eye(len(theta))[theta.index(0)])
 
 
-def lr_zeta(theta: ThetaSpec) -> dict:
+def lr_zeta(theta: ThetaSpec) -> np.ndarray:
     """Closed-form coefficients for the identity coupling matrix.
 
     With both extensions trivial the coefficient formula collapses to
     sqrt(d(lam) d(mu) / (d(theta) d(nu))) delta_{e1 e2} on the diagonal
-    summands lam x lam-op of theta over a Deligne product.
+    summands lam x lam-op of theta over a Deligne product; the product
+    vertex of (e1, e2) is e1 N2 + e2, with N2 the second factor's count.
     """
     D = theta.model
     m1, m2 = D.factors
-    pairs = [D.unpack(lam) for lam, _ in theta.summands]
-    dth = theta.d_theta
-    zeta = {}
-    for n, (nu, _) in enumerate(theta.summands):
-        nu1, nu2 = pairs[n]
-        for l, (lam, _) in enumerate(theta.summands):
-            lam1, lam2 = pairs[l]
-            for m, (mu, _) in enumerate(theta.summands):
-                mu1, mu2 = pairs[m]
-                if D.N[lam, mu, nu] == 0:
-                    continue
-                val = np.sqrt(m1.qdim[lam1] * m1.qdim[mu1] / (dth * m1.qdim[nu1]))
-                n2 = int(m2.N[lam2, mu2, nu2])
-                for e1 in range(int(m1.N[lam1, mu1, nu1])):
-                    for e2 in range(n2):
-                        if e1 == e2:
-                            zeta[(n, l, m, e1 * n2 + e2)] = val
+    p1, p2 = D.unpack(theta.labels)
+    n1, n2 = (f.N[np.ix_(p, p, p)].transpose(2, 0, 1) for f, p in ((m1, p1), (m2, p2)))
+    q = m1.qdim[p1]
+    n, l, m, e1 = np.nonzero(np.arange(theta.live.shape[3]) < np.minimum(n1, n2)[..., None])
+    zeta = np.zeros(theta.live.shape, dtype=complex)
+    zeta[n, l, m, e1 * (n2[n, l, m] + 1)] = np.sqrt(q[l] * q[m] / (theta.d_theta * q[n]))
     return zeta
 
 
@@ -431,13 +407,13 @@ def check_commutativity(q: QSystem, eps: np.ndarray) -> float:
     """Residual of eps(theta, theta) w1 = w1, from the coefficients of w1.
 
     ``eps[n, l, m]`` is the braiding R(lam_l, lam_m; lam_n) of the summand
-    pair (l, m), zero-padded to the e axis of :meth:`ThetaSpec.dense` (see
+    pair (l, m), zero-padded to the e axis of ``zeta`` (see
     :func:`~qsystems.ctps.ctps_braiding`).  The braided w1 has the
     coefficients (eps w1)[n; m, l, f] = sum_e eps[n, l, m][f, e] zeta[n; l, m, e].
     The residual is the largest operator norm, over the sectors c, of the
     block of (eps w1 - w1) whose columns are the summands n labelled c.
     """
     defect = (eps @ q.zeta[..., None])[..., 0].transpose(0, 2, 1, 3) - q.zeta
-    lab = np.array([lam for lam, _ in q.theta.summands])
+    lab = q.theta.labels
     # a set, not np.unique(lab): on numpy 2.4 that imports numpy.ma (1.6 MB of peak RSS)
     return _worst(defect[lab == c].reshape(np.count_nonzero(lab == c), -1).T for c in set(lab.tolist()))

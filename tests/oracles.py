@@ -358,10 +358,51 @@ def conjugate_oracle(model: CategoryModel) -> float:
 # -- coefficients and morphisms ------------------------------------------------
 
 
-def slot_coefficients(theta: ThetaSpec, blocks: dict) -> dict:
+def slots(theta: ThetaSpec) -> dict:
+    """Position of each coefficient of Hom(theta, theta^2), one slot at a time:
+    the reference layout of ``theta.live`` and ``ThetaSpec.coefficient_blocks``.
+
+    Maps (n, l, m, e), for every e < N[lam, mu, nu], to (c, row, col): the
+    sector c = nu, the theta^2 basis index of tree e in summand (l, m), and
+    the theta basis index of summand n.  Keys run in sorted order.
+    """
+    model = theta.model
+    N = model.N
+    offs = model.sector_offsets(theta.object)
+    offs2 = model.sector_offsets(theta.square)
+    ns = len(theta.summands)
+    out = {}
+    for n, (nu, _) in enumerate(theta.summands):
+        for l, (lam, _) in enumerate(theta.summands):
+            for m, (mu, _) in enumerate(theta.summands):
+                row = offs2[nu][l * ns + m]
+                for e in range(int(N[lam, mu, nu])):
+                    out[(n, l, m, e)] = (nu, row + e, offs[nu][n])
+    return out
+
+
+def slot_blocks(theta: ThetaSpec, zeta: np.ndarray, transpose: bool = False) -> dict:
+    """The sector blocks of the map in Hom(theta, theta^2) with coefficients
+    ``zeta``, filled slot by slot from :func:`slots`; with ``transpose``, the
+    blocks in Hom(theta^2, theta) that hold each coefficient at the transpose
+    of its slot, as ``AlgebraObject.mult`` does."""
+    model = theta.model
+    offs, offs2 = model.sector_offsets(theta.object), model.sector_offsets(theta.square)
+    blocks = {c: np.zeros((offs2[c][-1], offs[c][-1]), dtype=complex) for c in range(model.rank)}
+    if transpose:
+        blocks = {c: np.zeros(B.shape[::-1], dtype=complex) for c, B in blocks.items()}
+    for key, (c, row, col) in slots(theta).items():
+        blocks[c][(col, row) if transpose else (row, col)] = zeta[key]
+    return blocks
+
+
+def slot_coefficients(theta: ThetaSpec, blocks: dict) -> np.ndarray:
     """Every slot's entry of the sector blocks of a map in Hom(theta, theta^2),
-    keyed as ``theta.slots``: the inverse of ``ThetaSpec.coefficient_blocks``."""
-    return {key: blocks[c][row, col] for key, (c, row, col) in theta.slots.items()}
+    as theta's coefficient array: the inverse of ``ThetaSpec.coefficient_blocks``."""
+    out = np.zeros(theta.live.shape, dtype=complex)
+    for key, (c, row, col) in slots(theta).items():
+        out[key] = blocks[c][row, col]
+    return out
 
 
 def _identity_summands(theta: ThetaSpec) -> np.ndarray:
@@ -382,8 +423,7 @@ def unit_morphism(theta: ThetaSpec, w: np.ndarray) -> Morphism:
 
 def qsystem_of(theta: ThetaSpec, w: Morphism, w1: Morphism) -> QSystem:
     """The QSystem whose w and w1 are the morphisms ``w`` and ``w1``."""
-    zeta = theta.dense(slot_coefficients(theta, w1.blocks))
-    return QSystem(theta=theta, zeta=zeta, w=unit_vector(theta, w))
+    return QSystem(theta=theta, zeta=slot_coefficients(theta, w1.blocks), w=unit_vector(theta, w))
 
 
 def algebra_of(theta: ThetaSpec, unit: Morphism, mult: Morphism) -> AlgebraObject:
@@ -396,14 +436,15 @@ def algebra_of(theta: ThetaSpec, unit: Morphism, mult: Morphism) -> AlgebraObjec
 
 
 def random_qsystem(theta: ThetaSpec, rng) -> QSystem:
-    """Random complex coefficients on every slot of w1, and a random w."""
-
-    def noise(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    zeta = theta.dense({key: complex(noise()) for key in theta.slots})
+    """Random complex coefficients on every slot of w1, and a random w: the
+    real and imaginary part of one slot after another in (n, l, m, e) order,
+    then those of w."""
+    zeta = np.zeros(theta.live.shape, dtype=complex)
+    z = rng.standard_normal((np.count_nonzero(theta.live), 2))
+    zeta[theta.live] = z[:, 0] + 1j * z[:, 1]
     w = np.zeros(len(theta), dtype=complex)
-    w[_identity_summands(theta)] = noise(theta.model.obj_dim(0, theta.object))
+    shape = theta.model.obj_dim(0, theta.object)
+    w[_identity_summands(theta)] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return QSystem(theta=theta, zeta=zeta, w=w)
 
 
@@ -747,7 +788,7 @@ def subgroup_algebra(model: CategoryModel, g: int) -> AlgebraObject:
     """The group algebra of the subgroup H = <g> of Z_n (g divides n) in
     :func:`pointed`: one summand per element of H, every coefficient 1."""
     theta = ThetaSpec(model, {h: 1 for h in range(0, model.rank, g)})
-    return algebra_from_coefficients(theta, dict.fromkeys(theta.slots, 1.0))
+    return algebra_from_coefficients(theta, theta.live.astype(complex))
 
 
 def pointed_coupling(n: int, p: int, g: int) -> np.ndarray:

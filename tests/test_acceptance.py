@@ -160,9 +160,9 @@ def test_criterion_8_soundness_controls(lr_pairs, d4_result):
     pair = lr_pairs["fibonacci"]
     res = build_ctps(pair, tol=1e-9)
     flips = 0
-    keys = list(res.zeta)
+    keys = list(zip(*np.nonzero(res.zeta)))
     for key in keys:
-        z2 = dict(res.zeta)
+        z2 = res.zeta.copy()
         z2[key] += 1e-3
         q2 = assemble_w1(res.product_model, res.theta, z2, pair)
         if not validate_qsystem(q2, tol=1e-8).ok:

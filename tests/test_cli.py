@@ -187,14 +187,21 @@ def _is_label(path) -> bool:
     return len(path) == 3 and path[2] < 3
 
 
+def _is_count(path) -> bool:
+    """Whether a path holds a count that sets an allocation: an N value or a multiplicity."""
+    return bool(path) and (path[0] == "multiplicity" or (path[0] == "N" and len(path) == 3 and path[2] == 3))
+
+
 @settings(max_examples=150, deadline=None)
 @given(bundle=st.sampled_from(MUTATED_BUNDLES),
-       kind=st.sampled_from(["drop", "duplicate", "label", "non-number", "truncate"]), data=st.data())
+       kind=st.sampled_from(["drop", "duplicate", "label", "index", "huge", "non-number", "truncate"]),
+       data=st.data())
 def test_mutated_bundles_exit_cleanly(data_dir, bundle, kind, data):
-    # a bundle with an entry dropped or repeated, a label out of range, a
-    # number replaced by something else, or its text cut short: the command
-    # ends with an exit code (0 only where every check still passes), never
-    # with a traceback
+    # a bundle with an entry dropped or repeated, a label out of range or
+    # written as a float or a bool, a huge multiplicity or N value, a number
+    # replaced by something else, or its text cut short: the command ends
+    # with an exit code (0 only where every check still passes), never with a
+    # traceback, and a huge count is refused before it is allocated
     name, category = bundle
     text = (data_dir / name).read_text()
     if kind == "truncate":
@@ -217,6 +224,13 @@ def test_mutated_bundles_exit_cleanly(data_dir, bundle, kind, data):
             if kind == "label":
                 path, value = data.draw(st.sampled_from([p for p in numbers if _is_label(p)])), \
                     data.draw(st.sampled_from([-1, 64, 2 ** 70]))
+            elif kind == "index":
+                path = data.draw(st.sampled_from([p for p in numbers if _is_label(p)
+                                                  or (p[0] == "coefficients" and p[2] == 3)]))
+                value = data.draw(st.sampled_from([float(dict(nodes)[path]), True, False]))
+            elif kind == "huge":
+                path, value = data.draw(st.sampled_from([p for p in numbers if _is_count(p)])), \
+                    data.draw(st.sampled_from([10 ** 6, 2 ** 40, 2 ** 70]))
             else:
                 path, value = data.draw(st.sampled_from(numbers)), data.draw(st.sampled_from(["x", None, [], {}]))
             parent = doc
@@ -231,7 +245,7 @@ def test_mutated_bundles_exit_cleanly(data_dir, bundle, kind, data):
             argv = ["verify-category", path]
         else:
             argv = ["build-ctps", data_dir / f"{category}.cat", "--alg", path]
-        assert run(argv) in (0, 1, 2)
+        assert run(argv) in ((2,) if kind == "huge" else (0, 1, 2))
 
 
 def test_missing_file_is_io_error(tmp_path):
@@ -421,6 +435,45 @@ def test_algebra_coefficient_outside_slots(data_dir, tmp_path, capsys):
     assert run(["build-ctps", data_dir / "su2k4.cat", "--alg", bad]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "[0, 0, 0, 1]" in err and "not fusion compatible" in err
+
+
+@pytest.mark.parametrize("index, message", [
+    (1.0, "not an integer"),    # hashed like 1, passed the lookup, then an IndexError traceback
+    (True, "not an integer"),   # numpy read it as a mask and misplaced the coefficient
+    (-1, "not fusion compatible"),
+    (2, "not fusion compatible"),
+], ids=["float", "bool", "negative", "out-of-range"])
+def test_algebra_coefficient_index_not_a_summand(data_dir, tmp_path, capsys, index, message):
+    # the entry [1, 1, 0, 0] with its first summand index l replaced; z2 has two summands
+    doc = json.loads((data_dir / "z2.alg").read_text())
+    coeffs = [[index] + c[1:] if c[:4] == [1, 1, 0, 0] else c for c in doc["coefficients"]]
+    path = _z2_variant(data_dir, tmp_path, coefficients=coeffs)
+    assert run(["build-ctps", data_dir / "su2k4.cat", "--alg", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("mult", [10 ** 6, 2 ** 70])
+def test_algebra_huge_multiplicity_refused(data_dir, tmp_path, capsys, mult):
+    # theta used to list every summand first: 10^6 of them exhausted memory
+    path = _z2_variant(data_dir, tmp_path, multiplicity=[1, 0, 0, 0, mult])
+    assert run(["build-ctps", data_dir / "su2k4.cat", "--alg", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "coefficient cells" in err
+
+
+@pytest.mark.parametrize("value", [10 ** 6, 2 ** 40])
+def test_verify_category_huge_fusion_multiplicity_refused(data_dir, tmp_path, capsys, value):
+    # Fibonacci with N[tau, tau, tau] = value is still associative.  Its F
+    # table used to be built with an identity block of every size up to the
+    # largest tree count, 10^12, and at 2^40 the int64 tree counts overflow
+    doc = json.loads((data_dir / "fibonacci.cat").read_text())
+    doc["N"] = [c[:3] + [value] if c[:3] == [1, 1, 1] else c for c in doc["N"]]
+    path = tmp_path / "huge.cat"
+    path.write_text(json.dumps(doc))
+    assert run(["verify-category", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "F table" in err
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -31,13 +31,15 @@ from qsystems.qsystem import (
     validate_qsystem,
 )
 from qsystems.ctps import alpha_pair, assemble_w1, build_theta, ctps_braiding, zeta_tensor
-from qsystems.induction import to_qsystem
+from qsystems.induction import algebra_from_coefficients, to_qsystem
 
 from oracles import (
     braiding_morphism,
     commutativity_oracle,
     qsystem_of,
     random_qsystem,
+    slot_blocks,
+    slots,
     unconjugated,
     unit_morphism,
 )
@@ -83,8 +85,8 @@ def test_zeta_perturbation_rejected(lr_systems):
     q, _ = lr_systems["fibonacci"]
     theta = q.theta
     base = lr_zeta(theta)
-    for key in list(base):
-        z = dict(base)
+    for key in zip(*np.nonzero(base)):
+        z = base.copy()
         z[key] = z[key] + 1e-3
         q2 = assemble_qsystem(theta, z)
         rep = validate_qsystem(q2, tol=1e-8)
@@ -142,6 +144,56 @@ def test_multiplicity_two_diagonal_system(models):
     assert q.theta.d_theta == pytest.approx(12.0, abs=1e-10)
     eps = ctps_braiding(D, q.theta)
     assert check_commutativity(q, eps) < 1e-9
+
+
+# -- the coefficient layout against the per-slot loop -------------------------
+
+
+@pytest.fixture(scope="module")
+def layout_thetas(models, algebras):
+    """Every bundled algebra's theta, the theta of each ctps item (z2 at (+,-),
+    (+,+) and (-,-), fibtau, isingpsi, z4fermion) over its product model, the
+    diagonal theta of rep_a4, and a rep_a4 theta with a summand of
+    multiplicity 3 on a label with two tree vertices."""
+    out = [a.theta for a in algebras.values()]
+    for name, signs in [("z2", (+1, -1)), ("z2", (+1, +1)), ("z2", (-1, -1)),
+                        ("fibtau", (+1, -1)), ("isingpsi", (+1, -1)), ("z4fermion", (+1, -1))]:
+        pair = alpha_pair(algebras[name], *signs)
+        out.append(build_theta(deligne_product(pair.model, mirror(pair.model)), pair.Z))
+    out.append(lr_qsystem(models["rep_a4"])[0].theta)
+    out.append(ThetaSpec(models["rep_a4"], {0: 1, 1: 1, 3: 3}))
+    assert out[-1].live.shape[3] == 2 and max(out[-1].multiplicities.values()) == 3
+    return out
+
+
+def _bits(blocks: dict) -> dict:
+    return {c: (B.shape, B.dtype, B.flags.c_contiguous, B.tobytes()) for c, B in blocks.items()}
+
+
+def test_live_lists_the_slots_in_order(layout_thetas):
+    # np.argwhere(theta.live) runs over the slots of the reference loop, in its order
+    for theta in layout_thetas:
+        assert [tuple(k) for k in np.argwhere(theta.live).tolist()] == list(slots(theta)), theta
+
+
+def test_coefficient_blocks_place_each_slot_as_the_slot_loop(layout_thetas, rng):
+    # random entries on and off the slots: every block is the per-slot fill,
+    # bitwise, so each coefficient sits where the loop puts it and nothing
+    # off the slots is read
+    for theta in layout_thetas:
+        zeta = rng.standard_normal(theta.live.shape) + 1j * rng.standard_normal(theta.live.shape)
+        assert _bits(theta.coefficient_blocks(zeta)) == _bits(slot_blocks(theta, zeta)), theta
+
+
+def test_mult_is_the_transposed_slot_fill(layout_thetas, algebras, rng):
+    # mult holds each coefficient at the transpose of its slot, in
+    # C-contiguous blocks, bitwise as the per-slot fill of the transposes
+    cases = [(a.theta, a.coeffs) for a in algebras.values()]
+    cases += [(theta, theta.live * (rng.standard_normal(theta.live.shape) + 1j))
+              for theta in layout_thetas]
+    for theta, coeffs in cases:
+        mult = algebra_from_coefficients(theta, coeffs).mult
+        assert _bits(mult.blocks) == _bits(slot_blocks(theta, coeffs, transpose=True)), theta
 
 
 # -- the coefficient validator against the theta^3 oracle ---------------------
