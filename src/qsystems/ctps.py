@@ -186,7 +186,7 @@ def zeta_tensor(pair: ExtensionPair, d_theta: float) -> np.ndarray:
     model = pair.model
     a = pair.algebra
     N, qdim, rank = model.N, model.qdim, model.rank
-    th = np.array([lam for lam, _ in a.theta.summands])
+    th = a.theta.labels
     n1, n2 = (np.array([getattr(n, f) for n in pair.summands]) for f in ("lam1", "lam2"))
     vertices = N[np.ix_(n1, n1, n1)] * N[np.ix_(n2, n2, n2)]
     lifted = {}

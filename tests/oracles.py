@@ -388,9 +388,8 @@ def slot_blocks(theta: ThetaSpec, zeta: np.ndarray, transpose: bool = False) -> 
     of its slot, as ``AlgebraObject.mult`` does."""
     model = theta.model
     offs, offs2 = model.sector_offsets(theta.object), model.sector_offsets(theta.square)
-    blocks = {c: np.zeros((offs2[c][-1], offs[c][-1]), dtype=complex) for c in range(model.rank)}
-    if transpose:
-        blocks = {c: np.zeros(B.shape[::-1], dtype=complex) for c, B in blocks.items()}
+    shape = {c: (offs2[c][-1], offs[c][-1]) for c in range(model.rank)}
+    blocks = {c: np.zeros(s[::-1] if transpose else s, dtype=complex) for c, s in shape.items()}
     for key, (c, row, col) in slots(theta).items():
         blocks[c][(col, row) if transpose else (row, col)] = zeta[key]
     return blocks
